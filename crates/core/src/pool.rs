@@ -15,8 +15,14 @@
 //! (frozen) shapes. The number of distinct sizes in a process is bounded by
 //! the models in play (cut-point tensor sizes, probe sizes, output sizes),
 //! and `MAX_POOLED_SIZES` caps the map against pathological callers.
+//!
+//! Hits and misses are counted twice: process-wide ([`stats`]) and for the
+//! calling thread alone ([`thread_stats`]), so a client thread can measure
+//! its own pool traffic while server threads in the same process use the
+//! pool concurrently.
 
 use bytes::Bytes;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -29,6 +35,24 @@ static POOL: OnceLock<Mutex<HashMap<usize, Bytes>>> = OnceLock::new();
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// This thread's (hits, misses).
+    static THREAD_STATS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn count(hit: bool) {
+    let global = if hit { &HITS } else { &MISSES };
+    global.fetch_add(1, Ordering::Relaxed);
+    THREAD_STATS.with(|c| {
+        let (hits, misses) = c.get();
+        c.set(if hit {
+            (hits + 1, misses)
+        } else {
+            (hits, misses + 1)
+        });
+    });
+}
+
 /// A zero-filled payload of exactly `len` bytes, shared with every other
 /// caller that asked for the same size (the returned [`Bytes`] aliases one
 /// allocation; clones are reference-count bumps).
@@ -40,10 +64,10 @@ pub fn zero_payload(len: usize) -> Bytes {
     let pool = POOL.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = pool.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(b) = map.get(&len) {
-        HITS.fetch_add(1, Ordering::Relaxed);
+        count(true);
         return b.clone();
     }
-    MISSES.fetch_add(1, Ordering::Relaxed);
+    count(false);
     let fresh = Bytes::from(vec![0u8; len]);
     if map.len() < MAX_POOLED_SIZES {
         map.insert(len, fresh.clone());
@@ -56,6 +80,13 @@ pub fn zero_payload(len: usize) -> Bytes {
 #[must_use]
 pub fn stats() -> (u64, u64) {
     (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
+}
+
+/// The calling thread's (hits, misses) of the payload pool: unlike
+/// [`stats`], untouched by lookups on any other thread.
+#[must_use]
+pub fn thread_stats() -> (u64, u64) {
+    THREAD_STATS.with(Cell::get)
 }
 
 #[cfg(test)]
@@ -95,5 +126,20 @@ mod tests {
         let (h1, m1) = stats();
         assert!(h1 + m1 >= h0 + m0 + 2, "both lookups must be counted");
         assert!(h1 > h0, "the second lookup of a size must be a hit");
+    }
+
+    #[test]
+    fn thread_stats_count_only_the_calling_thread() {
+        let before = thread_stats();
+        std::thread::spawn(|| {
+            let _ = zero_payload(23_456);
+            let _ = zero_payload(23_456);
+        })
+        .join()
+        .expect("helper thread");
+        assert_eq!(thread_stats(), before, "another thread's lookups leaked in");
+        let _ = zero_payload(23_456);
+        let (hits, misses) = thread_stats();
+        assert_eq!(hits + misses, before.0 + before.1 + 1);
     }
 }

@@ -11,17 +11,31 @@
 //! u32-le total_len ++ header bytes ++ payload bytes
 //! ```
 //!
-//! [`SocketChannel::send_split`] writes the prefix, header and payload as
-//! three sequential writes — the multi-MB tensor payload is never
-//! flattened into a fresh contiguous buffer. Declared lengths above
+//! [`SocketChannel::send_split`] hands the prefix, header and payload to
+//! one gathered write (`write_vectored`): one syscall per frame, and the
+//! multi-MB tensor payload is never flattened into a fresh contiguous
+//! buffer. Only a partial write loops. Declared lengths above
 //! [`MAX_FRAME_BYTES`] are refused with [`ProtocolError::Oversized`]
 //! before any allocation, on both the send and receive side.
 //!
+//! The receiving `FrameReader` reads into a fixed per-connection
+//! read-ahead buffer and cuts whole frames out of it: a frame that fits
+//! (up to 16 KiB with its prefix — every control frame, the bandwidth
+//! probe, an inference reply) usually costs one `read`, and several
+//! frames that arrive together cost one `read` between them. A longer
+//! frame's body goes straight into a buffer of its exact length; on the
+//! nonblocking server side that buffer is never zero-filled first.
+//!
 //! # Deadline semantics
 //!
-//! [`FrameChannel::recv_deadline`] is implemented over `SO_RCVTIMEO`: each
-//! read sets the socket read timeout to the remaining deadline budget. A
-//! timeout mid-frame leaves the incremental `FrameReader` positioned
+//! [`FrameChannel::recv_deadline`] is implemented over `SO_RCVTIMEO`. A
+//! frame already in the read-ahead is returned without any syscall; the
+//! read timeout is set only before a read that may block, and only when
+//! the one in force is longer than the remaining budget (or expired
+//! short of its deadline). It is rounded down to whole milliseconds, so
+//! the next exchange's fresh budget of the same length reuses it, and
+//! clamped to at least 1 ms, the most a receive overshoots its deadline.
+//! A timeout mid-frame leaves the incremental `FrameReader` positioned
 //! exactly where it stopped — the next `recv_deadline` resumes the same
 //! frame, so a deadline never desyncs the stream. Only a genuinely broken
 //! stream (EOF, I/O error, oversized declared length) poisons the reader,
@@ -34,15 +48,16 @@
 //! connections end to end — their nonblocking sockets, the resumable
 //! `FrameReader` per connection (so a partial frame survives
 //! `WOULD_BLOCK` exactly as it survives a deadline), and a zero-copy
-//! egress outbox — and parks in one `poll(2)` call over all of them plus
-//! a wake pipe. Replies queued by the in-process mux (or its suffix
+//! egress outbox flushed with one gathered write across all queued
+//! segments — and parks in one `poll(2)` call over all of them plus a
+//! wake pipe. Replies queued by the in-process mux (or its suffix
 //! workers) fire the session's [`ReplyWaker`], which writes one byte to
-//! the owning shard's wake pipe; the listener itself lives in shard 0's
-//! poll set, so accepting costs no dedicated thread and no busy-poll
-//! sleep. There are no per-connection threads to leak: shutdown joins
-//! every shard. The mux loop, admission control, fault scripts and
-//! telemetry are exactly the in-process server's — the socket layer is a
-//! pure transport.
+//! the owning shard's wake pipe (drained with one `read` per wake-up);
+//! the listener itself lives in shard 0's poll set, so accepting costs no
+//! dedicated thread and no busy-poll sleep. There are no per-connection
+//! threads to leak: shutdown joins every shard. The mux loop, admission
+//! control, fault scripts and telemetry are exactly the in-process
+//! server's — the socket layer is a pure transport.
 
 use crate::pool::zero_payload;
 use crate::protocol::{Frame, Message, ProtocolError, MAX_PAYLOAD_BYTES};
@@ -51,7 +66,7 @@ use crate::threaded::{
 };
 use bytes::Bytes;
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -152,32 +167,89 @@ impl NetStream for UnixStream {
     }
 }
 
-/// Outcome of one [`FrameReader::step`] read attempt.
+/// Size of each connection's read-ahead buffer. A frame whose prefix and
+/// body fit in it — every control frame, the 8 KiB bandwidth probe, an
+/// inference reply — is cut from it, usually after a single `read`; a
+/// longer frame's body is read straight into a buffer of its exact length.
+const READ_AHEAD: usize = 16 * 1024;
+
+/// Outcome of one [`FrameReader::fill`] read.
 enum ReadStep {
-    /// Bytes moved (or a spurious interrupt): call `step` again.
-    Progress,
-    /// A whole frame completed; reader reset for the next one.
-    Complete(Bytes),
-    /// The socket would block / timed out; partial state kept.
+    /// Bytes arrived (or a spurious interrupt). `drained`: the read came
+    /// back short of the space offered, so the socket most likely holds
+    /// nothing more right now.
+    Got { drained: bool },
+    /// The socket would block / the read timeout expired; state kept.
     Blocked,
-    /// The stream is broken (reader poisoned) or the peer oversized.
+    /// The stream is broken; the reader is poisoned.
     Failed(ProtocolError),
+}
+
+/// The body of a frame longer than the read-ahead, read straight into a
+/// buffer of its exact length.
+struct LongBody {
+    /// On the nonblocking side exactly the bytes received so far; on the
+    /// blocking side the whole zero-padded body once the first read ran.
+    body: Vec<u8>,
+    /// Body bytes received so far.
+    got: usize,
+    /// The declared body length.
+    len: usize,
+}
+
+impl LongBody {
+    /// One read into the missing part of the body; `Ok(0)` is EOF.
+    ///
+    /// The nonblocking shard side lets `read_to_end` fill the spare
+    /// capacity, so the body is never zero-filled, and keeps whatever
+    /// arrived before `WouldBlock`. The blocking client side needs an
+    /// initialized buffer for a single `read`, so that no wait outlasts
+    /// the armed read timeout: it moves to a zeroed one first, which the
+    /// allocator can serve with fresh zero pages instead of a memset.
+    fn read_from<S: Read>(&mut self, stream: &mut S, blocking: bool) -> io::Result<usize> {
+        if blocking {
+            if self.body.len() < self.len {
+                let mut body = vec![0u8; self.len];
+                body[..self.got].copy_from_slice(&self.body[..self.got]);
+                self.body = body;
+            }
+            let n = stream.read(&mut self.body[self.got..])?;
+            self.got += n;
+            return Ok(n);
+        }
+        let want = (self.len - self.got) as u64;
+        let result = stream.take(want).read_to_end(&mut self.body);
+        let n = self.body.len() - self.got;
+        self.got = self.body.len();
+        result?;
+        // `read_to_end` stops early only at EOF.
+        Ok(if self.got < self.len { 0 } else { n })
+    }
 }
 
 /// Incremental length-prefixed frame reader over a [`NetStream`].
 ///
-/// Holds partial state across reads, so a deadline expiring mid-frame
-/// (prefix half-read, body half-read) resumes cleanly on the next call
+/// Bytes land in a fixed read-ahead buffer from which whole frames are
+/// cut, so a read that brings several small frames (or a frame and the
+/// start of the next) costs one syscall. Partial state survives every
+/// return: a deadline expiring mid-frame resumes cleanly on the next call
 /// instead of desyncing the stream — and equally across `WOULD_BLOCK` on
 /// the mux shards' nonblocking sockets ([`FrameReader::poll_frame`]).
 struct FrameReader<S> {
     stream: S,
-    /// The four length-prefix bytes being assembled.
-    prefix: [u8; 4],
-    prefix_got: usize,
-    /// The frame body being assembled (sized once the prefix completes).
-    body: Vec<u8>,
-    body_got: usize,
+    /// Read-ahead: `ahead[start..end]` arrived but is not yet cut.
+    ahead: Box<[u8]>,
+    start: usize,
+    end: usize,
+    /// A frame too long for the read-ahead, being read past it.
+    long: Option<LongBody>,
+    /// The last read came back short: [`FrameReader::poll_frame`] waits
+    /// for the next readiness event instead of reading again.
+    drained: bool,
+    /// The socket read timeout in force, while it may be reused: `None`
+    /// before the first one is set and after one expired short of its
+    /// deadline.
+    armed: Option<Duration>,
     /// Set on EOF, I/O error or an oversized declared length: the stream
     /// position is no longer trustworthy, every later call disconnects.
     poisoned: bool,
@@ -187,112 +259,167 @@ impl<S: NetStream> FrameReader<S> {
     fn new(stream: S) -> Self {
         Self {
             stream,
-            prefix: [0u8; 4],
-            prefix_got: 0,
-            body: Vec::new(),
-            body_got: 0,
+            ahead: vec![0u8; READ_AHEAD].into_boxed_slice(),
+            start: 0,
+            end: 0,
+            long: None,
+            drained: false,
+            armed: None,
             poisoned: false,
         }
     }
 
-    /// Reads one whole frame. `deadline: None` blocks until a frame, EOF
-    /// or error; `Some` enforces it via the socket read timeout and
-    /// returns [`ProtocolError::Timeout`] with the partial state kept.
-    fn read_frame(&mut self, deadline: Option<Instant>) -> Result<Bytes, ProtocolError> {
+    /// Reads one whole frame, returning [`ProtocolError::Timeout`] with
+    /// the partial state kept once `deadline` passes. A frame already
+    /// buffered costs no syscall; otherwise each read blocks no longer
+    /// than the remaining budget (at least 1 ms).
+    fn read_frame(&mut self, deadline: Instant) -> Result<Bytes, ProtocolError> {
         if self.poisoned {
             return Err(ProtocolError::Disconnected);
         }
         loop {
-            match deadline {
-                Some(d) => {
-                    let remaining = d.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        return Err(ProtocolError::Timeout);
-                    }
-                    // A zero Duration means "no timeout" to the OS; clamp
-                    // up so the deadline stays a deadline.
-                    self.stream
-                        .set_read_timeout_stream(Some(remaining.max(Duration::from_millis(1))))
-                        .map_err(|_| self.poison())?;
-                }
-                None => self
-                    .stream
-                    .set_read_timeout_stream(None)
-                    .map_err(|_| self.poison())?,
+            if let Some(frame) = self.cut()? {
+                return Ok(frame);
             }
-            match self.step() {
-                ReadStep::Progress => {}
-                ReadStep::Complete(bytes) => return Ok(bytes),
-                ReadStep::Blocked => return Err(ProtocolError::Timeout),
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Err(ProtocolError::Timeout);
+            }
+            self.arm(remaining)?;
+            match self.fill(true) {
+                ReadStep::Got { .. } => {}
+                ReadStep::Blocked => {
+                    if Instant::now() < deadline {
+                        // Expired short of the deadline: arm afresh.
+                        self.armed = None;
+                    }
+                }
                 ReadStep::Failed(err) => return Err(err),
             }
         }
     }
 
+    /// Caps the next blocking read at `remaining`. The socket read timeout
+    /// is set only when the one in force is longer (or unknown), and is
+    /// rounded down to whole milliseconds, so a later exchange with a
+    /// fresh budget of the same length reuses it without a syscall.
+    fn arm(&mut self, remaining: Duration) -> Result<(), ProtocolError> {
+        if self.armed.is_some_and(|t| t <= remaining) {
+            return Ok(());
+        }
+        // A zero Duration means "no timeout" to the OS; clamp up so the
+        // deadline stays a deadline.
+        let millis = u64::try_from(remaining.as_millis()).unwrap_or(u64::MAX);
+        let timeout = Duration::from_millis(millis).max(Duration::from_millis(1));
+        self.stream
+            .set_read_timeout_stream(Some(timeout))
+            .map_err(|_| self.poison())?;
+        self.armed = Some(timeout);
+        Ok(())
+    }
+
     /// Nonblocking read attempt for the event-driven mux: the stream must
     /// be in nonblocking mode. `Ok(Some(frame))` per completed frame,
     /// `Ok(None)` once the socket has no more bytes right now (partial
-    /// prefix/body state kept for the next readiness event); EOF, I/O
-    /// errors and oversized declared lengths poison exactly like
+    /// state kept for the next readiness event); EOF, I/O errors and
+    /// oversized declared lengths poison exactly like
     /// [`FrameReader::read_frame`].
     fn poll_frame(&mut self) -> Result<Option<Bytes>, ProtocolError> {
         if self.poisoned {
             return Err(ProtocolError::Disconnected);
         }
         loop {
-            match self.step() {
-                ReadStep::Progress => {}
-                ReadStep::Complete(bytes) => return Ok(Some(bytes)),
+            if let Some(frame) = self.cut()? {
+                return Ok(Some(frame));
+            }
+            if std::mem::take(&mut self.drained) {
+                return Ok(None);
+            }
+            match self.fill(false) {
+                ReadStep::Got { drained } => self.drained = drained,
                 ReadStep::Blocked => return Ok(None),
                 ReadStep::Failed(err) => return Err(err),
             }
         }
     }
 
-    /// One read attempt against the current prefix/body position.
-    fn step(&mut self) -> ReadStep {
-        if self.prefix_got < 4 {
-            let got = self.prefix_got;
-            return match self.stream.read(&mut self.prefix[got..]) {
-                Ok(0) => ReadStep::Failed(self.poison()),
-                Ok(n) => {
-                    self.prefix_got += n;
-                    if self.prefix_got == 4 {
-                        let len = u32::from_le_bytes(self.prefix);
-                        if len > MAX_FRAME_BYTES {
-                            self.poisoned = true;
-                            return ReadStep::Failed(ProtocolError::Oversized(len as usize));
-                        }
-                        self.body = vec![0u8; len as usize];
-                        self.body_got = 0;
-                    }
-                    ReadStep::Progress
-                }
-                Err(e) => self.classify_step(e),
-            };
+    /// The next whole frame, if one has arrived: cut from the read-ahead,
+    /// or the finished long frame. A frame too long for the read-ahead
+    /// moves what arrived of its body into an exact-capacity buffer here.
+    /// A declared length over [`MAX_FRAME_BYTES`] poisons the reader
+    /// before anything is allocated.
+    fn cut(&mut self) -> Result<Option<Bytes>, ProtocolError> {
+        if self.long.as_ref().is_some_and(|long| long.got < long.len) {
+            return Ok(None);
         }
-        if self.body_got < self.body.len() {
-            let got = self.body_got;
-            return match self.stream.read(&mut self.body[got..]) {
-                Ok(0) => ReadStep::Failed(self.poison()),
-                Ok(n) => {
-                    self.body_got += n;
-                    ReadStep::Progress
-                }
-                Err(e) => self.classify_step(e),
-            };
+        if let Some(long) = self.long.take() {
+            return Ok(Some(Bytes::from(long.body)));
         }
-        // Frame complete: hand it off and reset for the next one.
-        self.prefix_got = 0;
-        self.body_got = 0;
-        ReadStep::Complete(Bytes::from(std::mem::take(&mut self.body)))
+        let buffered = &self.ahead[self.start..self.end];
+        let Some(prefix) = buffered.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let declared = u32::from_le_bytes(*prefix);
+        if declared > MAX_FRAME_BYTES {
+            self.poisoned = true;
+            return Err(ProtocolError::Oversized(declared as usize));
+        }
+        let len = declared as usize;
+        let body = &buffered[4..];
+        if 4 + len > READ_AHEAD {
+            let mut long = Vec::with_capacity(len);
+            long.extend_from_slice(body);
+            self.long = Some(LongBody {
+                got: body.len(),
+                body: long,
+                len,
+            });
+            self.start = 0;
+            self.end = 0;
+            return Ok(None);
+        }
+        if body.len() < len {
+            return Ok(None);
+        }
+        let frame = Bytes::from(body[..len].to_vec());
+        self.start += 4 + len;
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+        Ok(Some(frame))
     }
 
-    fn classify_step(&mut self, e: io::Error) -> ReadStep {
-        match self.classify(e) {
-            Some(ProtocolError::Timeout) => ReadStep::Blocked,
-            Some(err) => ReadStep::Failed(err),
-            None => ReadStep::Progress,
+    /// One read: straight into the open long frame, otherwise into the
+    /// read-ahead (after moving a partial frame to its front, so a frame
+    /// that fits always has room).
+    fn fill(&mut self, blocking: bool) -> ReadStep {
+        let read = match &mut self.long {
+            Some(long) => long
+                .read_from(&mut self.stream, blocking)
+                .map(|n| (n, false)),
+            None => {
+                if self.start > 0 {
+                    self.ahead.copy_within(self.start..self.end, 0);
+                    self.end -= self.start;
+                    self.start = 0;
+                }
+                let offered = READ_AHEAD - self.end;
+                let read = self.stream.read(&mut self.ahead[self.end..]);
+                read.map(|n| {
+                    self.end += n;
+                    (n, n < offered)
+                })
+            }
+        };
+        match read {
+            Ok((0, _)) => ReadStep::Failed(self.poison()),
+            Ok((_, drained)) => ReadStep::Got { drained },
+            Err(e) => match e.kind() {
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => ReadStep::Blocked,
+                io::ErrorKind::Interrupted => ReadStep::Got { drained: false },
+                _ => ReadStep::Failed(self.poison()),
+            },
         }
     }
 
@@ -301,33 +428,34 @@ impl<S: NetStream> FrameReader<S> {
         self.poisoned = true;
         ProtocolError::Disconnected
     }
-
-    /// Maps a read error: timeouts surface (state kept), interrupts retry
-    /// (`None`), everything else poisons the stream.
-    fn classify(&mut self, e: io::Error) -> Option<ProtocolError> {
-        match e.kind() {
-            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => Some(ProtocolError::Timeout),
-            io::ErrorKind::Interrupted => None,
-            _ => Some(self.poison()),
-        }
-    }
 }
 
-/// Writes one length-prefixed frame: prefix, header, payload — three
-/// sequential writes, no flattening.
+/// Writes one length-prefixed frame — prefix, header, payload — as one
+/// gathered write, with no flattening. Only a partial write loops,
+/// resuming mid-slice.
 fn write_frame<S: NetStream>(stream: &mut S, frame: &Frame) -> Result<(), ProtocolError> {
     let total = frame.len();
     let len = u32::try_from(total)
         .ok()
         .filter(|&l| l <= MAX_FRAME_BYTES)
         .ok_or(ProtocolError::Oversized(total))?;
-    let io = |_: io::Error| ProtocolError::Disconnected;
-    stream.write_all(&len.to_le_bytes()).map_err(io)?;
-    stream.write_all(&frame.header).map_err(io)?;
-    if !frame.payload.is_empty() {
-        stream.write_all(&frame.payload).map_err(io)?;
+    let prefix = len.to_le_bytes();
+    let mut slices = [
+        IoSlice::new(&prefix),
+        IoSlice::new(&frame.header),
+        IoSlice::new(&frame.payload),
+    ];
+    let segments = if frame.payload.is_empty() { 2 } else { 3 };
+    let mut pending = &mut slices[..segments];
+    while !pending.is_empty() {
+        match stream.write_vectored(pending) {
+            Ok(0) => return Err(ProtocolError::Disconnected),
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return Err(ProtocolError::Disconnected),
+        }
     }
-    stream.flush().map_err(io)
+    stream.flush().map_err(|_| ProtocolError::Disconnected)
 }
 
 /// A [`FrameChannel`] over any [`NetStream`]: the client side of the
@@ -398,7 +526,7 @@ impl<S: NetStream> FrameChannel for SocketChannel<S> {
         self.reader
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .read_frame(Some(deadline))
+            .read_frame(deadline)
     }
 
     fn send_split(&self, frame: Frame) -> Result<(), ProtocolError> {
@@ -590,10 +718,11 @@ impl WakePipe {
         self.tx.clone()
     }
 
-    /// Swallows every pending wake byte (level-triggered reset).
+    /// Swallows every pending wake byte (level-triggered reset): one
+    /// `read`, and another only while a read comes back full.
     fn drain(&self) {
-        let mut buf = [0u8; 64];
-        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
+        let mut buf = [0u8; 256];
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n == buf.len()) {}
     }
 
     #[cfg(target_os = "linux")]
@@ -644,6 +773,10 @@ impl WakeHandle {
         self.0.store(true, Ordering::SeqCst);
     }
 }
+
+/// Most outbox segments one gathered egress write carries (well under
+/// the kernel's `IOV_MAX`).
+const EGRESS_SLICES: usize = 64;
 
 /// One connection owned by a mux shard: the nonblocking socket behind a
 /// resumable [`FrameReader`], its mux session halves, and the zero-copy
@@ -741,20 +874,35 @@ impl<S: NetStream> ShardConn<S> {
         }
     }
 
-    /// Writes outbox segments until done or the socket would block.
+    /// Writes the outbox with gathered writes — up to [`EGRESS_SLICES`]
+    /// queued segments per syscall — until it is empty or the socket is
+    /// full. A short write means the socket buffer is full: the rest waits
+    /// for `POLLOUT` instead of a write bound to fail.
     fn flush(&mut self) {
-        while let Some(front) = self.outbox.front() {
-            if self.offset >= front.len() {
-                self.outbox.pop_front();
-                self.offset = 0;
-                continue;
+        while !self.outbox.is_empty() {
+            let mut slices = [IoSlice::new(&[]); EGRESS_SLICES];
+            let mut offered = 0;
+            for (i, (slot, segment)) in slices.iter_mut().zip(&self.outbox).enumerate() {
+                let unsent = if i == 0 {
+                    &segment[self.offset..]
+                } else {
+                    segment
+                };
+                *slot = IoSlice::new(unsent);
+                offered += unsent.len();
             }
-            match self.writer.write(&front[self.offset..]) {
+            let count = self.outbox.len().min(EGRESS_SLICES);
+            match self.writer.write_vectored(&slices[..count]) {
                 Ok(0) => {
                     self.dead = true;
                     return;
                 }
-                Ok(n) => self.offset += n,
+                Ok(n) => {
+                    self.consume(n);
+                    if n < offered {
+                        return;
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
@@ -762,6 +910,20 @@ impl<S: NetStream> ShardConn<S> {
                     return;
                 }
             }
+        }
+    }
+
+    /// Drops the `n` written bytes from the front of the outbox.
+    fn consume(&mut self, mut n: usize) {
+        while let Some(front) = self.outbox.front() {
+            let left = front.len() - self.offset;
+            if n < left {
+                self.offset += n;
+                return;
+            }
+            n -= left;
+            self.outbox.pop_front();
+            self.offset = 0;
         }
     }
 
@@ -820,17 +982,26 @@ struct MuxShard<L: FrameListener> {
     intake: Receiver<ShardConn<L::Stream>>,
     conns: Vec<ShardConn<L::Stream>>,
     acceptor: Option<AcceptRole<L>>,
+    /// The readiness wait saw (or presumes) wake bytes pending.
+    wake_ready: bool,
+    /// The readiness wait saw (or presumes) connections to accept.
+    listen_ready: bool,
+    /// The readiness set, rebuilt in place before every wait.
+    #[cfg(target_os = "linux")]
+    fds: Vec<sys::PollFd>,
 }
 
 impl<L: FrameListener> MuxShard<L> {
     fn run(mut self) {
         loop {
             let stopping = self.stop.load(Ordering::SeqCst);
-            self.wake.drain();
+            if std::mem::take(&mut self.wake_ready) {
+                self.wake.drain();
+            }
             while let Ok(conn) = self.intake.try_recv() {
                 self.conns.push(conn);
             }
-            if !stopping {
+            if !stopping && std::mem::take(&mut self.listen_ready) {
                 if let Some(role) = self.acceptor.as_mut() {
                     role.accept_burst();
                 }
@@ -862,10 +1033,12 @@ impl<L: FrameListener> MuxShard<L> {
 
     /// Parks in `poll(2)` over the wake pipe, the listener (shard 0) and
     /// every connection — `POLLOUT` only where an outbox has backlog —
-    /// then flags the connections whose sockets fired.
+    /// then flags what fired, so the next round spends no syscall on a
+    /// quiet wake pipe or listener.
     #[cfg(target_os = "linux")]
     fn wait_ready(&mut self) {
-        let mut fds = Vec::with_capacity(self.conns.len() + 2);
+        let fds = &mut self.fds;
+        fds.clear();
         fds.push(sys::PollFd::readable(self.wake.fd()));
         if let Some(role) = &self.acceptor {
             fds.push(sys::PollFd::readable(role.listener.raw_fd_listener()));
@@ -878,8 +1051,10 @@ impl<L: FrameListener> MuxShard<L> {
             }
             fds.push(slot);
         }
-        match sys::poll_fds(&mut fds, POLL_BACKSTOP_MS) {
+        match sys::poll_fds(fds, POLL_BACKSTOP_MS) {
             Ok(_) => {
+                self.wake_ready = fds[0].revents != 0;
+                self.listen_ready = self.acceptor.is_some() && fds[1].revents != 0;
                 for (conn, slot) in self.conns.iter_mut().zip(&fds[base..]) {
                     if slot.revents != 0 {
                         conn.readable = true;
@@ -889,20 +1064,24 @@ impl<L: FrameListener> MuxShard<L> {
             Err(_) => {
                 // EINTR or a poll failure: presume everything is ready —
                 // nonblocking reads make a wrong guess cheap.
-                for conn in &mut self.conns {
-                    conn.readable = true;
-                }
+                self.presume_ready();
             }
         }
     }
 
-    /// Portable fallback: nap briefly and try every connection.
+    /// Portable fallback: nap briefly and try everything.
     #[cfg(not(target_os = "linux"))]
     fn wait_ready(&mut self) {
+        self.presume_ready();
+        std::thread::sleep(FALLBACK_NAP);
+    }
+
+    fn presume_ready(&mut self) {
+        self.wake_ready = true;
+        self.listen_ready = true;
         for conn in &mut self.conns {
             conn.readable = true;
         }
-        std::thread::sleep(FALLBACK_NAP);
     }
 }
 
@@ -1035,6 +1214,10 @@ impl SocketServer {
                 intake,
                 conns: Vec::new(),
                 acceptor,
+                wake_ready: true,
+                listen_ready: true,
+                #[cfg(target_os = "linux")]
+                fds: Vec::new(),
             };
             match std::thread::Builder::new()
                 .name(format!("loadpart-mux-{index}"))
@@ -1289,5 +1472,305 @@ mod tests {
         assert_eq!(&wire[frame.header.len()..], frame.payload.as_ref());
         // The bytes on the wire are exactly the contiguous encoding.
         assert_eq!(Bytes::from(wire), frame.flatten());
+    }
+
+    /// What a [`Scripted`] stream returns for one `read`.
+    enum Chunk {
+        Data(Vec<u8>),
+        Eof,
+    }
+
+    /// The state behind a [`Scripted`] stream.
+    #[derive(Default)]
+    struct Script {
+        /// What the next reads return; once empty, a read waits out the
+        /// armed read timeout (or fails at once when nonblocking) and
+        /// reports `WouldBlock`, like a quiet socket.
+        incoming: VecDeque<Chunk>,
+        /// Every byte written.
+        written: Vec<u8>,
+        /// Most bytes one write accepts; `None` takes everything.
+        write_cap: Option<usize>,
+        read_timeout: Option<Duration>,
+        nonblocking: bool,
+        reads: usize,
+        writes: usize,
+        timeouts_set: usize,
+    }
+
+    /// An in-memory [`NetStream`] that counts the syscalls the framing
+    /// layer would make.
+    #[derive(Clone, Default)]
+    struct Scripted(Arc<Mutex<Script>>);
+
+    impl Scripted {
+        fn script(&self) -> std::sync::MutexGuard<'_, Script> {
+            self.0.lock().expect("script lock")
+        }
+
+        fn push(&self, bytes: &[u8]) {
+            self.script()
+                .incoming
+                .push_back(Chunk::Data(bytes.to_vec()));
+        }
+
+        /// (reads, writes, read timeouts set) so far.
+        fn calls(&self) -> (usize, usize, usize) {
+            let s = self.script();
+            (s.reads, s.writes, s.timeouts_set)
+        }
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let mut s = self.script();
+            s.reads += 1;
+            match s.incoming.pop_front() {
+                Some(Chunk::Data(mut data)) => {
+                    let n = data.len().min(buf.len());
+                    buf[..n].copy_from_slice(&data[..n]);
+                    if n < data.len() {
+                        data.drain(..n);
+                        s.incoming.push_front(Chunk::Data(data));
+                    }
+                    Ok(n)
+                }
+                Some(Chunk::Eof) => Ok(0),
+                None => {
+                    if !s.nonblocking {
+                        let wait = s.read_timeout.expect("a blocking read needs a timeout");
+                        drop(s);
+                        std::thread::sleep(wait);
+                    }
+                    Err(io::ErrorKind::WouldBlock.into())
+                }
+            }
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[io::IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut s = self.script();
+            s.writes += 1;
+            let mut room = s.write_cap.unwrap_or(usize::MAX);
+            let mut n = 0;
+            for buf in bufs {
+                let take = buf.len().min(room);
+                s.written.extend_from_slice(&buf[..take]);
+                n += take;
+                room -= take;
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl NetStream for Scripted {
+        fn try_clone_stream(&self) -> io::Result<Self> {
+            Ok(self.clone())
+        }
+
+        fn set_read_timeout_stream(&self, timeout: Option<Duration>) -> io::Result<()> {
+            let mut s = self.script();
+            s.timeouts_set += 1;
+            s.read_timeout = timeout;
+            Ok(())
+        }
+
+        fn shutdown_both(&self) -> io::Result<()> {
+            Ok(())
+        }
+
+        fn set_nonblocking_stream(&self, nonblocking: bool) -> io::Result<()> {
+            self.script().nonblocking = nonblocking;
+            Ok(())
+        }
+
+        #[cfg(unix)]
+        fn raw_fd_stream(&self) -> RawFd {
+            -1
+        }
+    }
+
+    /// `u32-le len ++ encoding` of `msg`: its bytes on the wire.
+    fn wire(msg: &Message) -> Vec<u8> {
+        let body = msg.encode().expect("encodes");
+        let mut out = u32::try_from(body.len())
+            .expect("small")
+            .to_le_bytes()
+            .to_vec();
+        out.extend_from_slice(&body);
+        out
+    }
+
+    fn probe(len: usize) -> Message {
+        Message::Probe {
+            payload: Bytes::from((0..len).map(|i| (i % 251) as u8).collect::<Vec<u8>>()),
+        }
+    }
+
+    fn budget(ms: u64) -> Instant {
+        Instant::now() + Duration::from_millis(ms)
+    }
+
+    #[test]
+    fn write_frame_is_one_gathered_write_per_frame() {
+        let mut stream = Scripted::default();
+        let frames = [probe(4096), Message::LoadQuery];
+        for msg in &frames {
+            write_frame(&mut stream, &msg.to_frame().expect("encodes")).expect("written");
+        }
+        assert_eq!(stream.calls().1, frames.len(), "one write call per frame");
+        let expected: Vec<u8> = frames.iter().flat_map(wire).collect();
+        assert_eq!(stream.script().written, expected);
+    }
+
+    #[test]
+    fn partial_writes_resume_mid_slice() {
+        let mut stream = Scripted::default();
+        stream.script().write_cap = Some(3);
+        let msg = probe(100);
+        write_frame(&mut stream, &msg.to_frame().expect("encodes")).expect("written");
+        let expected = wire(&msg);
+        assert_eq!(stream.script().written, expected);
+        assert_eq!(stream.calls().1, expected.len().div_ceil(3));
+    }
+
+    #[test]
+    fn small_reply_costs_one_read_and_a_buffered_one_none() {
+        let stream = Scripted::default();
+        let mut reader = FrameReader::new(stream.clone());
+        let reply = Message::LoadReply { k_micro: 1_250_000 };
+        stream.push(&[wire(&reply), wire(&Message::ProbeAck)].concat());
+        let first = reader.read_frame(budget(500)).expect("reply");
+        assert_eq!(Message::decode(first).expect("decodes"), reply);
+        assert_eq!(stream.calls().0, 1, "a small reply costs one read");
+        // The second frame arrived with the first: no syscall at all.
+        let second = reader.read_frame(budget(500)).expect("ack");
+        assert_eq!(Message::decode(second).expect("decodes"), Message::ProbeAck);
+        assert_eq!(stream.calls(), (1, 0, 1));
+    }
+
+    #[test]
+    fn a_fresh_budget_of_the_same_length_reuses_the_read_timeout() {
+        let stream = Scripted::default();
+        let mut reader = FrameReader::new(stream.clone());
+        for _ in 0..3 {
+            stream.push(&wire(&Message::ProbeAck));
+            reader.read_frame(budget(500)).expect("ack");
+        }
+        assert_eq!(
+            stream.calls().2,
+            1,
+            "later 500 ms budgets reuse the timeout"
+        );
+        // A shorter budget must lower it, so no read outlasts a deadline.
+        stream.push(&wire(&Message::ProbeAck));
+        reader.read_frame(budget(50)).expect("ack");
+        assert_eq!(stream.calls().2, 2);
+        assert!(stream.script().read_timeout <= Some(Duration::from_millis(50)));
+    }
+
+    #[test]
+    fn a_stalled_long_frame_times_out_by_its_deadline_then_resumes() {
+        let stream = Scripted::default();
+        let mut reader = FrameReader::new(stream.clone());
+        let msg = probe(3 * READ_AHEAD);
+        let bytes = wire(&msg);
+        let (head, tail) = bytes.split_at(READ_AHEAD + 1000);
+        stream.push(head);
+        let deadline = budget(40);
+        assert_eq!(reader.read_frame(deadline), Err(ProtocolError::Timeout));
+        let late = Instant::now().saturating_duration_since(deadline);
+        assert!(late < Duration::from_millis(50), "returned {late:?} late");
+        stream.push(tail);
+        let frame = reader.read_frame(budget(500)).expect("resumed");
+        assert_eq!(Message::decode(frame).expect("decodes"), msg);
+    }
+
+    #[test]
+    fn nonblocking_reader_resumes_a_long_frame_without_zero_filling_it() {
+        let stream = Scripted::default();
+        stream.set_nonblocking_stream(true).expect("mock");
+        let mut reader = FrameReader::new(stream.clone());
+        let msg = probe(2 * READ_AHEAD);
+        let bytes = [wire(&msg), wire(&Message::LoadQuery)].concat();
+        let (head, tail) = bytes.split_at(READ_AHEAD + 7);
+        stream.push(head);
+        assert_eq!(reader.poll_frame(), Ok(None));
+        let long = reader.long.as_ref().expect("a long frame is open");
+        assert_eq!(
+            long.body.len(),
+            long.got,
+            "the body holds only bytes received"
+        );
+        // The rest arrives a byte at a time: every chunk is kept.
+        for b in tail {
+            stream.push(&[*b]);
+        }
+        // Each call stands for one readiness event; a short read ends one.
+        let mut next = || {
+            (0..=tail.len())
+                .find_map(|_| reader.poll_frame().expect("intact"))
+                .expect("complete")
+        };
+        assert_eq!(Message::decode(next()).expect("decodes"), msg);
+        assert_eq!(
+            Message::decode(next()).expect("decodes"),
+            Message::LoadQuery
+        );
+        assert_eq!(reader.poll_frame(), Ok(None));
+    }
+
+    #[test]
+    fn a_short_read_waits_for_the_next_readiness_event() {
+        let stream = Scripted::default();
+        stream.set_nonblocking_stream(true).expect("mock");
+        let mut reader = FrameReader::new(stream.clone());
+        stream.push(&[wire(&Message::LoadQuery), wire(&Message::LoadQuery)].concat());
+        assert!(reader.poll_frame().expect("ok").is_some());
+        assert!(reader.poll_frame().expect("ok").is_some());
+        assert_eq!(reader.poll_frame(), Ok(None));
+        assert_eq!(
+            stream.calls().0,
+            1,
+            "two frames in one short read: one read"
+        );
+    }
+
+    #[test]
+    fn eof_and_oversized_lengths_poison_the_reader() {
+        let stream = Scripted::default();
+        let mut reader = FrameReader::new(stream.clone());
+        stream.push(&wire(&Message::LoadQuery)[..3]);
+        stream.script().incoming.push_back(Chunk::Eof);
+        assert_eq!(
+            reader.read_frame(budget(500)),
+            Err(ProtocolError::Disconnected)
+        );
+        assert_eq!(
+            reader.read_frame(budget(500)),
+            Err(ProtocolError::Disconnected)
+        );
+
+        let stream = Scripted::default();
+        let mut reader = FrameReader::new(stream.clone());
+        stream.push(&(MAX_FRAME_BYTES + 1).to_le_bytes());
+        assert_eq!(
+            reader.read_frame(budget(500)),
+            Err(ProtocolError::Oversized(MAX_FRAME_BYTES as usize + 1))
+        );
+        assert!(reader.long.is_none(), "refused before any allocation");
+        assert_eq!(
+            reader.read_frame(budget(500)),
+            Err(ProtocolError::Disconnected)
+        );
     }
 }

@@ -2,10 +2,14 @@
 //!
 //! The build environment has no access to crates.io, so the workspace
 //! ships the slice of the `bytes 1.x` API its wire protocol uses:
-//! [`Bytes`] (a cheaply cloneable, sliceable, immutable byte buffer over
-//! `Arc<[u8]>`), [`BytesMut`] (a growable builder that freezes into
-//! `Bytes`), and the [`Buf`] / [`BufMut`] cursor traits with the
-//! little-endian accessors the framing layer needs.
+//! [`Bytes`] (a cheaply cloneable, sliceable, immutable byte buffer that
+//! shares the `Vec<u8>` it was built from behind an `Arc`), [`BytesMut`]
+//! (a growable builder that freezes into `Bytes`), and the [`Buf`] /
+//! [`BufMut`] cursor traits with the little-endian accessors the framing
+//! layer needs.
+//!
+//! As upstream, converting a `Vec<u8>` (or freezing a `BytesMut`) takes
+//! ownership of its heap buffer without copying the bytes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,7 +23,8 @@ use std::sync::Arc;
 /// Clones and [`slice`](Bytes::slice)s share the underlying allocation.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// The owned buffer; `None` for an empty `Bytes`, which never allocates.
+    data: Option<Arc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
@@ -68,7 +73,7 @@ impl Bytes {
         };
         assert!(lo <= hi && hi <= self.len(), "slice out of bounds");
         Self {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + lo,
             end: self.start + hi,
         }
@@ -76,10 +81,14 @@ impl Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes ownership of the vector's heap buffer: no byte is copied.
     fn from(v: Vec<u8>) -> Self {
+        if v.is_empty() {
+            return Self::new();
+        }
         let end = v.len();
         Self {
-            data: v.into(),
+            data: Some(Arc::new(v)),
             start: 0,
             end,
         }
@@ -90,7 +99,10 @@ impl Deref for Bytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(data) => &data[self.start..self.end],
+            None => &[],
+        }
     }
 }
 
@@ -147,7 +159,8 @@ impl BytesMut {
         self.inner.is_empty()
     }
 
-    /// Converts the accumulated bytes into an immutable [`Bytes`].
+    /// Converts the accumulated bytes into an immutable [`Bytes`] over the
+    /// same heap buffer (no copy).
     #[must_use]
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.inner)
@@ -282,6 +295,28 @@ mod tests {
         let head = a.copy_to_bytes(2);
         assert_eq!(&head[..], &[9, 8]);
         assert_eq!(&a[..], &[7, 6]);
+    }
+
+    #[test]
+    fn conversion_keeps_the_vec_heap_buffer() {
+        let v = vec![7u8; 4096];
+        let heap = v.as_ptr();
+        let bytes = Bytes::from(v);
+        assert_eq!(bytes.as_ptr(), heap, "Bytes::from(Vec) must not copy");
+        assert_eq!(bytes.slice(8..).as_ptr(), heap.wrapping_add(8));
+
+        let mut b = BytesMut::with_capacity(64);
+        b.put_slice(&[1, 2, 3]);
+        let heap = b.inner.as_ptr();
+        assert_eq!(b.freeze().as_ptr(), heap, "freeze must not copy");
+    }
+
+    #[test]
+    fn empty_buffers_compare_equal_however_made() {
+        assert_eq!(Bytes::from(Vec::new()), Bytes::new());
+        assert_eq!(Bytes::from(vec![1, 2]).slice(1..1), Bytes::new());
+        assert!(Bytes::new().is_empty());
+        assert_eq!(&Bytes::default()[..], &[] as &[u8]);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! End-to-end coverage of the quantized upload path over the threaded
 //! wire runtime.
 //!
-//! Three invariants ride here, in their own test binary so the
-//! process-global buffer-pool counters are deterministic:
+//! Three invariants ride here:
 //!
 //! 1. **Zero-alloc steady state** — once the first requests warm the
 //!    pool with each packed payload size, later quantized uploads reuse
 //!    pooled buffers: the pool miss counter stays flat while the hit
-//!    counter keeps climbing.
+//!    counter keeps climbing. The test reads the pool counters of its
+//!    own thread (`pool::thread_stats`), which drives the client engine:
+//!    the process-wide counters also move with every other test's
+//!    servers and engines running concurrently in this binary.
 //! 2. **Budget zero is fp32 LoADPart** — a [`QuantPolicy`] with
 //!    `accuracy_budget = 0` makes decisions bit-identical to
 //!    `Policy::LoadPart` at the engine level, request for request.
@@ -98,10 +100,10 @@ fn steady_state_quantized_uploads_reuse_pooled_buffers() {
         warmup.iter().all(|r| r.precision != Precision::Fp32),
         "a starved 2 Mbps link must make the quant policy pick a narrow width"
     );
-    let (hits_before, misses_before) = loadpart::pool::stats();
+    let (hits_before, misses_before) = loadpart::pool::thread_stats();
 
     let steady = drive(&mut engine, &server, 2.0, 12);
-    let (hits_after, misses_after) = loadpart::pool::stats();
+    let (hits_after, misses_after) = loadpart::pool::thread_stats();
 
     for r in &steady {
         assert!(r.offloaded(), "steady-state request stayed local: {r:?}");

@@ -10,12 +10,15 @@
 //! channel like any other, turning a loopback socket into a slow, jittery,
 //! resettable access link.
 
+use bytes::Bytes;
 use loadpart::fault::{FaultAction, FaultInjector, FaultPlan};
 use loadpart::{
     chaos_run, spawn_server, ChaosConfig, ChaosTransport, EmulatedLink, EngineConfig, FrameChannel,
-    LinkSpec, Message, SocketServer, TcpFrameChannel, Telemetry, ThreadedClient,
+    LinkSpec, Message, ProtocolError, SocketServer, TcpFrameChannel, Telemetry, ThreadedClient,
 };
 use lp_profiler::PredictionModels;
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -370,4 +373,170 @@ fn chaos_soak_report_is_identical_over_tcp_and_channels() {
     assert_eq!(tcp.clients, channel.clients);
     assert_eq!(tcp.spike_sheds, channel.spike_sheds);
     assert_eq!(tcp.server_served, channel.server_served);
+}
+
+/// `u32-le len ++ encoding`: the bytes a raw peer writes for `msg`.
+fn on_the_wire(msg: &Message) -> Vec<u8> {
+    let body = msg.encode().expect("encodes");
+    let mut out = u32::try_from(body.len())
+        .expect("fits")
+        .to_le_bytes()
+        .to_vec();
+    out.extend_from_slice(&body);
+    out
+}
+
+/// A probe whose payload is a recognisable byte pattern.
+fn probe(len: usize) -> Message {
+    Message::Probe {
+        payload: Bytes::from((0..len).map(|i| (i % 251) as u8).collect::<Vec<u8>>()),
+    }
+}
+
+/// A client channel plus the raw server-side socket it is connected to.
+fn raw_server_peer() -> (TcpFrameChannel, TcpStream) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let chan = TcpFrameChannel::connect(listener.local_addr().expect("addr")).expect("connect");
+    let (peer, _) = listener.accept().expect("accept");
+    peer.set_nodelay(true).expect("nodelay");
+    (chan, peer)
+}
+
+/// A raw client socket connected to `sock`, with Nagle off.
+fn raw_client(sock: &SocketServer) -> TcpStream {
+    let raw = TcpStream::connect(sock.local_addr()).expect("connect");
+    raw.set_nodelay(true).expect("nodelay");
+    raw
+}
+
+fn recv(chan: &TcpFrameChannel) -> Message {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    Message::decode(chan.recv_deadline(deadline).expect("a frame")).expect("decodes")
+}
+
+/// Writes `bytes` one byte per write and flush, pausing now and then so
+/// the reader sees the frame in many pieces.
+fn dribble(stream: &mut TcpStream, bytes: &[u8]) {
+    for (i, b) in bytes.iter().enumerate() {
+        stream.write_all(std::slice::from_ref(b)).expect("write");
+        stream.flush().expect("flush");
+        if i % 16 == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+}
+
+/// Two frames that arrive in one segment are both delivered, in order:
+/// on a client channel, and through a mux shard.
+#[test]
+fn two_frames_in_one_write_arrive_in_order() {
+    let (chan, mut peer) = raw_server_peer();
+    let first = Message::LoadReply { k_micro: 7 };
+    peer.write_all(&[on_the_wire(&first), on_the_wire(&Message::ProbeAck)].concat())
+        .expect("write");
+    assert_eq!(recv(&chan), first);
+    assert_eq!(recv(&chan), Message::ProbeAck);
+
+    let (sock, _chan) = tcp_server(1.0);
+    let mut raw = raw_client(&sock);
+    raw.write_all(&[on_the_wire(&Message::LoadQuery), on_the_wire(&probe(64))].concat())
+        .expect("write");
+    let replies = TcpFrameChannel::from_stream(raw).expect("wrap");
+    assert!(matches!(recv(&replies), Message::LoadReply { .. }));
+    assert_eq!(recv(&replies), Message::ProbeAck);
+    sock.shutdown().expect("clean");
+}
+
+/// A peer that sends a frame one byte at a time still delivers it intact,
+/// to a client channel and to a mux shard (a short frame, and one longer
+/// than the read-ahead).
+#[test]
+fn a_frame_sent_one_byte_at_a_time_arrives_intact() {
+    let (chan, mut peer) = raw_server_peer();
+    let msg = probe(300);
+    let bytes = on_the_wire(&msg);
+    let writer = std::thread::spawn(move || dribble(&mut peer, &bytes));
+    assert_eq!(recv(&chan), msg);
+    writer.join().expect("writer");
+
+    let (sock, _chan) = tcp_server(1.0);
+    let mut raw = raw_client(&sock);
+    let replies = TcpFrameChannel::from_stream(raw.try_clone().expect("clone")).expect("wrap");
+    dribble(&mut raw, &on_the_wire(&Message::LoadQuery));
+    assert!(matches!(recv(&replies), Message::LoadReply { .. }));
+    let long = on_the_wire(&probe(20 * 1024));
+    let (head, tail) = long.split_at(long.len() - 200);
+    raw.write_all(head).expect("write");
+    dribble(&mut raw, tail);
+    assert_eq!(recv(&replies), Message::ProbeAck);
+    sock.shutdown().expect("clean");
+}
+
+/// A frame longer than the read-ahead whose sender stalls mid-body: the
+/// receive times out at its deadline, and the next one returns the same
+/// frame intact once the rest arrives.
+#[test]
+fn a_long_frame_stalled_mid_body_times_out_then_arrives_intact() {
+    let (chan, mut peer) = raw_server_peer();
+    let msg = probe(64 * 1024);
+    let bytes = on_the_wire(&msg);
+    let (head, tail) = bytes.split_at(bytes.len() / 2);
+    peer.write_all(head).expect("write");
+    let deadline = Instant::now() + Duration::from_millis(100);
+    assert_eq!(
+        chan.recv_split_deadline(deadline).unwrap_err(),
+        ProtocolError::Timeout
+    );
+    let returned = Instant::now();
+    assert!(returned >= deadline, "timed out early");
+    assert!(
+        returned - deadline < Duration::from_millis(50),
+        "timed out {:?} after the deadline",
+        returned - deadline
+    );
+    peer.write_all(tail).expect("write");
+    let frame = chan
+        .recv_split_deadline(Instant::now() + Duration::from_secs(5))
+        .expect("the rest arrived");
+    assert_eq!(Message::decode_frame(frame).expect("decodes"), msg);
+}
+
+/// A client that pipelines 20k load queries, plus an offload after every
+/// tenth, and reads no reply until it has sent them all gets every reply,
+/// in order. While it pauses, the offloads' 4 KB replies outgrow the
+/// socket buffers, so the shard's gathered egress writes go partial and
+/// wait for `POLLOUT`.
+#[test]
+fn twenty_thousand_pipelined_queries_are_answered_in_order() {
+    let (sock, _chan) = tcp_server(1.0);
+    let mut raw = raw_client(&sock);
+    let mut requests = Vec::new();
+    for i in 0..20_000u64 {
+        requests.push(Message::LoadQuery);
+        if i % 10 == 9 {
+            requests.push(Message::OffloadRequest {
+                request_id: i,
+                partition_point: 5,
+                precision: lp_graph::Precision::Fp32,
+                payload: Bytes::from(vec![0u8; 16]),
+            });
+        }
+    }
+    let burst: Vec<u8> = requests.iter().flat_map(on_the_wire).collect();
+    raw.write_all(&burst).expect("write the whole burst");
+    std::thread::sleep(Duration::from_millis(200));
+    let replies = TcpFrameChannel::from_stream(raw).expect("wrap");
+    for (i, request) in requests.iter().enumerate() {
+        match (request, recv(&replies)) {
+            (Message::LoadQuery, Message::LoadReply { .. }) => {}
+            (
+                Message::OffloadRequest { request_id, .. },
+                Message::OffloadResponse {
+                    request_id: echoed, ..
+                },
+            ) if echoed == *request_id => {}
+            (request, reply) => panic!("reply {i} to {request:?} was {reply:?}"),
+        }
+    }
+    sock.shutdown().expect("clean");
 }
