@@ -85,14 +85,18 @@ pub struct LinkTransport<'a> {
 }
 
 impl Transport for LinkTransport<'_> {
-    fn probe(
+    fn probe_and_query_k<S: ServerBackend + ?Sized>(
         &mut self,
         profiler: &mut ProbeProfiler,
+        probes: usize,
+        backend: &mut S,
         now: SimTime,
         rng: &mut StdRng,
-    ) -> Result<(), ProtocolError> {
-        let (_mbps, _end) = profiler.probe(self.link, now, rng);
-        Ok(())
+    ) -> Result<f64, ProtocolError> {
+        for _ in 0..probes {
+            let (_mbps, _end) = profiler.probe(self.link, now, rng);
+        }
+        backend.query_k(now)
     }
 
     fn upload(
@@ -220,6 +224,40 @@ fn decode_reply(frame: Frame) -> Result<Message, ProtocolError> {
     })
 }
 
+/// Receives replies from `server` until `accept` takes one, for at most
+/// `budget`. Every other reply is skipped as stale — the survivor of a
+/// timed-out earlier exchange, or one that overtook the reply still owed
+/// (a `LoadReply` ahead of a probe's ack); a frame that is not a reply at
+/// all is [`ProtocolError::Unexpected`].
+fn await_reply<C: FrameChannel + ?Sized, T>(
+    server: &C,
+    budget: Duration,
+    accept: impl Fn(&Message) -> Option<T>,
+) -> Result<T, ProtocolError> {
+    let deadline = Instant::now() + budget;
+    loop {
+        let msg = decode_reply(server.recv_split_deadline(deadline)?)?;
+        if let Some(out) = accept(&msg) {
+            return Ok(out);
+        }
+        match msg {
+            Message::OffloadResponse { .. }
+            | Message::ProbeAck
+            | Message::LoadReply { .. }
+            | Message::Rejected { .. } => {}
+            other => return Err(ProtocolError::Unexpected(other.tag())),
+        }
+    }
+}
+
+/// Accepts a `LoadReply`, yielding its load factor.
+fn load_reply(msg: &Message) -> Option<f64> {
+    match *msg {
+        Message::LoadReply { k_micro } => Some(Message::micro_to_k(k_micro)),
+        _ => None,
+    }
+}
+
 /// Server backend over the wire protocol: suffixes and load queries are
 /// framed [`Message`]s answered by a [`ServerHandle`]'s server thread (or
 /// any other [`FrameChannel`], e.g. a fault injector wrapping one).
@@ -234,17 +272,7 @@ pub struct WireBackend<'a, C: FrameChannel + ?Sized = ServerHandle> {
 impl<C: FrameChannel + ?Sized> ServerBackend for WireBackend<'_, C> {
     fn query_k(&mut self, _now: SimTime) -> Result<f64, ProtocolError> {
         self.server.send_split(Message::LoadQuery.to_frame()?)?;
-        let deadline = Instant::now() + self.deadline;
-        loop {
-            match decode_reply(self.server.recv_split_deadline(deadline)?)? {
-                Message::LoadReply { k_micro } => return Ok(Message::micro_to_k(k_micro)),
-                // Stale survivors of a timed-out earlier exchange: skip.
-                Message::OffloadResponse { .. } | Message::ProbeAck | Message::Rejected { .. } => {
-                    continue
-                }
-                other => return Err(ProtocolError::Unexpected(other.tag())),
-            }
-        }
+        await_reply(self.server, self.deadline, load_reply)
     }
 
     fn execute_suffix(
@@ -264,42 +292,32 @@ impl<C: FrameChannel + ?Sized> ServerBackend for WireBackend<'_, C> {
         }
         .to_frame()?;
         self.server.send_split(frame)?;
-        let deadline = Instant::now() + self.deadline;
-        loop {
-            match decode_reply(self.server.recv_split_deadline(deadline)?)? {
-                Message::OffloadResponse {
-                    request_id,
-                    server_time_us,
-                    payload,
-                } if request_id == req.request_id => {
-                    debug_assert_eq!(payload.len() as u64, graph.output().size_bytes());
-                    let server_time = SimDuration::from_micros_f64(server_time_us as f64);
-                    return Ok(SuffixOutcome::Done {
-                        completion: req.arrive + server_time,
-                    });
-                }
-                // Admission control shed this request: surface the
-                // rejection (with the piggybacked load factor) so the
-                // engine degrades without retrying.
-                Message::Rejected {
-                    request_id,
-                    retry_after_us,
-                    k_micro,
-                } if request_id == req.request_id => {
-                    return Ok(SuffixOutcome::Rejected {
-                        retry_after: SimDuration::from_micros(retry_after_us),
-                        k: Message::micro_to_k(k_micro),
-                    });
-                }
-                // A response to a request we already gave up on, or a
-                // stale ack/reply from a timed-out probe/query: skip.
-                Message::OffloadResponse { .. }
-                | Message::ProbeAck
-                | Message::LoadReply { .. }
-                | Message::Rejected { .. } => continue,
-                other => return Err(ProtocolError::Unexpected(other.tag())),
+        // Replies to a request we already gave up on are skipped as stale.
+        await_reply(self.server, self.deadline, |msg| match *msg {
+            Message::OffloadResponse {
+                request_id,
+                server_time_us,
+                ref payload,
+            } if request_id == req.request_id => {
+                debug_assert_eq!(payload.len() as u64, graph.output().size_bytes());
+                let server_time = SimDuration::from_micros_f64(server_time_us as f64);
+                Some(SuffixOutcome::Done {
+                    completion: req.arrive + server_time,
+                })
             }
-        }
+            // Admission control shed this request: surface the rejection
+            // (with the piggybacked load factor) so the engine degrades
+            // without retrying.
+            Message::Rejected {
+                request_id,
+                retry_after_us,
+                k_micro,
+            } if request_id == req.request_id => Some(SuffixOutcome::Rejected {
+                retry_after: SimDuration::from_micros(retry_after_us),
+                k: Message::micro_to_k(k_micro),
+            }),
+            _ => None,
+        })
     }
 
     fn complete(&mut self, _completion: SimTime, _observed: SimDuration, _predicted: SimDuration) {
@@ -308,40 +326,46 @@ impl<C: FrameChannel + ?Sized> ServerBackend for WireBackend<'_, C> {
     }
 }
 
-/// Transport over the wire protocol: probes are framed round trips;
-/// payloads ride inside the offload request, so transfer time is logical.
+/// Transport over the wire protocol: a profiler refresh is one pipelined
+/// exchange (every probe and the load query in one batch, then the acks
+/// and the reply); payloads ride inside the offload request, so transfer
+/// time is logical.
 #[derive(Debug)]
 pub struct WireTransport<'a, C: FrameChannel + ?Sized = ServerHandle> {
     /// The frame pipe to the server.
     pub server: &'a C,
-    /// Wall-clock budget for one exchange (send + matching ack).
+    /// Wall-clock budget for each awaited ack and reply.
     pub deadline: Duration,
 }
 
 impl<C: FrameChannel + ?Sized> Transport for WireTransport<'_, C> {
-    fn probe(
+    /// Sends `probes` probe frames and the `LoadQuery` with one
+    /// [`FrameChannel::send_batch`], then awaits each ack, then the
+    /// `LoadReply`, each within `deadline`. The server answers in arrival
+    /// order, so the exchange costs one round trip; it fails unless every
+    /// ack and the reply arrive, so a lost probe fails it by
+    /// [`ProtocolError::Timeout`] even when its query was answered.
+    fn probe_and_query_k<S: ServerBackend + ?Sized>(
         &mut self,
         profiler: &mut ProbeProfiler,
+        probes: usize,
+        _backend: &mut S,
         _now: SimTime,
         _rng: &mut StdRng,
-    ) -> Result<(), ProtocolError> {
-        let bytes = profiler.next_probe_bytes();
-        let frame = Message::Probe {
-            payload: zero_payload(bytes as usize),
+    ) -> Result<f64, ProtocolError> {
+        let probe = Message::Probe {
+            payload: zero_payload(profiler.next_probe_bytes() as usize),
         }
         .to_frame()?;
-        self.server.send_split(frame)?;
-        let deadline = Instant::now() + self.deadline;
-        loop {
-            match decode_reply(self.server.recv_split_deadline(deadline)?)? {
-                Message::ProbeAck => return Ok(()),
-                // Stale survivors of a timed-out earlier exchange: skip.
-                Message::OffloadResponse { .. }
-                | Message::LoadReply { .. }
-                | Message::Rejected { .. } => continue,
-                other => return Err(ProtocolError::Unexpected(other.tag())),
-            }
+        let mut batch = vec![probe; probes];
+        batch.push(Message::LoadQuery.to_frame()?);
+        self.server.send_batch(batch)?;
+        for _ in 0..probes {
+            await_reply(self.server, self.deadline, |msg| {
+                matches!(msg, Message::ProbeAck).then_some(())
+            })?;
         }
+        await_reply(self.server, self.deadline, load_reply)
     }
 
     fn upload(

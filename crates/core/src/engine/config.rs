@@ -22,12 +22,14 @@ pub struct EngineConfig {
     pub model_download: bool,
     /// RNG seed for measurement noise.
     pub seed: u64,
-    /// Wall-clock deadline for one wire exchange (send + matching reply).
-    /// Only the threaded runtime blocks on real channels; the co-simulated
-    /// backends never wait.
+    /// Wall-clock deadline for each awaited reply: the offload response,
+    /// and in a pipelined profiler refresh each probe ack, then the load
+    /// reply. Only the threaded runtime blocks on real channels; the
+    /// co-simulated backends never wait.
     pub io_timeout: Duration,
-    /// How many times a failed probe / load query / offload exchange is
-    /// retried before the engine degrades (0 = a single attempt).
+    /// How many times a failed profiler refresh (probes + load query) or
+    /// offload exchange is retried before the engine degrades (0 = a
+    /// single attempt).
     pub max_retries: u32,
     /// Base of the exponential retry backoff: attempt `i` sleeps
     /// `retry_backoff * 2^(i-1)`. Zero disables sleeping (tests).

@@ -22,8 +22,9 @@
 //!
 //! * [`DeviceExecutor`] — how `L_1..L_p` runs (sampled latency model vs
 //!   logical no-op);
-//! * [`Transport`] — how probes and tensors move (simulated [`lp_net::Link`]
-//!   vs protocol frames over channels);
+//! * [`Transport`] — how the profiler's probes and `k` fetch and the
+//!   tensors move (simulated [`lp_net::Link`] vs protocol frames over
+//!   channels, where one refresh is one pipelined exchange);
 //! * [`ServerBackend`] — how the suffix executes and where `k` comes from
 //!   (queueing [`lp_hardware::GpuSim`], shared or exclusive, vs a remote
 //!   server thread).
@@ -157,7 +158,9 @@ pub trait ServerBackend {
         let _ = now;
     }
 
-    /// Answers the device's periodic "what is `k` now?" query.
+    /// Answers the device's "what is `k` now?" query on its own: the
+    /// explicit [`OffloadEngine::refresh_k`], and the periodic refresh of
+    /// transports that do not fetch `k` themselves (the simulated link).
     ///
     /// # Errors
     ///
@@ -192,17 +195,24 @@ pub trait ServerBackend {
 
 /// How bytes move between device and server.
 pub trait Transport {
-    /// Sends one bandwidth probe at `now`, feeding `profiler`.
+    /// Runs the runtime profiler's exchange at `now` (§IV): `probes`
+    /// bandwidth probes feeding `profiler`, then the `k` fetch, and
+    /// returns the server's load factor. The simulated link probes and
+    /// asks `backend` in turn; the wire sends every probe and the load
+    /// query in one batch and awaits the acks, then the reply.
     ///
     /// # Errors
     ///
-    /// Wire transports propagate [`ProtocolError`] on a malformed ack.
-    fn probe(
+    /// Wire transports propagate [`ProtocolError`] when an ack or the
+    /// reply is missing or malformed; the exchange succeeds only whole.
+    fn probe_and_query_k<S: ServerBackend + ?Sized>(
         &mut self,
         profiler: &mut lp_net::ProbeProfiler,
+        probes: usize,
+        backend: &mut S,
         now: SimTime,
         rng: &mut StdRng,
-    ) -> Result<(), ProtocolError>;
+    ) -> Result<f64, ProtocolError>;
 
     /// Ships `bytes` of crossing tensors starting at `start`; returns the
     /// arrival time at the server. Real uploads also feed the estimator

@@ -3,9 +3,11 @@
 //! The paper's runtime profiler is a device thread that periodically (§IV,
 //! 5 s period) probes the upload bandwidth and asks the server for the
 //! current load influence factor `k`. [`RuntimeProfile`] is that thread's
-//! state, made driver-agnostic: probes go through a [`Transport`] and the
-//! `k` query through a [`ServerBackend`], so the same cadence logic serves
-//! the co-simulation, the wire runtime and multi-client runs.
+//! state, made driver-agnostic: one refresh is one
+//! [`Transport::probe_and_query_k`] call — the simulated link probes and
+//! then asks the [`ServerBackend`]; the wire sends the probes and the load
+//! query as one pipelined batch — so the same cadence logic serves the
+//! co-simulation, the wire runtime and multi-client runs.
 
 use crate::engine::{ServerBackend, Transport};
 use crate::protocol::ProtocolError;
@@ -171,10 +173,8 @@ impl RuntimeProfile {
         } else {
             0
         };
-        for _ in 0..deficit.max(1) {
-            transport.probe(&mut self.probe, now, rng)?;
-        }
-        self.cached_k = backend.query_k(now)?;
+        self.cached_k =
+            transport.probe_and_query_k(&mut self.probe, deficit.max(1), backend, now, rng)?;
         self.last_refresh = Some(now);
         // A full probe + k round trip succeeded: the wire is healthy
         // again, so stop biasing decisions local.

@@ -10,8 +10,10 @@
 //!   answers load queries from its [`LoadFactorTracker`];
 //! * the **client** is the [`OffloadEngine`] composed with the wire
 //!   backends ([`WireBackend`]/[`WireTransport`]): Algorithm 1 per request,
-//!   [`Message::OffloadRequest`]-framed uploads, probe frames and load
-//!   queries on the profiler cadence;
+//!   [`Message::OffloadRequest`]-framed uploads, and on the profiler
+//!   cadence one pipelined refresh — the probe frames and the load query
+//!   leave in one [`FrameChannel::send_batch`], then the acks and the
+//!   load reply are awaited — so a request costs two round trips;
 //! * time is logical — the client's clock advances one profiler period per
 //!   request, and the server's clock advances a fixed tick per **received
 //!   frame** (plus the observed execution time per offload), so load-query
@@ -86,6 +88,23 @@ pub trait FrameChannel {
     /// [`ProtocolError::Disconnected`] if the peer is gone.
     fn send_split(&self, frame: Frame) -> Result<(), ProtocolError> {
         self.send(frame.flatten())
+    }
+
+    /// Sends `frames` toward the server back to back, in order — the
+    /// profiler refresh's probes and load query, pipelined.
+    ///
+    /// The default calls [`FrameChannel::send_split`] once per frame, so
+    /// per-frame middleboxes (fault injectors, link emulators, tracers)
+    /// see, index and perturb every frame exactly as if it were sent
+    /// alone. Socket channels override this with one gathered write.
+    ///
+    /// # Errors
+    ///
+    /// The first send failure; the frames after it are not sent.
+    fn send_batch(&self, frames: Vec<Frame>) -> Result<(), ProtocolError> {
+        frames
+            .into_iter()
+            .try_for_each(|frame| self.send_split(frame))
     }
 
     /// Receives the next frame as a header/payload [`Frame`], waiting no
@@ -1282,11 +1301,13 @@ impl ThreadedClient {
     /// Runs one inference request end to end over the protocol.
     ///
     /// The client's logical clock advances one profiler period per
-    /// request, so the periodic refresh (probe frame + load query) fires
-    /// every time. Wire faults never panic or hang the client: exchanges
-    /// are retried with backoff and, if the fault persists, the request
-    /// completes locally (`fallback_local` set on the record) and the
-    /// engine cools down before touching the wire again.
+    /// request, so the periodic refresh fires every time: the probe frame
+    /// and the load query leave back to back in one batch, and the client
+    /// awaits the ack, then the reply, before the offload exchange. Wire
+    /// faults never panic or hang the client: exchanges are retried with
+    /// backoff and, if the fault persists, the request completes locally
+    /// (`fallback_local` set on the record) and the engine cools down
+    /// before touching the wire again.
     ///
     /// # Errors
     ///

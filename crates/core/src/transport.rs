@@ -14,9 +14,13 @@
 //! [`SocketChannel::send_split`] hands the prefix, header and payload to
 //! one gathered write (`write_vectored`): one syscall per frame, and the
 //! multi-MB tensor payload is never flattened into a fresh contiguous
-//! buffer. Only a partial write loops. Declared lengths above
-//! [`MAX_FRAME_BYTES`] are refused with [`ProtocolError::Oversized`]
-//! before any allocation, on both the send and receive side.
+//! buffer. [`SocketChannel::send_batch`] does the same for several frames
+//! at once — the profiler refresh's probes and load query leave in one
+//! syscall — and `send_split` is its one-frame case. Only a partial write
+//! loops. Declared lengths above [`MAX_FRAME_BYTES`] are refused with
+//! [`ProtocolError::Oversized`] before any allocation, on both the send
+//! and receive side; an oversized frame refuses its whole batch before
+//! any byte is written.
 //!
 //! The receiving `FrameReader` reads into a fixed per-connection
 //! read-ahead buffer and cuts whole frames out of it: a frame that fits
@@ -430,23 +434,31 @@ impl<S: NetStream> FrameReader<S> {
     }
 }
 
-/// Writes one length-prefixed frame — prefix, header, payload — as one
-/// gathered write, with no flattening. Only a partial write loops,
-/// resuming mid-slice.
-fn write_frame<S: NetStream>(stream: &mut S, frame: &Frame) -> Result<(), ProtocolError> {
-    let total = frame.len();
-    let len = u32::try_from(total)
-        .ok()
-        .filter(|&l| l <= MAX_FRAME_BYTES)
-        .ok_or(ProtocolError::Oversized(total))?;
-    let prefix = len.to_le_bytes();
-    let mut slices = [
-        IoSlice::new(&prefix),
-        IoSlice::new(&frame.header),
-        IoSlice::new(&frame.payload),
-    ];
-    let segments = if frame.payload.is_empty() { 2 } else { 3 };
-    let mut pending = &mut slices[..segments];
+/// Writes `frames` back to back, each as `u32-le len ++ header ++
+/// payload`, with one gathered write over every frame's segments and no
+/// flattening. Every declared length is checked before the first byte
+/// leaves, so an oversized frame anywhere refuses the whole batch; only a
+/// partial write loops, resuming mid-slice.
+fn write_frames<S: NetStream>(stream: &mut S, frames: &[Frame]) -> Result<(), ProtocolError> {
+    let prefixes = frames
+        .iter()
+        .map(|frame| {
+            let total = frame.len();
+            u32::try_from(total)
+                .ok()
+                .filter(|&len| len <= MAX_FRAME_BYTES)
+                .map(u32::to_le_bytes)
+                .ok_or(ProtocolError::Oversized(total))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut slices: Vec<IoSlice<'_>> = prefixes
+        .iter()
+        .zip(frames)
+        .flat_map(|(prefix, frame)| [&prefix[..], &frame.header[..], &frame.payload[..]])
+        .filter(|segment| !segment.is_empty())
+        .map(IoSlice::new)
+        .collect();
+    let mut pending = &mut slices[..];
     while !pending.is_empty() {
         match stream.write_vectored(pending) {
             Ok(0) => return Err(ProtocolError::Disconnected),
@@ -456,6 +468,12 @@ fn write_frame<S: NetStream>(stream: &mut S, frame: &Frame) -> Result<(), Protoc
         }
     }
     stream.flush().map_err(|_| ProtocolError::Disconnected)
+}
+
+/// Writes one length-prefixed frame: the one-frame case of
+/// [`write_frames`], so one gathered write per frame.
+fn write_frame<S: NetStream>(stream: &mut S, frame: &Frame) -> Result<(), ProtocolError> {
+    write_frames(stream, std::slice::from_ref(frame))
 }
 
 /// A [`FrameChannel`] over any [`NetStream`]: the client side of the
@@ -487,6 +505,13 @@ impl<S: NetStream> SocketChannel<S> {
             reader: Mutex::new(FrameReader::new(stream)),
             writer: Mutex::new(writer),
         })
+    }
+
+    /// The locked write half.
+    fn writer(&self) -> std::sync::MutexGuard<'_, S> {
+        self.writer
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -530,11 +555,13 @@ impl<S: NetStream> FrameChannel for SocketChannel<S> {
     }
 
     fn send_split(&self, frame: Frame) -> Result<(), ProtocolError> {
-        let mut writer = self
-            .writer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        write_frame(&mut *writer, &frame)
+        write_frame(&mut *self.writer(), &frame)
+    }
+
+    /// The whole batch in one gathered write: one syscall for the profiler
+    /// refresh's probes and load query together.
+    fn send_batch(&self, frames: Vec<Frame>) -> Result<(), ProtocolError> {
+        write_frames(&mut *self.writer(), &frames)
     }
 }
 
@@ -1630,6 +1657,60 @@ mod tests {
         assert_eq!(stream.calls().1, frames.len(), "one write call per frame");
         let expected: Vec<u8> = frames.iter().flat_map(wire).collect();
         assert_eq!(stream.script().written, expected);
+    }
+
+    fn frames(msgs: &[Message]) -> Vec<Frame> {
+        msgs.iter()
+            .map(|msg| msg.to_frame().expect("encodes"))
+            .collect()
+    }
+
+    #[test]
+    fn a_probe_and_query_batch_is_one_gathered_write() {
+        let stream = Scripted::default();
+        let chan = SocketChannel::from_stream(stream.clone()).expect("mock");
+        let batch = [probe(8 * 1024), Message::LoadQuery];
+        chan.send_batch(frames(&batch)).expect("written");
+        assert_eq!(stream.calls().1, 1, "one write call for the batch");
+        let expected: Vec<u8> = batch.iter().flat_map(wire).collect();
+        assert_eq!(stream.script().written, expected);
+    }
+
+    #[test]
+    fn a_batch_cut_inside_its_second_frame_resumes_at_the_right_byte() {
+        let stream = Scripted::default();
+        let chan = SocketChannel::from_stream(stream.clone()).expect("mock");
+        let batch = [probe(100), Message::LoadQuery];
+        // The first write stops one header byte into the load query.
+        stream.script().write_cap = Some(wire(&batch[0]).len() + 5);
+        chan.send_batch(frames(&batch)).expect("written");
+        assert_eq!(stream.calls().1, 2, "one short write, one to finish");
+        let written = std::mem::take(&mut stream.script().written);
+        assert_eq!(written, batch.iter().flat_map(wire).collect::<Vec<u8>>());
+        let replay = Scripted::default();
+        replay.push(&written);
+        let mut reader = FrameReader::new(replay);
+        for msg in &batch {
+            let frame = reader.read_frame(budget(500)).expect("a whole frame");
+            assert_eq!(&Message::decode(frame).expect("decodes"), msg);
+        }
+    }
+
+    #[test]
+    fn an_oversized_frame_refuses_its_batch_before_any_byte_is_written() {
+        let stream = Scripted::default();
+        let chan = SocketChannel::from_stream(stream.clone()).expect("mock");
+        let over = Frame {
+            header: Bytes::from(vec![0u8; 8]),
+            payload: zero_payload(MAX_FRAME_BYTES as usize),
+        };
+        let batch = vec![Message::LoadQuery.to_frame().expect("encodes"), over];
+        assert_eq!(
+            chan.send_batch(batch),
+            Err(ProtocolError::Oversized(MAX_FRAME_BYTES as usize + 8))
+        );
+        assert_eq!(stream.calls().1, 0, "no write call");
+        assert!(stream.script().written.is_empty());
     }
 
     #[test]

@@ -9,13 +9,16 @@
 //! Client-side faults are injected with [`FaultInjector`] (a scripted
 //! middlebox between the engine and the server channel); server-side crash
 //! and stall scripts ride in [`ServerFaultSpec`]. Frame indices below
-//! follow the client's per-request send order at steady state — probe (0),
-//! load query (1), offload request (2) — shifted by retries.
+//! follow the client's per-request send order at steady state — probe (0)
+//! and load query (1), which leave together as one pipelined refresh, then
+//! the offload request (2) — shifted by retries. A retried refresh resends
+//! both, so each refresh attempt is two frames, and one whose probe was
+//! lost still sends (and gets answered) its query.
 
 use loadpart::fault::{FaultAction, FaultInjector, FaultPlan};
 use loadpart::{
-    spawn_server, spawn_server_with_faults, EngineConfig, ServerFaultSpec, StallWindow,
-    ThreadedClient,
+    spawn_server, spawn_server_with_faults, EngineConfig, InferenceRecord, ServerFaultSpec,
+    StallWindow, ThreadedClient,
 };
 use lp_profiler::PredictionModels;
 use std::sync::OnceLock;
@@ -166,6 +169,73 @@ fn duplicated_reply_is_drained_not_misattributed() {
     assert_eq!(server.shutdown(), Ok(2));
 }
 
+/// Runs `requests` requests through a [`FaultInjector`] scripted with
+/// `plan`; returns the records and how many offloads the server served.
+fn scripted_session(plan: FaultPlan, requests: usize) -> (Vec<InferenceRecord>, u64) {
+    let (_, edge) = models();
+    let graph = lp_models::alexnet(1);
+    let server = spawn_server(graph.clone(), edge.clone(), 1.0);
+    let mut client = fast_client(graph);
+    let inj = FaultInjector::new(&server, plan);
+    let records = (0..requests)
+        .map(|_| client.infer(&inj, 8.0).expect("no panic"))
+        .collect();
+    assert_eq!(inj.faults_injected(), 1);
+    (records, server.shutdown().expect("clean shutdown"))
+}
+
+/// Every request offloaded; request 0 after one refresh retry, the rest
+/// clean.
+fn assert_one_refresh_retry(records: &[InferenceRecord]) {
+    for (i, r) in records.iter().enumerate() {
+        assert!(r.offloaded() && !r.fallback_local, "request {i}: {r:?}");
+        assert_eq!(r.retries, u32::from(i == 0), "request {i}: {r:?}");
+    }
+}
+
+#[test]
+fn dropped_probe_fails_its_refresh_though_its_query_was_answered() {
+    // The probe (send 0) vanishes; the load query (send 1) is answered,
+    // but its reply arrives while the ack is still owed and is skipped as
+    // stale. The refresh times out and its retry (sends 2, 3) succeeds.
+    let (records, served) = scripted_session(FaultPlan::new().on_send(0, FaultAction::Drop), 2);
+    assert_one_refresh_retry(&records);
+    assert_eq!(served, 2);
+}
+
+#[test]
+fn probe_delayed_behind_its_query_fails_the_refresh_once() {
+    // The probe is held behind the query, so the server answers the query
+    // first: the reply is skipped as stale, the ack lands, and the wait
+    // for the reply times out. The retry finds a clean wire.
+    let (records, served) = scripted_session(FaultPlan::new().on_send(0, FaultAction::Delay), 4);
+    assert_one_refresh_retry(&records);
+    assert_eq!(served, 4);
+}
+
+#[test]
+fn probe_ack_delayed_past_the_deadline_lands_stale_on_the_retry() {
+    // The first ack (recv 0) crosses the deadline. On the retry it lands
+    // as the awaited ack and the first reply answers the wait; the
+    // retry's own ack and reply are skipped as stale by the offload.
+    let (records, served) = scripted_session(FaultPlan::new().on_recv(0, FaultAction::Delay), 4);
+    assert_one_refresh_retry(&records);
+    assert_eq!(served, 4);
+}
+
+#[test]
+fn duplicated_probe_ack_is_skipped_as_stale() {
+    let (records, served) =
+        scripted_session(FaultPlan::new().on_recv(0, FaultAction::Duplicate), 4);
+    for (i, r) in records.iter().enumerate() {
+        assert!(
+            r.offloaded() && !r.fallback_local && r.retries == 0,
+            "request {i}: {r:?}"
+        );
+    }
+    assert_eq!(served, 4);
+}
+
 #[test]
 fn server_crash_mid_session_falls_back_then_fresh_server_recovers() {
     let (_, edge) = models();
@@ -210,9 +280,10 @@ fn server_crash_mid_session_falls_back_then_fresh_server_recovers() {
 fn server_stall_window_degrades_then_same_server_recovers() {
     let (_, edge) = models();
     let graph = lp_models::alexnet(1);
-    // Frames 3, 4, 5 are swallowed: request 1's three probe attempts all
-    // time out, request 2 rides out the cooldown locally, and request 3
-    // finds the server responsive again — same channel, no respawn.
+    // Frames 3-8 are swallowed: request 1's three refresh attempts (probe
+    // + load query each) all time out, request 2 rides out the cooldown
+    // locally, and request 3 finds the server responsive again — same
+    // channel, no respawn.
     let server = spawn_server_with_faults(
         graph.clone(),
         edge.clone(),
@@ -220,7 +291,7 @@ fn server_stall_window_degrades_then_same_server_recovers() {
         ServerFaultSpec {
             stall: Some(StallWindow {
                 after_frames: 3,
-                frames: 3,
+                frames: 6,
             }),
             ..ServerFaultSpec::default()
         },

@@ -13,11 +13,12 @@
 use bytes::Bytes;
 use loadpart::fault::{FaultAction, FaultInjector, FaultPlan};
 use loadpart::{
-    chaos_run, spawn_server, ChaosConfig, ChaosTransport, EmulatedLink, EngineConfig, FrameChannel,
-    LinkSpec, Message, ProtocolError, SocketServer, TcpFrameChannel, Telemetry, ThreadedClient,
+    chaos_run, spawn_server, ChaosConfig, ChaosTransport, EmulatedLink, EngineConfig, Frame,
+    FrameChannel, LinkSpec, Message, ProtocolError, SocketServer, TcpFrameChannel, Telemetry,
+    ThreadedClient,
 };
 use lp_profiler::PredictionModels;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -538,5 +539,41 @@ fn twenty_thousand_pipelined_queries_are_answered_in_order() {
             (request, reply) => panic!("reply {i} to {request:?} was {reply:?}"),
         }
     }
+    sock.shutdown().expect("clean");
+}
+
+/// The frames of `msgs`, for a batch send.
+fn frames(msgs: &[Message]) -> Vec<Frame> {
+    msgs.iter()
+        .map(|msg| msg.to_frame().expect("encodes"))
+        .collect()
+}
+
+/// A batch reaches the peer as exactly the frames' one-by-one wire
+/// encodings, concatenated, in order.
+#[test]
+fn a_batch_is_the_frames_one_by_one_encodings_concatenated() {
+    let (chan, mut peer) = raw_server_peer();
+    let batch = [probe(8 * 1024), probe(100), Message::LoadQuery];
+    chan.send_batch(frames(&batch)).expect("sent");
+    let expected: Vec<u8> = batch.iter().flat_map(on_the_wire).collect();
+    let mut wire = vec![0u8; expected.len()];
+    peer.read_exact(&mut wire).expect("the whole batch");
+    assert_eq!(wire, expected);
+}
+
+/// The cold-start refresh for the default 8-sample window — 8 probes and
+/// a load query in one batch — is answered with 8 acks, then the reply,
+/// in order.
+#[test]
+fn a_cold_start_burst_is_answered_in_order() {
+    let (sock, chan) = tcp_server(1.0);
+    let mut batch = vec![probe(8 * 1024); 8];
+    batch.push(Message::LoadQuery);
+    chan.send_batch(frames(&batch)).expect("sent");
+    for i in 0..8 {
+        assert_eq!(recv(&chan), Message::ProbeAck, "reply {i}");
+    }
+    assert!(matches!(recv(&chan), Message::LoadReply { .. }));
     sock.shutdown().expect("clean");
 }
