@@ -1,6 +1,6 @@
-//! Serving-throughput benchmark: the pre-worker-pool single-threaded
-//! copying server versus the sharded zero-copy worker pool, under
-//! identical wire traffic from 1/4/8/16 concurrent threaded clients.
+//! Serving-throughput benchmark: the unbatched copying serving path
+//! versus the batching zero-copy one, under identical wire traffic from
+//! 1/4/8/16 concurrent threaded clients.
 //!
 //! Same harness as `loadpart bench`; this binary exists so the benchmark
 //! sits next to the other experiment drivers. Writes `BENCH_serving.json`

@@ -22,7 +22,7 @@
 //!
 //! # Batched admission
 //!
-//! When the suffix workers batch compatible requests (continuous batching,
+//! When the serving threads batch compatible requests (continuous batching,
 //! [`crate::threaded::ServerTuning::max_batch`]), charging each member of
 //! the batch its full predicted execution time would over-count the
 //! backlog: the batch occupies the GPU *once*. [`AdmissionController::
@@ -162,7 +162,7 @@ impl AdmissionController {
     /// `bucket`, batch under [`AdmissionConfig::max_batch`]) joins it —
     /// it is admitted at the batch's predicted start/completion and counts
     /// against `max_inflight`, but the backlog watermark does not advance,
-    /// because the workers execute the whole batch as one occupancy.
+    /// because the server executes the whole batch as one occupancy.
     pub fn assess_batched(
         &mut self,
         now: SimTime,

@@ -14,7 +14,7 @@
 //! loadpart bench     --cluster [--quick] [--clients 4] [--rounds 65] [--connect A,B,C] [--out BENCH_cluster.json]
 //! loadpart bench     --quant [--quick] [--bandwidths 16,8,4,2,1] [--budget 0.02] [--time-scale 1.0] [--connect HOST:PORT] [--out BENCH_quant.json]
 //! loadpart compare   [--quick] [--out BENCH_policies.json] [--requests 320] [--windows 8]
-//! loadpart serve     [--model alexnet] [--listen 127.0.0.1:0 | --uds /tmp/lp.sock] [--k 1.0] [--workers 4] [--shards 2] [--batch 16] [--no-admission]
+//! loadpart serve     [--model alexnet] [--listen 127.0.0.1:0 | --uds /tmp/lp.sock] [--k 1.0] [--shards 2] [--batch 16] [--no-admission]
 //! loadpart smoke     --connect HOST:PORT | --uds PATH [--requests 5] [--latency-ms 20] [--rate-mbps 8] [--shutdown-server]
 //! ```
 //!
@@ -35,12 +35,12 @@
 //! other servers, nothing is lost, the run replays bit-identically and the
 //! recovered server is readmitted (`bench --cluster` runs the same outage
 //! with failover on and off and writes `BENCH_cluster.json`);
-//! `bench` runs the serving-throughput benchmark — the pre-PR
-//! single-threaded copying server versus the sharded zero-copy worker pool
-//! at 1/4/8/16 concurrent wire clients — and writes `BENCH_serving.json`;
+//! `bench` runs the serving-throughput benchmark — the unbatched copying
+//! serving path versus the batching zero-copy one at 1/4/8/16 concurrent
+//! wire clients — and writes `BENCH_serving.json`;
 //! with `--sessions-sweep` it instead runs the fleet benchmark — 64→1024
-//! persistent sessions over loopback TCP against the event-driven sharded
-//! mux with continuous suffix batching, driven by a bounded client-thread
+//! persistent sessions over loopback TCP against the event-driven shards
+//! with continuous suffix batching, driven by a bounded client-thread
 //! pool — and writes `BENCH_fleet.json`; with `--quant` it runs the
 //! figure-6-style quantization bandwidth sweep — pure-local, fp32
 //! Algorithm 1, forced fp32 offload and the joint (p, precision)
@@ -112,7 +112,7 @@ const USAGE: &str = "usage:
   loadpart bench     --quant [--quick] [--bandwidths <a,b,c>] [--budget <top1-frac>] [--requests <n>] [--time-scale <f>]
                      [--suffix-cost-ms <ms>] [--samples <n>] [--seed <n>] [--connect <host:port>] [--out <file.json>]
   loadpart compare   [--quick] [--out <file.json>] [--requests <n>] [--windows <n>] [--samples <n>] [--seed <n>]
-  loadpart serve     [--model <name>] [--listen <host:port> | --uds <path>] [--k <factor>] [--workers <n>] [--shards <n>] [--batch <n>] [--no-admission] [--samples <n>] [--seed <n>]
+  loadpart serve     [--model <name>] [--listen <host:port> | --uds <path>] [--k <factor>] [--shards <n>] [--batch <n>] [--no-admission] [--samples <n>] [--seed <n>]
   loadpart smoke     --connect <host:port> | --uds <path> [--model <name>] [--requests <n>] [--samples <n>] [--seed <n>]
                      [--latency-ms <ms>] [--jitter-ms <ms>] [--rate-mbps <Mbps>] [--stall-every <n>] [--stall-ms <ms>] [--reset-after <frames>] [--link-seed <n>]
                      [--shutdown-server]";
@@ -902,11 +902,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<String, String> {
     if k < 1.0 {
         return Err("--k must be >= 1 (constraint (1c))".to_string());
     }
-    let workers: usize = get_parsed(flags, "workers", Some(ServerTuning::default().workers))?;
     let batch: usize = get_parsed(flags, "batch", Some(ServerTuning::default().max_batch))?;
     let shards: usize = get_parsed(flags, "shards", Some(loadpart::default_shards()))?;
-    if workers == 0 || batch == 0 || shards == 0 {
-        return Err("--workers, --batch and --shards must be positive".to_string());
+    if batch == 0 || shards == 0 {
+        return Err("--batch and --shards must be positive".to_string());
     }
     let admission = if flags.contains_key("no-admission") {
         None
@@ -922,7 +921,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<String, String> {
         admission,
         &Telemetry::disabled(),
         ServerTuning {
-            workers,
             max_batch: batch,
             ..ServerTuning::default()
         },
@@ -949,7 +947,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<String, String> {
     // The clients are separate processes polling for this line: it must
     // reach them before we block in wait().
     println!(
-        "{} listening on {} (k = {k}, {workers} worker(s), {shards} shard(s), batch {batch}, \
+        "{} listening on {} (k = {k}, {shards} shard(s), batch {batch}, \
          admission {})",
         graph.name(),
         sock.local_addr(),

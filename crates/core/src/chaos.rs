@@ -41,14 +41,15 @@ use lp_sim::{SimDuration, SimTime};
 /// identically — asserted by `tests/tcp_transport.rs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ChaosTransport {
-    /// In-process mux channels (the original harness).
+    /// In-process channel sessions (the original harness).
     #[default]
     Channel,
     /// Real loopback TCP sockets through a [`SocketServer`].
     Tcp,
 }
 
-/// The server end of a soak: the bare mux handle or its socket front-end.
+/// The server end of a soak: the bare server handle or its socket
+/// front-end.
 #[derive(Debug)]
 enum ChaosServer {
     Handle(ServerHandle),

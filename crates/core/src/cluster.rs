@@ -675,7 +675,7 @@ fn served_remotely(record: &InferenceRecord) -> bool {
 /// How chaos/bench clients reach the cluster.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum ClusterTransport {
-    /// In-process mux channels, one spawned server per spec.
+    /// In-process channel sessions, one spawned server per spec.
     #[default]
     Channel,
     /// Loopback TCP through a [`SocketServer`] per spawned server.

@@ -104,8 +104,9 @@ pub struct SuffixRequest {
     pub request_id: u64,
     /// Partition point: the server runs `L_{p+1}..L_n`.
     pub p: usize,
-    /// Negotiated upload-tensor precision; the server dequantizes at this
-    /// width (fp32 = the identity path).
+    /// Negotiated upload-tensor precision. The wire backend ships a zero
+    /// payload of the packed length at this width, and the server counts
+    /// narrow uploads without reading them.
     pub precision: Precision,
     /// Bytes of crossing tensors shipped with the request (already
     /// quantized: at a narrow precision this is the packed size).

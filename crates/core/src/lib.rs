@@ -158,9 +158,8 @@ pub use telemetry::{
 };
 pub use threaded::{
     spawn_server, spawn_server_full, spawn_server_instrumented, spawn_server_tuned,
-    spawn_server_with_faults, ClientConn, FrameChannel, LoadEnv, ReplyWaker, ServerFaultSpec,
-    ServerHandle, ServerTuning, SessionConnector, SessionReceiver, SessionSender, StallWindow,
-    ThreadedClient,
+    spawn_server_with_faults, ClientConn, FrameChannel, LoadEnv, ServerFaultSpec, ServerHandle,
+    ServerTuning, StallWindow, ThreadedClient,
 };
 #[cfg(unix)]
 pub use transport::UdsFrameChannel;

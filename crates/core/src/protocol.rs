@@ -118,8 +118,9 @@ pub enum Message {
         request_id: u64,
         /// The partition point `p`, so the server can partition/cache.
         partition_point: u32,
-        /// Upload-tensor precision, so the server dequantizes at the
-        /// negotiated width (one byte on the wire, [`Precision::wire`]).
+        /// Upload-tensor precision at the negotiated width (one byte on
+        /// the wire, [`Precision::wire`]). The server counts narrow
+        /// uploads; it does not read or dequantize the payload.
         precision: Precision,
         /// The packed intermediate tensors (MakeTuple output).
         payload: Bytes,

@@ -3,19 +3,19 @@
 //! Two server configurations face identical traffic from N concurrent
 //! threaded clients over the real wire [`protocol`](crate::protocol):
 //!
-//! * **baseline** — the pre-worker-pool serving path:
-//!   [`ServerTuning::single_threaded_legacy`] (suffixes execute inline on
-//!   the mux thread, replies use the contiguous copying encoder), clients
-//!   flatten every frame to one contiguous buffer, and the engine's
-//!   Algorithm-1 decision memo is disabled.
-//! * **parallel** — this PR's hot path: the sharded suffix worker pool,
+//! * **baseline** — the oldest serving path's framing and scheduling:
+//!   [`ServerTuning::single_threaded_legacy`] (no suffix coalescing,
+//!   replies use the contiguous copying encoder), clients flatten every
+//!   frame to one contiguous buffer, and the engine's Algorithm-1
+//!   decision memo is disabled.
+//! * **parallel** — the tuned hot path: continuous suffix batching,
 //!   zero-copy header/payload framing with the shared payload pool, one
 //!   `Arc`'d graph across all engines, and the decision memo on.
 //!
 //! Both modes charge the same per-suffix execution cost
-//! ([`BenchConfig::suffix_cost`]) so the measured difference is purely how
-//! the serving architecture schedules that work: the baseline serializes
-//! suffixes on the mux, the pool overlaps them across sessions.
+//! ([`BenchConfig::suffix_cost`]) on the serving thread, so the measured
+//! difference is how the serving path schedules that work: the baseline
+//! charges every suffix, the tuned path one charge per same-bucket batch.
 //!
 //! Wall-clock throughput and latency come from [`Instant`]; the copied-byte
 //! counts come from [`framing_bytes_copied`]. Results serialize to the
@@ -40,10 +40,10 @@ use std::time::{Duration, Instant};
 /// Which serving path a measurement exercised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BenchMode {
-    /// The pre-worker-pool path: inline suffix execution, copying framing,
-    /// no decision memo.
+    /// The oldest serving path: no suffix coalescing, copying framing, no
+    /// decision memo.
     Baseline,
-    /// The tuned path: sharded workers, zero-copy framing, decision memo.
+    /// The tuned path: suffix batching, zero-copy framing, decision memo.
     Parallel,
 }
 
@@ -61,7 +61,7 @@ impl BenchMode {
 /// Which wire the benchmark's clients run over.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum BenchTransport {
-    /// In-process mux channels (the original benchmark).
+    /// In-process channel sessions (the original benchmark).
     #[default]
     Channel,
     /// Loopback TCP through a locally spawned [`SocketServer`]: both modes
@@ -179,8 +179,6 @@ pub struct BenchReport {
     /// All measured points, baseline first, client counts ascending within
     /// each mode.
     pub points: Vec<BenchPoint>,
-    /// Worker-pool size the parallel mode ran with.
-    pub workers: usize,
     /// Per-suffix execution cost charged in both modes.
     pub suffix_cost: Duration,
     /// Stable name of the transport the clients ran over
@@ -239,7 +237,6 @@ impl BenchReport {
         Json::Obj(vec![
             ("benchmark".into(), Json::Str("serving".into())),
             ("transport".into(), Json::Str(self.transport.clone())),
-            ("workers".into(), Json::Num(self.workers as f64)),
             (
                 "suffix_cost_ms".into(),
                 Json::Num(self.suffix_cost.as_secs_f64() * 1e3),
@@ -253,8 +250,7 @@ impl BenchReport {
     #[must_use]
     pub fn render_table(&self) -> String {
         let mut out = format!(
-            "serving benchmark — {} workers, {:.1} ms/suffix\n{:>8}  {:>7}  {:>10}  {:>8}  {:>8}  {:>12}  {:>6}\n",
-            self.workers,
+            "serving benchmark — {:.1} ms/suffix\n{:>8}  {:>7}  {:>10}  {:>8}  {:>8}  {:>12}  {:>6}\n",
             self.suffix_cost.as_secs_f64() * 1e3,
             "mode",
             "clients",
@@ -313,7 +309,6 @@ impl<C: FrameChannel + ?Sized> FrameChannel for LegacyChannel<'_, C> {
 pub fn serving_bench(config: &BenchConfig) -> BenchReport {
     let graph = Arc::new(lp_models::alexnet(1));
     let (user, edge) = crate::system::trained_models(config.samples_per_kind, config.seed);
-    let workers = ServerTuning::default().workers;
     // A remote server cannot be re-tuned into the legacy baseline: measure
     // only the tuned serving path against it.
     let modes: &[BenchMode] = if matches!(config.transport, BenchTransport::Remote(_)) {
@@ -329,7 +324,6 @@ pub fn serving_bench(config: &BenchConfig) -> BenchReport {
     }
     BenchReport {
         points,
-        workers,
         suffix_cost: config.suffix_cost,
         transport: config.transport.name().to_string(),
     }
@@ -507,7 +501,7 @@ pub struct FleetConfig {
     /// Continuous-batching depth ([`ServerTuning::max_batch`]) and the
     /// batch-aware admission depth, applied to the spawned server.
     pub max_batch: usize,
-    /// Event-driven mux shards for the socket front-end.
+    /// Event-driven shards for the socket front-end.
     pub shards: usize,
     /// Client-side bandwidth estimate injected per request (Mbps).
     pub bandwidth_mbps: f64,
@@ -601,9 +595,7 @@ impl FleetPoint {
 pub struct FleetReport {
     /// All measured points, session counts ascending.
     pub points: Vec<FleetPoint>,
-    /// Suffix worker-pool size the server ran with.
-    pub workers: usize,
-    /// Event-driven mux shard count.
+    /// Event-driven shard count.
     pub shards: usize,
     /// Continuous-batching depth.
     pub max_batch: usize,
@@ -646,7 +638,6 @@ impl FleetReport {
         Json::Obj(vec![
             ("benchmark".into(), Json::Str("fleet".into())),
             ("transport".into(), Json::Str("tcp".into())),
-            ("workers".into(), Json::Num(self.workers as f64)),
             ("shards".into(), Json::Num(self.shards as f64)),
             ("max_batch".into(), Json::Num(self.max_batch as f64)),
             (
@@ -665,8 +656,7 @@ impl FleetReport {
     #[must_use]
     pub fn render_table(&self) -> String {
         let mut out = format!(
-            "fleet sweep — {} workers, {} shards, batch {}, {:.1} ms/suffix\n{:>9}  {:>7}  {:>10}  {:>8}  {:>8}  {:>8}  {:>7}\n",
-            self.workers,
+            "fleet sweep — {} shards, batch {}, {:.1} ms/suffix\n{:>9}  {:>7}  {:>10}  {:>8}  {:>8}  {:>8}  {:>7}\n",
             self.shards,
             self.max_batch,
             self.suffix_cost.as_secs_f64() * 1e3,
@@ -719,7 +709,6 @@ pub fn fleet_bench(config: &FleetConfig) -> FleetReport {
     }
     FleetReport {
         points,
-        workers: tuning.workers,
         shards: config.shards.max(1),
         max_batch: tuning.max_batch,
         suffix_cost: config.suffix_cost,

@@ -48,26 +48,31 @@
 //! # Server side
 //!
 //! [`SocketServer`] owns a [`ServerHandle`] plus a small set of
-//! *event-driven mux shards*. Each shard thread owns N accepted
-//! connections end to end — their nonblocking sockets, the resumable
-//! `FrameReader` per connection (so a partial frame survives
-//! `WOULD_BLOCK` exactly as it survives a deadline), and a zero-copy
-//! egress outbox flushed with one gathered write across all queued
-//! segments — and parks in one `poll(2)` call over all of them plus a
-//! wake pipe. Replies queued by the in-process mux (or its suffix
-//! workers) fire the session's [`ReplyWaker`], which writes one byte to
-//! the owning shard's wake pipe (drained with one `read` per wake-up);
-//! the listener itself lives in shard 0's poll set, so accepting costs no
-//! dedicated thread and no busy-poll sleep. There are no per-connection
-//! threads to leak: shutdown joins every shard. The mux loop, admission
-//! control, fault scripts and telemetry are exactly the in-process
-//! server's — the socket layer is a pure transport.
+//! *event-driven shards*. Each shard thread owns N accepted connections
+//! end to end — their nonblocking sockets, the resumable `FrameReader` per
+//! connection (so a partial frame survives `WOULD_BLOCK` exactly as it
+//! survives a deadline), and a zero-copy egress outbox flushed with one
+//! gathered write across all queued segments — and parks in one `poll(2)`
+//! call over all of them plus a wake pipe. The listener lives in shard
+//! 0's poll set, so accepting costs no dedicated thread and no busy-poll
+//! sleep; the wake pipe only announces a dealt connection or shutdown.
+//!
+//! A shard serves what it reads to completion, in service rounds. One
+//! round sweeps the readable connections: each frame goes through the
+//! server core shared with the in-process server thread (one lock: fault
+//! script, clock, admission, tracker, counters), and its reply lands
+//! straight in that connection's outbox. A connection that hands the core
+//! an admitted suffix stops being read for the round. After the sweep the
+//! shard answers the round's suffixes — charging the injected suffix cost
+//! once per same-bucket batch — queues their replies and flushes. A
+//! connection with whole frames left in its read-ahead is served again
+//! at once, without waiting for `poll`. So each connection's replies
+//! leave in request order, and no frame crosses another thread. There are
+//! no per-connection threads to leak: shutdown joins every shard.
 
 use crate::pool::zero_payload;
 use crate::protocol::{Frame, Message, ProtocolError, MAX_PAYLOAD_BYTES};
-use crate::threaded::{
-    FrameChannel, ReplyWaker, ServerHandle, SessionConnector, SessionReceiver, SessionSender,
-};
+use crate::threaded::{FrameChannel, Served, Server, ServerHandle, Suffix};
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -111,8 +116,8 @@ pub trait NetStream: Read + Write + Send + Sized + 'static {
     /// Propagates the OS error.
     fn shutdown_both(&self) -> io::Result<()>;
 
-    /// Switches the socket between blocking and nonblocking mode (the mux
-    /// shards run every connection nonblocking).
+    /// Switches the socket between blocking and nonblocking mode (the
+    /// server shards run every connection nonblocking).
     ///
     /// # Errors
     ///
@@ -238,7 +243,7 @@ impl LongBody {
 /// start of the next) costs one syscall. Partial state survives every
 /// return: a deadline expiring mid-frame resumes cleanly on the next call
 /// instead of desyncing the stream — and equally across `WOULD_BLOCK` on
-/// the mux shards' nonblocking sockets ([`FrameReader::poll_frame`]).
+/// the server shards' nonblocking sockets ([`FrameReader::poll_frame`]).
 struct FrameReader<S> {
     stream: S,
     /// Read-ahead: `ahead[start..end]` arrived but is not yet cut.
@@ -322,7 +327,7 @@ impl<S: NetStream> FrameReader<S> {
         Ok(())
     }
 
-    /// Nonblocking read attempt for the event-driven mux: the stream must
+    /// Nonblocking read attempt for the event-driven shards: the stream must
     /// be in nonblocking mode. `Ok(Some(frame))` per completed frame,
     /// `Ok(None)` once the socket has no more bytes right now (partial
     /// state kept for the next readiness event); EOF, I/O errors and
@@ -345,6 +350,15 @@ impl<S: NetStream> FrameReader<S> {
                 ReadStep::Failed(err) => return Err(err),
             }
         }
+    }
+
+    /// Whether a whole frame already sits in the read-ahead, so
+    /// [`FrameReader::poll_frame`] would return it without a syscall.
+    fn has_whole_frame(&self) -> bool {
+        let buffered = &self.ahead[self.start..self.end];
+        buffered
+            .first_chunk::<4>()
+            .is_some_and(|prefix| buffered.len() - 4 >= u32::from_le_bytes(*prefix) as usize)
     }
 
     /// The next whole frame, if one has arrived: cut from the read-ahead,
@@ -607,12 +621,12 @@ pub fn measure_bandwidth<C: FrameChannel + ?Sized>(
     Ok(probe_bytes as f64 * 8.0 / (elapsed * 1e6))
 }
 
-/// Anything the mux's accepting shard can listen on.
+/// Anything the accepting shard can listen on.
 trait FrameListener: Send + 'static {
     type Stream: NetStream;
 
     /// One non-blocking accept attempt. The returned stream is left in
-    /// nonblocking mode — the mux shards are event-driven.
+    /// nonblocking mode — the shards are event-driven.
     fn accept_stream(&self) -> io::Result<Self::Stream>;
 
     /// The raw descriptor, so the listener joins shard 0's readiness set.
@@ -709,7 +723,8 @@ mod sys {
 }
 
 /// Upper bound on one readiness wait: the backstop under which a shard
-/// re-checks its stop flag and mux liveness even with no socket events.
+/// re-checks its stop flag and whether service ended, even with no socket
+/// events.
 #[cfg(target_os = "linux")]
 const POLL_BACKSTOP_MS: i32 = 200;
 
@@ -719,10 +734,9 @@ const POLL_BACKSTOP_MS: i32 = 200;
 const FALLBACK_NAP: Duration = Duration::from_millis(2);
 
 /// The shard wake signal: a nonblocking socketpair whose read end sits in
-/// the shard's readiness set. Writers — session [`ReplyWaker`]s, the
-/// accepting shard announcing a dealt connection, shutdown — push one
-/// byte each; a full pipe means a wake is already pending, which is just
-/// as good.
+/// the shard's readiness set. Writers — the accepting shard announcing a
+/// dealt connection, shutdown — push one byte each; a full pipe means a
+/// wake is already pending, which is just as good.
 #[cfg(unix)]
 struct WakePipe {
     rx: UnixStream,
@@ -805,14 +819,11 @@ impl WakeHandle {
 /// the kernel's `IOV_MAX`).
 const EGRESS_SLICES: usize = 64;
 
-/// One connection owned by a mux shard: the nonblocking socket behind a
-/// resumable [`FrameReader`], its mux session halves, and the zero-copy
-/// egress outbox.
+/// One connection owned by a shard: the nonblocking socket behind a
+/// resumable [`FrameReader`], and the zero-copy egress outbox.
 struct ShardConn<S: NetStream> {
     reader: FrameReader<S>,
     writer: S,
-    to_mux: SessionSender,
-    from_mux: SessionReceiver,
     /// Egress queue: per reply, `u32-le len ++ header` as one small owned
     /// segment and the payload as a refcount bump — a multi-MB tensor is
     /// never flattened. `offset` tracks how much of the front segment a
@@ -821,67 +832,58 @@ struct ShardConn<S: NetStream> {
     offset: usize,
     #[cfg(unix)]
     fd: RawFd,
-    /// The readiness wait saw (or presumes) ingress bytes pending.
+    /// The readiness wait saw (or presumes) ingress bytes pending, or a
+    /// whole frame waits in the read-ahead.
     readable: bool,
-    /// The session's reply channel disconnected: the server mux exited.
-    mux_gone: bool,
     /// The socket is broken (EOF, I/O error, oversized declaration).
     dead: bool,
 }
 
 impl<S: NetStream> ShardConn<S> {
-    fn new(stream: S, connector: &SessionConnector, wake: WakeHandle) -> io::Result<Self> {
+    fn new(stream: S) -> io::Result<Self> {
         let writer = stream.try_clone_stream()?;
         #[cfg(unix)]
         let fd = stream.raw_fd_stream();
-        let waker: ReplyWaker = Arc::new(move || wake.wake());
-        let (to_mux, from_mux) = connector.connect_with_waker(Some(waker)).split();
         Ok(Self {
             reader: FrameReader::new(stream),
             writer,
-            to_mux,
-            from_mux,
             outbox: VecDeque::new(),
             offset: 0,
             #[cfg(unix)]
             fd,
             readable: true,
-            mux_gone: false,
             dead: false,
         })
     }
 
-    /// One service round: move queued replies into the outbox, push the
-    /// outbox at the socket, then pump ingress frames into the mux if the
-    /// readiness wait flagged this connection.
-    fn pump(&mut self) {
-        if !self.mux_gone {
-            loop {
-                match self.from_mux.try_recv() {
-                    Ok(Some(frame)) => self.enqueue(&frame),
-                    Ok(None) => break,
-                    Err(_) => {
-                        self.mux_gone = true;
+    /// Serves the frames this connection has ready through the core,
+    /// replying into its outbox, until none is left or it hands
+    /// `admitted` a suffix: the connection is not read again until that
+    /// suffix's reply is queued. Then flushes what it replied. Returns
+    /// `true` once service has ended.
+    fn serve_ready(
+        &mut self,
+        server: &Server,
+        index: usize,
+        admitted: &mut Vec<(usize, Suffix)>,
+    ) -> bool {
+        while !self.dead {
+            match self.reader.poll_frame() {
+                Ok(Some(bytes)) => match server.serve(Frame::from_contiguous(bytes)) {
+                    Served::Reply(reply) => self.enqueue(&reply),
+                    Served::Suffix(suffix) => {
+                        admitted.push((index, suffix));
                         break;
                     }
-                }
+                    Served::Nothing => {}
+                    Served::Ended => return true,
+                },
+                Ok(None) => break,
+                Err(_) => self.dead = true,
             }
         }
         self.flush();
-        if self.readable {
-            self.readable = false;
-            while !self.dead && !self.mux_gone {
-                match self.reader.poll_frame() {
-                    Ok(Some(bytes)) => {
-                        if self.to_mux.send(Frame::from_contiguous(bytes)).is_err() {
-                            self.mux_gone = true;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => self.dead = true,
-                }
-            }
-        }
+        false
     }
 
     /// Splits one reply frame into outbox segments. Server replies stay
@@ -954,17 +956,22 @@ impl<S: NetStream> ShardConn<S> {
         }
     }
 
-    /// Whether the shard should reap this connection: broken socket, or
-    /// server gone with nothing left to deliver.
-    fn finished(&self) -> bool {
-        self.dead || (self.mux_gone && self.outbox.is_empty())
+    /// A readiness event for this connection: read it next round, even if
+    /// its last read came back short.
+    fn mark_readable(&mut self) {
+        self.readable = true;
+        self.reader.drained = false;
     }
 
-    /// Closes the socket (clients see EOF, not a hang) and tells the mux
-    /// to drop the session's reply route.
+    /// Whether the shard should reap this connection: broken socket, or
+    /// service ended with nothing left to deliver.
+    fn finished(&self, ended: bool) -> bool {
+        self.dead || (ended && self.outbox.is_empty())
+    }
+
+    /// Closes the socket, so the client sees EOF, not a hang.
     fn close(&mut self) {
         let _ = self.writer.shutdown_both();
-        self.to_mux.close();
     }
 }
 
@@ -972,7 +979,6 @@ impl<S: NetStream> ShardConn<S> {
 /// round-robins accepted connections across every shard.
 struct AcceptRole<L: FrameListener> {
     listener: L,
-    connector: SessionConnector,
     routes: Vec<(Sender<ShardConn<L::Stream>>, WakeHandle)>,
     next: usize,
 }
@@ -986,7 +992,7 @@ impl<L: FrameListener> AcceptRole<L> {
                 Ok(stream) => {
                     let (tx, wake) = &self.routes[self.next % self.routes.len()];
                     self.next = self.next.wrapping_add(1);
-                    let Ok(conn) = ShardConn::new(stream, &self.connector, wake.clone()) else {
+                    let Ok(conn) = ShardConn::new(stream) else {
                         continue; // the peer is already gone
                     };
                     if tx.send(conn).is_ok() {
@@ -1001,14 +1007,20 @@ impl<L: FrameListener> AcceptRole<L> {
     }
 }
 
-/// One event-driven mux shard: the readiness loop over its connections,
-/// its wake pipe, and (shard 0 only) the listener.
-struct MuxShard<L: FrameListener> {
+/// One event-driven shard: the readiness loop over its connections, its
+/// wake pipe, and (shard 0 only) the listener. It serves every frame it
+/// reads through the shared [`Server`].
+struct Shard<L: FrameListener> {
+    server: Arc<Server>,
     stop: Arc<AtomicBool>,
     wake: WakePipe,
     intake: Receiver<ShardConn<L::Stream>>,
     conns: Vec<ShardConn<L::Stream>>,
     acceptor: Option<AcceptRole<L>>,
+    /// The suffixes admitted in the current round, by connection index.
+    admitted: Vec<(usize, Suffix)>,
+    /// Service has ended: read nothing more, deliver what is queued, close.
+    ended: bool,
     /// The readiness wait saw (or presumes) wake bytes pending.
     wake_ready: bool,
     /// The readiness wait saw (or presumes) connections to accept.
@@ -1018,8 +1030,10 @@ struct MuxShard<L: FrameListener> {
     fds: Vec<sys::PollFd>,
 }
 
-impl<L: FrameListener> MuxShard<L> {
+impl<L: FrameListener> Shard<L> {
     fn run(mut self) {
+        let server = Arc::clone(&self.server);
+        let _guard = server.guard();
         loop {
             let stopping = self.stop.load(Ordering::SeqCst);
             if std::mem::take(&mut self.wake_ready) {
@@ -1033,11 +1047,10 @@ impl<L: FrameListener> MuxShard<L> {
                     role.accept_burst();
                 }
             }
-            for conn in &mut self.conns {
-                conn.pump();
-            }
+            let again = self.serve_round();
+            let ended = self.ended;
             self.conns.retain_mut(|conn| {
-                if conn.finished() {
+                if conn.finished(ended) {
                     conn.close();
                     false
                 } else {
@@ -1047,23 +1060,56 @@ impl<L: FrameListener> MuxShard<L> {
             if stopping {
                 break;
             }
-            self.wait_ready();
+            self.wait_ready(!again);
         }
-        // Final drain (best effort): replies the server mux queued before
-        // exiting still reach the wire, then every socket closes so
-        // clients observe EOF instead of a dangling half-open stream.
+        // Final drain (best effort): replies already queued still reach
+        // the wire, then every socket closes so clients observe EOF
+        // instead of a dangling half-open stream.
         for conn in &mut self.conns {
-            conn.pump();
+            conn.flush();
             conn.close();
         }
     }
 
-    /// Parks in `poll(2)` over the wake pipe, the listener (shard 0) and
-    /// every connection — `POLLOUT` only where an outbox has backlog —
-    /// then flags what fired, so the next round spends no syscall on a
-    /// quiet wake pipe or listener.
+    /// One service round: serve every readable connection, answer the
+    /// suffixes they handed over, flush. Returns whether a connection has
+    /// a whole frame left in its read-ahead, so the next round must not
+    /// wait for `poll` — its socket may hold nothing to wake it.
+    fn serve_round(&mut self) -> bool {
+        if !self.ended {
+            let server = &*self.server;
+            for (index, conn) in self.conns.iter_mut().enumerate() {
+                if std::mem::take(&mut conn.readable)
+                    && conn.serve_ready(server, index, &mut self.admitted)
+                {
+                    self.ended = true;
+                    break;
+                }
+            }
+            // Suffixes admitted before service ended are still answered.
+            let conns = &mut self.conns;
+            server.answer_suffixes(&mut self.admitted, |index, reply| {
+                conns[index].enqueue(&reply);
+            });
+            self.ended |= server.has_ended();
+        }
+        let mut again = false;
+        for conn in &mut self.conns {
+            conn.flush();
+            if !self.ended && conn.reader.has_whole_frame() {
+                conn.readable = true;
+                again = true;
+            }
+        }
+        again
+    }
+
+    /// Polls the wake pipe, the listener (shard 0) and every connection —
+    /// `POLLOUT` only where an outbox has backlog — parking in `poll(2)`
+    /// when `block` is set, then flags what fired, so the next round
+    /// spends no syscall on a quiet wake pipe or listener.
     #[cfg(target_os = "linux")]
-    fn wait_ready(&mut self) {
+    fn wait_ready(&mut self, block: bool) {
         let fds = &mut self.fds;
         fds.clear();
         fds.push(sys::PollFd::readable(self.wake.fd()));
@@ -1078,13 +1124,14 @@ impl<L: FrameListener> MuxShard<L> {
             }
             fds.push(slot);
         }
-        match sys::poll_fds(fds, POLL_BACKSTOP_MS) {
+        let timeout_ms = if block { POLL_BACKSTOP_MS } else { 0 };
+        match sys::poll_fds(fds, timeout_ms) {
             Ok(_) => {
                 self.wake_ready = fds[0].revents != 0;
                 self.listen_ready = self.acceptor.is_some() && fds[1].revents != 0;
                 for (conn, slot) in self.conns.iter_mut().zip(&fds[base..]) {
                     if slot.revents != 0 {
-                        conn.readable = true;
+                        conn.mark_readable();
                     }
                 }
             }
@@ -1096,29 +1143,32 @@ impl<L: FrameListener> MuxShard<L> {
         }
     }
 
-    /// Portable fallback: nap briefly and try everything.
+    /// Portable fallback: nap briefly (when `block` is set) and try
+    /// everything.
     #[cfg(not(target_os = "linux"))]
-    fn wait_ready(&mut self) {
+    fn wait_ready(&mut self, block: bool) {
         self.presume_ready();
-        std::thread::sleep(FALLBACK_NAP);
+        if block {
+            std::thread::sleep(FALLBACK_NAP);
+        }
     }
 
     fn presume_ready(&mut self) {
         self.wake_ready = true;
         self.listen_ready = true;
         for conn in &mut self.conns {
-            conn.readable = true;
+            conn.mark_readable();
         }
     }
 }
 
 /// Exposes a running threaded server over a real socket: owns the
-/// [`ServerHandle`] and the event-driven mux shards that service every
-/// accepted connection (no per-connection threads).
+/// [`ServerHandle`] and the event-driven shards that serve every accepted
+/// connection through its core (no per-connection threads).
 ///
 /// Dropping the server (without [`SocketServer::wait`] /
-/// [`SocketServer::shutdown`]) joins the shards and shuts the mux down,
-/// like dropping a bare [`ServerHandle`].
+/// [`SocketServer::shutdown`]) joins the shards and shuts the server
+/// down, like dropping a bare [`ServerHandle`].
 pub struct SocketServer {
     server: Option<ServerHandle>,
     addr: String,
@@ -1127,9 +1177,8 @@ pub struct SocketServer {
     shards: Vec<JoinHandle<()>>,
 }
 
-/// Default mux shard count: spread connection I/O across a few cores
-/// without a thread per core — per-connection work is cheap next to
-/// suffix execution, which has its own worker pool.
+/// Default shard count: spread connection I/O and serving across a few
+/// cores without a thread per core.
 #[must_use]
 pub fn default_shards() -> usize {
     std::thread::available_parallelism().map_or(2, |n| n.get().clamp(1, 4))
@@ -1146,7 +1195,7 @@ impl std::fmt::Debug for SocketServer {
 impl SocketServer {
     /// Binds `server` to a TCP address (`"127.0.0.1:0"` picks a free
     /// port; read it back from [`SocketServer::local_addr`]) with
-    /// [`default_shards`] mux shards.
+    /// [`default_shards`] shards.
     ///
     /// # Errors
     ///
@@ -1155,7 +1204,7 @@ impl SocketServer {
         Self::bind_tcp_sharded(addr, server, default_shards())
     }
 
-    /// [`SocketServer::bind_tcp`] with an explicit mux shard count
+    /// [`SocketServer::bind_tcp`] with an explicit shard count
     /// (clamped to at least 1).
     ///
     /// # Errors
@@ -1172,9 +1221,9 @@ impl SocketServer {
         Self::start(listener, local, server, shards)
     }
 
-    /// Binds `server` to a Unix-domain socket path, replacing any stale
-    /// socket file left by a previous run, with [`default_shards`] mux
-    /// shards.
+    /// Binds `server` to a Unix-domain socket path, replacing a stale
+    /// socket left by a previous run, with [`default_shards`] shards.
+    /// Any other file at `path` is left alone, and the bind fails.
     ///
     /// # Errors
     ///
@@ -1184,7 +1233,7 @@ impl SocketServer {
         Self::bind_uds_sharded(path, server, default_shards())
     }
 
-    /// [`SocketServer::bind_uds`] with an explicit mux shard count
+    /// [`SocketServer::bind_uds`] with an explicit shard count
     /// (clamped to at least 1).
     ///
     /// # Errors
@@ -1196,15 +1245,18 @@ impl SocketServer {
         server: ServerHandle,
         shards: usize,
     ) -> io::Result<Self> {
+        use std::os::unix::fs::FileTypeExt;
         let path = path.as_ref();
-        let _ = std::fs::remove_file(path);
+        if std::fs::symlink_metadata(path).is_ok_and(|meta| meta.file_type().is_socket()) {
+            std::fs::remove_file(path)?;
+        }
         let listener = UnixListener::bind(path)?;
         let local = path.display().to_string();
         listener.set_nonblocking(true)?;
         Self::start(listener, local, server, shards)
     }
 
-    /// Spawns the mux shards. Unlike the old acceptor this *returns* a
+    /// Spawns the shards. Unlike the old acceptor this *returns* a
     /// spawn failure instead of panicking — and rolls already-started
     /// shards back down first, so no thread outlives a failed
     /// constructor.
@@ -1215,7 +1267,6 @@ impl SocketServer {
         shards: usize,
     ) -> io::Result<Self> {
         let shards = shards.max(1);
-        let connector = server.connector();
         let stop = Arc::new(AtomicBool::new(false));
         let mut routes = Vec::with_capacity(shards);
         let mut parts = Vec::with_capacity(shards);
@@ -1231,16 +1282,18 @@ impl SocketServer {
         for (index, (wake, intake)) in parts.into_iter().enumerate() {
             let acceptor = listener.take().map(|listener| AcceptRole {
                 listener,
-                connector: connector.clone(),
                 routes: routes.clone(),
                 next: 0,
             });
-            let shard = MuxShard {
+            let shard = Shard {
+                server: server.server(),
                 stop: Arc::clone(&stop),
                 wake,
                 intake,
                 conns: Vec::new(),
                 acceptor,
+                admitted: Vec::new(),
+                ended: false,
                 wake_ready: true,
                 listen_ready: true,
                 #[cfg(target_os = "linux")]
@@ -1278,15 +1331,16 @@ impl SocketServer {
         &self.addr
     }
 
-    /// Blocks until a client shuts the server down over the wire
-    /// ([`Message::Shutdown`]), then returns the served-offload count.
-    /// The mux shards are stopped and joined afterwards — their final
-    /// drain pushes any replies queued before the shutdown, then closes
-    /// every client socket.
+    /// Blocks until service ends — a client shuts the server down over
+    /// the wire ([`Message::Shutdown`]) or a scripted crash fires — then
+    /// returns the served-offload count. The shards are stopped and joined
+    /// afterwards — their final drain pushes any replies queued before the
+    /// end, then closes every client socket.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::ServerPanicked`] when the server thread panicked.
+    /// [`ProtocolError::ServerPanicked`] when a serving thread (a shard or
+    /// the in-process server thread) panicked.
     pub fn wait(mut self) -> Result<u64, ProtocolError> {
         let served = self.server.take().expect("not yet joined").wait();
         self.stop_shards();
@@ -1295,11 +1349,12 @@ impl SocketServer {
 
     /// Shuts the server down from this process and returns the
     /// served-offload count, like [`ServerHandle::shutdown`]. Stops and
-    /// joins every mux shard.
+    /// joins every shard.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::ServerPanicked`] when the server thread panicked.
+    /// [`ProtocolError::ServerPanicked`] when a serving thread (a shard or
+    /// the in-process server thread) panicked.
     pub fn shutdown(mut self) -> Result<u64, ProtocolError> {
         let served = self.server.take().expect("not yet joined").shutdown();
         self.stop_shards();
@@ -1320,7 +1375,7 @@ impl SocketServer {
 impl Drop for SocketServer {
     fn drop(&mut self) {
         self.stop_shards();
-        // A remaining ServerHandle shuts the mux down on its own drop.
+        // A remaining ServerHandle shuts the server down on its own drop.
     }
 }
 
@@ -1389,6 +1444,85 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A stale socket at the path is replaced, but a regular file is not a
+    /// stale socket: binding over it fails and leaves it intact.
+    #[cfg(unix)]
+    #[test]
+    fn uds_bind_replaces_a_stale_socket_but_not_a_regular_file() {
+        let (_, edge) = models();
+        let spawn = || spawn_server(lp_models::alexnet(1), edge.clone(), 1.0);
+        let dir = std::env::temp_dir();
+        let stale = dir.join(format!("loadpart-uds-stale-{}.sock", std::process::id()));
+        drop(SocketServer::bind_uds(&stale, spawn()).expect("first bind"));
+        let sock = SocketServer::bind_uds(&stale, spawn()).expect("stale socket replaced");
+        assert_eq!(sock.shutdown(), Ok(0));
+        let _ = std::fs::remove_file(&stale);
+
+        let notes = dir.join(format!("loadpart-uds-notes-{}.txt", std::process::id()));
+        std::fs::write(&notes, b"keep me").expect("write the file");
+        let err =
+            SocketServer::bind_uds(&notes, spawn()).expect_err("a regular file is in the way");
+        assert_eq!(err.kind(), io::ErrorKind::AddrInUse, "{err:?}");
+        assert_eq!(std::fs::read(&notes).expect("still there"), b"keep me");
+        std::fs::remove_file(&notes).expect("clean up");
+    }
+
+    /// Shards hammer the shared partition cache at once: every lookup is
+    /// classified (hits + misses == lookups), each cut point misses at
+    /// most once, and each connection's replies arrive in request order.
+    #[test]
+    fn shards_hammer_the_shared_partition_cache_consistently() {
+        let (_, edge) = models();
+        let graph = lp_models::alexnet(1);
+        let points = graph.len() + 1;
+        let handle = spawn_server(graph, edge.clone(), 1.0);
+        let server = handle.server();
+        let sock = SocketServer::bind_tcp_sharded("127.0.0.1:0", handle, 4).expect("bind loopback");
+        let (sessions, per_session) = (8usize, 50usize);
+        let clients: Vec<_> = (0..sessions)
+            .map(|s| {
+                let chan = TcpFrameChannel::connect(sock.local_addr()).expect("connect");
+                std::thread::spawn(move || {
+                    let requests = (0..per_session)
+                        .map(|j| {
+                            Message::OffloadRequest {
+                                request_id: j as u64,
+                                partition_point: ((s + j) % points) as u32,
+                                precision: lp_graph::Precision::Fp32,
+                                payload: Bytes::from(vec![0u8; 16]),
+                            }
+                            .to_frame()
+                            .expect("encodes")
+                        })
+                        .collect();
+                    chan.send_batch(requests).expect("sent");
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    for j in 0..per_session {
+                        let reply = chan.recv_split_deadline(deadline).expect("answered");
+                        match Message::decode_frame(reply).expect("decodes") {
+                            Message::OffloadResponse { request_id, .. } => {
+                                assert_eq!(request_id, j as u64, "per-connection FIFO");
+                            }
+                            other => panic!("expected an offload response, got {other:?}"),
+                        }
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().expect("client thread");
+        }
+        let lookups = (sessions * per_session) as u64;
+        assert_eq!(sock.shutdown(), Ok(lookups));
+        let stats = server.cache().stats();
+        assert_eq!(stats.hits + stats.misses, lookups, "every lookup counted");
+        assert!(
+            stats.misses <= points as u64,
+            "at most one miss per cut point: {stats:?}"
+        );
+        assert_eq!(server.cache().len() as u64, stats.misses);
+    }
+
     #[test]
     fn recv_deadline_times_out_without_desync() {
         let (sock, chan) = tcp_server(1.0);
@@ -1445,7 +1579,7 @@ mod tests {
     fn server_disconnect_is_reported() {
         let (sock, chan) = tcp_server(1.0);
         assert_eq!(sock.shutdown().expect("clean"), 0);
-        // The egress bridge shuts the socket down once the mux is gone.
+        // The shards close every socket once the server has shut down.
         let deadline = Instant::now() + Duration::from_secs(2);
         let mut saw_disconnect = false;
         for _ in 0..50 {

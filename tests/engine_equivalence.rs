@@ -425,34 +425,23 @@ fn run_tuned_session(
     records
 }
 
-/// The worker-pool server is an equivalence-preserving refactor of the
-/// single-threaded server: same decisions, same per-session record order,
-/// down to every simulated timing field — the pool changes *where* suffixes
-/// execute, never *what* the client observes.
+/// The tuned server (continuous batching, zero-copy framing) is an
+/// equivalence-preserving refactor of the legacy one (no batching,
+/// copying framing): same decisions, same per-session record order, down
+/// to every simulated timing field — the tuning changes *how* suffixes
+/// are scheduled and framed, never *what* the client observes.
 #[test]
-fn worker_pool_server_matches_the_single_threaded_server() {
-    let sequential = run_tuned_session(ServerTuning::single_threaded_legacy(), 3, 5);
-    let parallel = run_tuned_session(ServerTuning::default(), 3, 5);
+fn tuned_server_matches_the_legacy_server() {
+    let legacy = run_tuned_session(ServerTuning::single_threaded_legacy(), 3, 5);
+    let tuned = run_tuned_session(ServerTuning::default(), 3, 5);
     assert_eq!(
-        sequential, parallel,
-        "worker pool + zero-copy framing must be record-for-record identical"
+        legacy, tuned,
+        "batching + zero-copy framing must be record-for-record identical"
     );
-    // Zero-copy framing alone (workers = 0) is equivalent too: flattened
-    // split frames are byte-identical to the contiguous encoding.
-    let zero_copy_inline = run_tuned_session(
-        ServerTuning {
-            workers: 0,
-            ..ServerTuning::default()
-        },
-        3,
-        5,
-    );
-    assert_eq!(sequential, zero_copy_inline);
 }
 
-/// Replay determinism under the pool: two identically-seeded runs against
-/// the parallel server produce bit-identical records, even though suffixes
-/// execute on whichever worker threads the OS schedules.
+/// Replay determinism: two identically-seeded runs against the tuned
+/// server produce bit-identical records.
 #[test]
 fn parallel_server_replays_bit_identically_under_a_fixed_seed() {
     let a = run_tuned_session(ServerTuning::default(), 4, 4);

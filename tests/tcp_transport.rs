@@ -13,9 +13,10 @@
 use bytes::Bytes;
 use loadpart::fault::{FaultAction, FaultInjector, FaultPlan};
 use loadpart::{
-    chaos_run, spawn_server, ChaosConfig, ChaosTransport, EmulatedLink, EngineConfig, Frame,
-    FrameChannel, LinkSpec, Message, ProtocolError, SocketServer, TcpFrameChannel, Telemetry,
-    ThreadedClient,
+    chaos_run, spawn_server, spawn_server_tuned, spawn_server_with_faults, ChaosConfig,
+    ChaosTransport, EmulatedLink, EngineConfig, Frame, FrameChannel, LinkSpec, LoadEnv, Message,
+    ProtocolError, ServerFaultSpec, ServerTuning, SocketServer, StallWindow, TcpFrameChannel,
+    Telemetry, ThreadedClient,
 };
 use lp_profiler::PredictionModels;
 use std::io::{Read, Write};
@@ -576,4 +577,236 @@ fn a_cold_start_burst_is_answered_in_order() {
     }
     assert!(matches!(recv(&chan), Message::LoadReply { .. }));
     sock.shutdown().expect("clean");
+}
+
+/// A server running the fault script `faults` behind loopback TCP, with
+/// two shards.
+fn faulty_tcp_server(faults: ServerFaultSpec) -> SocketServer {
+    let (_, edge) = models();
+    let server = spawn_server_with_faults(lp_models::alexnet(1), edge.clone(), 1.0, faults);
+    SocketServer::bind_tcp_sharded("127.0.0.1:0", server, 2).expect("bind loopback")
+}
+
+/// Sends `msg` and waits up to `wait` for the next reply.
+fn ask(chan: &TcpFrameChannel, msg: &Message, wait: Duration) -> Result<Message, ProtocolError> {
+    chan.send_split(msg.to_frame().expect("encodes"))?;
+    let frame = chan.recv_split_deadline(Instant::now() + wait)?;
+    Ok(Message::decode_frame(frame).expect("decodes"))
+}
+
+/// Whether `reply` answers a load query.
+fn is_load_reply(reply: &Result<Message, ProtocolError>) -> bool {
+    matches!(reply, Ok(Message::LoadReply { .. }))
+}
+
+/// The fault script's frame indices count the frames of every connection,
+/// in the order the server core served them. Two connections take strict
+/// turns: frames 2 and 3 (one from each) fall in the stall window, and
+/// frame 6 crosses the crash threshold.
+#[test]
+fn stall_and_crash_indices_count_frames_from_every_connection() {
+    let sock = faulty_tcp_server(ServerFaultSpec {
+        crash_after_frames: Some(6),
+        stall: Some(StallWindow {
+            after_frames: 2,
+            frames: 2,
+        }),
+        ..ServerFaultSpec::default()
+    });
+    let a = TcpFrameChannel::connect(sock.local_addr()).expect("connect a");
+    let b = TcpFrameChannel::connect(sock.local_addr()).expect("connect b");
+    let long = Duration::from_secs(5);
+    for (frame, chan) in [(0, &a), (1, &b)] {
+        assert!(
+            is_load_reply(&ask(chan, &Message::LoadQuery, long)),
+            "frame {frame}"
+        );
+    }
+    for (frame, chan) in [(2, &a), (3, &b)] {
+        assert_eq!(
+            ask(chan, &Message::LoadQuery, Duration::from_millis(100)),
+            Err(ProtocolError::Timeout),
+            "frame {frame} is stalled"
+        );
+    }
+    for (frame, chan) in [(4, &a), (5, &b)] {
+        assert!(
+            is_load_reply(&ask(chan, &Message::LoadQuery, long)),
+            "frame {frame}"
+        );
+    }
+    assert_eq!(
+        ask(&a, &Message::LoadQuery, long),
+        Err(ProtocolError::Disconnected),
+        "frame 6 crashes the server"
+    );
+    assert_eq!(sock.wait(), Ok(0));
+}
+
+/// A scripted crash on one connection closes every connection — each
+/// client reads `Disconnected` — and ends `wait` with the served count.
+#[test]
+fn a_crash_closes_every_connection_and_ends_wait() {
+    let sock = faulty_tcp_server(ServerFaultSpec {
+        crash_after_frames: Some(3),
+        ..ServerFaultSpec::default()
+    });
+    let a = TcpFrameChannel::connect(sock.local_addr()).expect("connect a");
+    let b = TcpFrameChannel::connect(sock.local_addr()).expect("connect b");
+    let mut client = fast_client(lp_models::alexnet(1));
+    // Probe, load query and offload: frames 0-2.
+    let r = client.infer(&a, 8.0).expect("served");
+    assert!(r.offloaded() && !r.fallback_local, "{r:?}");
+    // Frame 3, from the other connection, crashes the server.
+    b.send(Message::LoadQuery.encode().expect("no payload"))
+        .expect("sent");
+    assert_eq!(sock.wait(), Ok(1), "one offload served before the crash");
+    for (name, chan) in [("a", &a), ("b", &b)] {
+        assert_eq!(
+            chan.recv_split_deadline(Instant::now() + Duration::from_secs(5))
+                .unwrap_err(),
+            ProtocolError::Disconnected,
+            "connection {name}"
+        );
+    }
+}
+
+/// A scripted panic on a shard ends service, and `shutdown` reports it
+/// as `ServerPanicked` instead of taking the process down.
+#[test]
+fn a_scripted_panic_on_a_shard_is_reported_at_shutdown() {
+    let sock = faulty_tcp_server(ServerFaultSpec {
+        panic_after_frames: Some(1),
+        ..ServerFaultSpec::default()
+    });
+    let a = TcpFrameChannel::connect(sock.local_addr()).expect("connect a");
+    let b = TcpFrameChannel::connect(sock.local_addr()).expect("connect b");
+    let long = Duration::from_secs(5);
+    assert!(is_load_reply(&ask(&a, &Message::LoadQuery, long)));
+    assert_eq!(
+        ask(&b, &Message::LoadQuery, long),
+        Err(ProtocolError::Disconnected),
+        "frame 1 panics the shard serving it"
+    );
+    assert_eq!(sock.shutdown(), Err(ProtocolError::ServerPanicked));
+    assert_eq!(
+        a.recv_split_deadline(Instant::now() + long).unwrap_err(),
+        ProtocolError::Disconnected
+    );
+}
+
+/// A wire `Shutdown` from one connection ends `wait` with the served
+/// count; a frame sent after it — on the same connection or another — is
+/// never answered.
+#[test]
+fn a_wire_shutdown_ends_wait_and_nothing_after_it_is_served() {
+    let sock = faulty_tcp_server(ServerFaultSpec::default());
+    let a = TcpFrameChannel::connect(sock.local_addr()).expect("connect a");
+    let b = TcpFrameChannel::connect(sock.local_addr()).expect("connect b");
+    let mut client = fast_client(lp_models::alexnet(1));
+    assert!(client.infer(&a, 8.0).expect("served").offloaded());
+    let waiter = std::thread::spawn(move || sock.wait());
+    b.send_batch(frames(&[Message::Shutdown, Message::LoadQuery]))
+        .expect("sent");
+    assert_eq!(waiter.join().expect("waiter thread"), Ok(1));
+    let long = Instant::now() + Duration::from_secs(5);
+    assert_eq!(
+        b.recv_split_deadline(long).unwrap_err(),
+        ProtocolError::Disconnected,
+        "the query behind the shutdown is not answered"
+    );
+    let _ = a.send(Message::LoadQuery.encode().expect("no payload"));
+    assert_eq!(
+        a.recv_split_deadline(long).unwrap_err(),
+        ProtocolError::Disconnected
+    );
+}
+
+/// An offload request for `request_id` at cut `p`, with a token payload.
+fn offload(request_id: u64, p: u32) -> Message {
+    Message::OffloadRequest {
+        request_id,
+        partition_point: p,
+        precision: lp_graph::Precision::Fp32,
+        payload: Bytes::from(vec![0u8; 16]),
+    }
+}
+
+/// Under an injected suffix cost, one shard coalesces the suffixes its
+/// connections hand it in one round into batches, and every connection
+/// still gets its replies in request order — probes pipelined behind a
+/// costed suffix included. A connection that sends an offload and a load
+/// query in one write has its query answered right after the offload,
+/// without the shard waiting for `poll`: the query sits whole in the
+/// read-ahead, and the socket holds nothing more to wake the shard.
+#[test]
+fn a_shard_batches_costed_suffixes_without_reordering() {
+    let (_, edge) = models();
+    let telemetry = Telemetry::enabled();
+    let server = spawn_server_tuned(
+        lp_models::alexnet(1),
+        edge.clone(),
+        LoadEnv::new(1.0),
+        ServerFaultSpec::default(),
+        None,
+        &telemetry,
+        ServerTuning {
+            suffix_cost: Duration::from_millis(5),
+            max_batch: 8,
+            ..ServerTuning::default()
+        },
+    );
+    let sock = SocketServer::bind_tcp_sharded("127.0.0.1:0", server, 1).expect("bind loopback");
+    let conns: Vec<TcpFrameChannel> = (0..4)
+        .map(|_| TcpFrameChannel::connect(sock.local_addr()).expect("connect"))
+        .collect();
+    let rounds = 6u64;
+    for conn in &conns {
+        let pipelined: Vec<Message> = (0..rounds)
+            .flat_map(|round| [offload(round, 8), probe(64)])
+            .collect();
+        conn.send_batch(frames(&pipelined)).expect("sent");
+    }
+    for (c, conn) in conns.iter().enumerate() {
+        for round in 0..rounds {
+            match recv(conn) {
+                Message::OffloadResponse { request_id, .. } => {
+                    assert_eq!(request_id, round, "connection {c}: suffix FIFO");
+                }
+                other => panic!("connection {c}, round {round}: got {other:?}"),
+            }
+            assert_eq!(
+                recv(conn),
+                Message::ProbeAck,
+                "connection {c}, round {round}"
+            );
+        }
+    }
+    let snapshot = telemetry.snapshot().expect("telemetry enabled");
+    let batches = snapshot.counter("server.suffix_batches_total");
+    let batched = snapshot.counter("server.batched_suffixes_total");
+    assert!(batches >= 1, "at least one coalesced batch");
+    assert!(batched >= 2, "batched suffixes counted: {batched}");
+
+    let lone = &conns[0];
+    let mut fastest = Duration::MAX;
+    for request_id in 100..105 {
+        lone.send_batch(frames(&[offload(request_id, 8), Message::LoadQuery]))
+            .expect("sent");
+        assert!(matches!(recv(lone), Message::OffloadResponse { .. }));
+        let t0 = Instant::now();
+        let reply = lone
+            .recv_split_deadline(t0 + Duration::from_secs(2))
+            .expect("the query is served without new bytes on the socket");
+        fastest = fastest.min(t0.elapsed());
+        assert!(matches!(
+            Message::decode_frame(reply).expect("decodes"),
+            Message::LoadReply { .. }
+        ));
+    }
+    assert!(
+        fastest < Duration::from_millis(100),
+        "the query waited {fastest:?} behind its offload"
+    );
+    assert_eq!(sock.shutdown(), Ok(rounds * 4 + 5));
 }
