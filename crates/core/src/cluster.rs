@@ -1,7 +1,6 @@
 //! Multi-server edge cluster: per-server profiles, joint (server, p)
-//! decisions, breaker-driven failover, and the cluster chaos/bench
-//! harnesses behind `loadpart chaos --cluster` and `loadpart bench
-//! --cluster`.
+//! decisions, breaker-driven failover, and the cluster chaos soak behind
+//! `loadpart chaos --cluster`.
 //!
 //! The paper assumes a single edge server, so an open circuit breaker
 //! used to mean "degenerate to pure-local" even when another server sat
@@ -34,9 +33,7 @@
 //! heterogeneous servers (distinct background-load [`LoadEnv`] scripts,
 //! bandwidths and suffix costs): a mid-soak outage on one server (its
 //! links go dark via [`GatedChannel`]) followed by a `k` spike on the
-//! same server once it has recovered. [`cluster_bench`] runs the same
-//! scenario with failover on and off and reports availability + latency
-//! percentiles, overall and inside the outage window.
+//! same server once it has recovered.
 
 use crate::admission::AdmissionConfig;
 use crate::engine::backends::{SimulatedDevice, WireBackend, WireTransport};
@@ -54,7 +51,6 @@ use crate::transport::{SocketServer, TcpFrameChannel};
 use bytes::Bytes;
 use lp_graph::ComputationGraph;
 use lp_hardware::DeviceModel;
-use lp_json::Json;
 use lp_profiler::PredictionModels;
 use lp_sim::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -381,7 +377,7 @@ impl ClusterEngine {
 
     /// Enables or disables failover. Disabled, every request is pinned
     /// to endpoint 0 with single-server semantics (wire failures degrade
-    /// to local completion) — the baseline the bench compares against.
+    /// to local completion) — the baseline failover is measured against.
     pub fn set_failover(&mut self, failover: bool) {
         self.failover = failover;
     }
@@ -672,7 +668,7 @@ fn served_remotely(record: &InferenceRecord) -> bool {
     record.offloaded() && !record.fallback_local && !record.rejected
 }
 
-/// How chaos/bench clients reach the cluster.
+/// How chaos clients reach the cluster.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum ClusterTransport {
     /// In-process channel sessions, one spawned server per spec.
@@ -744,7 +740,7 @@ pub struct ClusterChaosConfig {
     /// Load factor during the spike.
     pub spike_k: f64,
     /// Route with failover (`true`) or pin everything to server 0 with
-    /// single-server degradation (`false`, the bench baseline).
+    /// single-server degradation (`false`, the no-failover baseline).
     pub failover: bool,
     /// Policy-registry name for the partition decision.
     pub policy: String,
@@ -1122,239 +1118,6 @@ pub fn cluster_chaos_run(
     Ok(report)
 }
 
-/// Availability + latency stats for one failover mode of the bench.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterModeStats {
-    /// Whether failover routing was on.
-    pub failover: bool,
-    /// Requests issued.
-    pub requests: u64,
-    /// Requests served remotely by some server.
-    pub available: u64,
-    /// Fraction of all requests served remotely.
-    pub availability: f64,
-    /// Fraction of outage-window requests served remotely.
-    pub availability_outage: f64,
-    /// Median end-to-end latency (logical ms), all requests.
-    pub p50_ms: f64,
-    /// 99th-percentile end-to-end latency (logical ms), all requests.
-    pub p99_ms: f64,
-    /// 99th-percentile latency (logical ms) inside the outage window.
-    pub p99_outage_ms: f64,
-    /// Total reroutes.
-    pub failovers: u64,
-    /// Requests that finished on the device.
-    pub locals: u64,
-    /// Requests that never completed (must be 0).
-    pub lost: u64,
-    /// Round the outage server was readmitted in.
-    pub readmission_round: Option<usize>,
-}
-
-impl ClusterModeStats {
-    fn from_report(config: &ClusterChaosConfig, report: &ClusterChaosReport) -> Self {
-        let n = config.n_clients;
-        let mut all: Vec<SimDuration> = Vec::with_capacity(report.records.len());
-        let mut outage_lat: Vec<SimDuration> = Vec::new();
-        let mut available = 0u64;
-        let mut outage_total = 0u64;
-        let mut outage_available = 0u64;
-        for (idx, record) in report.records.iter().enumerate() {
-            let round = idx / n;
-            all.push(record.total);
-            let ok = served_remotely(record);
-            if ok {
-                available += 1;
-            }
-            if config.in_outage(round) {
-                outage_total += 1;
-                outage_lat.push(record.total);
-                if ok {
-                    outage_available += 1;
-                }
-            }
-        }
-        all.sort();
-        outage_lat.sort();
-        Self {
-            failover: config.failover,
-            requests: report.expected,
-            available,
-            availability: ratio(available, report.expected),
-            availability_outage: ratio(outage_available, outage_total),
-            p50_ms: percentile_ms(&all, 50.0),
-            p99_ms: percentile_ms(&all, 99.0),
-            p99_outage_ms: percentile_ms(&outage_lat, 99.0),
-            failovers: report.failovers,
-            locals: report.locals,
-            lost: report.lost(),
-            readmission_round: report.readmission_round,
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("failover".into(), Json::Bool(self.failover)),
-            ("requests".into(), Json::Num(self.requests as f64)),
-            ("available".into(), Json::Num(self.available as f64)),
-            ("availability".into(), Json::Num(self.availability)),
-            (
-                "availability_outage".into(),
-                Json::Num(self.availability_outage),
-            ),
-            ("p50_ms".into(), Json::Num(self.p50_ms)),
-            ("p99_ms".into(), Json::Num(self.p99_ms)),
-            ("p99_outage_ms".into(), Json::Num(self.p99_outage_ms)),
-            ("failovers".into(), Json::Num(self.failovers as f64)),
-            ("locals".into(), Json::Num(self.locals as f64)),
-            ("lost".into(), Json::Num(self.lost as f64)),
-            (
-                "readmission_round".into(),
-                self.readmission_round
-                    .map_or(Json::Null, |r| Json::Num(r as f64)),
-            ),
-        ])
-    }
-}
-
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        return 1.0;
-    }
-    num as f64 / den as f64
-}
-
-/// Nearest-rank percentile over an ascending latency sample, in ms.
-fn percentile_ms(sorted: &[SimDuration], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1].as_millis_f64()
-}
-
-/// The failover-on vs failover-off comparison behind `BENCH_cluster.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterBenchReport {
-    /// Transport name ("channel" / "tcp" / "remote").
-    pub transport: String,
-    /// Server names, endpoint index ascending.
-    pub servers: Vec<String>,
-    /// Clients driven.
-    pub clients: usize,
-    /// Rounds driven.
-    pub rounds: usize,
-    /// Scripted outage: server index, first round, length.
-    pub outage_server: usize,
-    /// First outage round.
-    pub outage_start: usize,
-    /// Outage length in rounds.
-    pub outage_rounds: usize,
-    /// Stats for `[failover-on, failover-off]`, in that order.
-    pub modes: Vec<ClusterModeStats>,
-}
-
-impl ClusterBenchReport {
-    /// Serializes the report (the `BENCH_cluster.json` shape).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("benchmark".into(), Json::Str("cluster".into())),
-            ("transport".into(), Json::Str(self.transport.clone())),
-            (
-                "servers".into(),
-                Json::Arr(self.servers.iter().cloned().map(Json::Str).collect()),
-            ),
-            ("clients".into(), Json::Num(self.clients as f64)),
-            ("rounds".into(), Json::Num(self.rounds as f64)),
-            (
-                "outage".into(),
-                Json::Obj(vec![
-                    ("server".into(), Json::Num(self.outage_server as f64)),
-                    ("start_round".into(), Json::Num(self.outage_start as f64)),
-                    ("rounds".into(), Json::Num(self.outage_rounds as f64)),
-                ]),
-            ),
-            (
-                "modes".into(),
-                Json::Arr(self.modes.iter().map(ClusterModeStats::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// A compact text rendering for the CLI.
-    #[must_use]
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "cluster bench: {} servers ({}) x {} clients x {} rounds, outage on #{} rounds {}..{}\n",
-            self.servers.len(),
-            self.transport,
-            self.clients,
-            self.rounds,
-            self.outage_server,
-            self.outage_start,
-            self.outage_start + self.outage_rounds,
-        ));
-        out.push_str(
-            "mode          avail    avail@outage  p50_ms   p99_ms   p99@outage  failovers  locals  lost\n",
-        );
-        for m in &self.modes {
-            out.push_str(&format!(
-                "failover-{:<4} {:>6.1}%  {:>11.1}%  {:>7.2}  {:>7.2}  {:>10.2}  {:>9}  {:>6}  {:>4}\n",
-                if m.failover { "on" } else { "off" },
-                m.availability * 100.0,
-                m.availability_outage * 100.0,
-                m.p50_ms,
-                m.p99_ms,
-                m.p99_outage_ms,
-                m.failovers,
-                m.locals,
-                m.lost,
-            ));
-        }
-        out
-    }
-}
-
-/// Runs the scripted-outage scenario twice — failover on, then off —
-/// and reports availability + latency percentiles for both. The spike
-/// window is disabled (the bench isolates the outage comparison the
-/// acceptance criteria name); use [`cluster_chaos_run`] directly for
-/// the full timeline.
-///
-/// # Errors
-///
-/// Rejects invalid configurations with [`ConfigError`].
-pub fn cluster_bench(
-    graph: &ComputationGraph,
-    user_models: &PredictionModels,
-    edge_models: &PredictionModels,
-    base: &ClusterChaosConfig,
-    telemetry: &Telemetry,
-) -> Result<ClusterBenchReport, ConfigError> {
-    let mut modes = Vec::with_capacity(2);
-    for failover in [true, false] {
-        let config = ClusterChaosConfig {
-            failover,
-            spike_rounds: 0,
-            ..base.clone()
-        };
-        let report = cluster_chaos_run(graph, user_models, edge_models, &config, telemetry)?;
-        modes.push(ClusterModeStats::from_report(&config, &report));
-    }
-    Ok(ClusterBenchReport {
-        transport: base.transport.name().to_string(),
-        servers: base.servers.iter().map(|s| s.name.clone()).collect(),
-        clients: base.n_clients,
-        rounds: base.rounds,
-        outage_server: base.outage_server,
-        outage_start: base.outage_start,
-        outage_rounds: base.outage_rounds,
-        modes,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1544,27 +1307,5 @@ mod tests {
             "logical-time records replay identically over TCP"
         );
         assert_eq!(tcp.served_by_round, channel.served_by_round);
-    }
-
-    #[test]
-    fn bench_reports_both_modes_and_serializes() {
-        let (user, edge) = models();
-        let graph = lp_models::alexnet(1);
-        let report = cluster_bench(&graph, user, edge, &tiny_config(), &Telemetry::disabled())
-            .expect("valid");
-        assert_eq!(report.modes.len(), 2);
-        assert!(report.modes[0].failover && !report.modes[1].failover);
-        assert_eq!(report.modes[0].lost, 0);
-        assert_eq!(report.modes[1].lost, 0);
-        assert!(
-            report.modes[0].availability_outage > report.modes[1].availability_outage,
-            "failover keeps serving through the outage: {} vs {}",
-            report.modes[0].availability_outage,
-            report.modes[1].availability_outage,
-        );
-        let json = report.to_json().to_string_pretty();
-        assert!(json.contains("\"benchmark\": \"cluster\""));
-        assert!(json.contains("availability_outage"));
-        assert!(!report.render_table().is_empty());
     }
 }

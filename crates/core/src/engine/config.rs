@@ -55,12 +55,6 @@ pub struct EngineConfig {
     /// How long an open breaker suppresses all wire traffic before
     /// half-open probing starts (logical time).
     pub breaker_open_period: SimDuration,
-    /// Memoize the Algorithm-1 decision on (quantized bandwidth,
-    /// quantized `k`) so back-to-back requests between profiler refreshes
-    /// skip the O(n) scan. Identical inputs give identical decisions, so
-    /// this never changes behaviour; it exists as a switch for the serving
-    /// benchmark's pre-memo baseline.
-    pub decision_memo: bool,
 }
 
 impl Default for EngineConfig {
@@ -79,7 +73,6 @@ impl Default for EngineConfig {
             fault_cooldown: SimDuration::from_secs(10),
             breaker_failure_threshold: 3,
             breaker_open_period: SimDuration::from_secs(5),
-            decision_memo: true,
         }
     }
 }

@@ -35,10 +35,8 @@
 //! that block per request just call [`OffloadEngine::run`].
 //!
 //! The decision step itself is pluggable: [`OffloadEngine::new`] takes
-//! the classic [`Policy`] enum spec (wrapped in a
-//! [`MemoPolicy`] when
-//! [`EngineConfig::decision_memo`] is set), while
-//! [`OffloadEngine::with_policy`] installs any [`PartitionPolicy`]
+//! the classic [`Policy`] enum spec (always wrapped in a [`MemoPolicy`]),
+//! while [`OffloadEngine::with_policy`] installs any [`PartitionPolicy`]
 //! trait object — including stateful online learners, which the engine
 //! feeds completed records through [`PartitionPolicy::observe`] (guarded:
 //! fallback-local and admission-shed records never reach the learner).
@@ -411,10 +409,10 @@ pub struct OffloadEngine {
 
 impl OffloadEngine {
     /// Assembles an engine for one DNN on one client, from a [`Policy`]
-    /// enum spec. When [`EngineConfig::decision_memo`] is set the policy
-    /// is wrapped in a [`MemoPolicy`], so back-to-back requests with an
-    /// unchanged quantized `(bandwidth, k)` skip the decision scan — safe
-    /// because every enum variant is a pure function of that key.
+    /// enum spec. The policy is wrapped in a [`MemoPolicy`], so
+    /// back-to-back requests with an unchanged quantized `(bandwidth, k)`
+    /// skip the decision scan — safe because every enum variant is a pure
+    /// function of that key.
     ///
     /// # Errors
     ///
@@ -427,21 +425,17 @@ impl OffloadEngine {
         client: usize,
         config: EngineConfig,
     ) -> Result<Self, ConfigError> {
-        let built = if config.decision_memo {
-            Box::new(MemoPolicy::new(policy.build()))
-        } else {
-            policy.build()
-        };
-        Self::with_policy(graph, built, user_models, edge_models, client, config)
+        let memo = Box::new(MemoPolicy::new(policy.build()));
+        Self::with_policy(graph, memo, user_models, edge_models, client, config)
     }
 
     /// Assembles an engine around an externally supplied
     /// [`PartitionPolicy`] — the entry point for stateful policies such as
-    /// the online-learning bandit. No memo wrapper is applied here
-    /// ([`EngineConfig::decision_memo`] only affects [`OffloadEngine::new`]):
-    /// a learning policy's decision may change between identical
-    /// `(bandwidth, k)` keys, so memoizing it would freeze learning. Wrap
-    /// in [`MemoPolicy`] yourself if the policy is pure.
+    /// the online-learning bandit. No memo wrapper is applied here (only
+    /// [`OffloadEngine::new`] applies one): a learning policy's decision
+    /// may change between identical `(bandwidth, k)` keys, so memoizing it
+    /// would freeze learning. Wrap in [`MemoPolicy`] yourself if the
+    /// policy is pure.
     ///
     /// # Errors
     ///

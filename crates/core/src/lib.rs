@@ -40,20 +40,23 @@
 //!   [`policy::PartitionPolicy`] trait every decision site dispatches
 //!   through, the memoization wrapper, the online-learning bandit and the
 //!   oracle reference policy.
+//! * [`quant`] — the joint (p, precision) [`QuantPolicy`] that prices
+//!   quantized uploads under an accuracy budget, and the symmetric
+//!   quantization kernels whose packed sizes it charges.
 //! * [`chaos`] — the chaos soak harness: N threaded clients, a scripted
 //!   load spike and injected frame faults, asserting overload protection
 //!   end to end (shedding, breakers, recovery).
 //! * [`cluster`] — the multi-server edge cluster: per-server profiles
 //!   and breakers behind a joint (server, p) decision with failover,
-//!   plus the scripted-outage cluster chaos/bench harnesses behind
-//!   `loadpart chaos --cluster` and `loadpart bench --cluster`.
+//!   plus the scripted-outage cluster chaos soak behind
+//!   `loadpart chaos --cluster`.
 //! * [`telemetry`] — the observability layer shared by every driver:
 //!   metrics registry (counters/gauges/histograms) and per-request trace
 //!   spans through pluggable sinks, zero-cost when disabled.
 //! * [`pool`] — the shared zero-payload buffer pool backing the wire
 //!   runtime's zero-copy framing.
-//! * [`mod@serving_bench`] — the reproducible serving throughput benchmark
-//!   behind `loadpart bench` (baseline vs. parallel hot path).
+//! * [`mod@serving_bench`] — the serving and fleet throughput benchmarks
+//!   behind `loadpart bench`, over the tuned serving path.
 //! * [`scenario`] — drivers that reproduce the paper's experiments
 //!   (bandwidth sweeps for Figures 6–8, load timelines for Figures 2/9).
 //! * [`compare`] — the policy-comparison subsystem behind
@@ -96,7 +99,6 @@ pub mod policy;
 pub mod pool;
 pub mod protocol;
 pub mod quant;
-pub mod quant_bench;
 pub mod scenario;
 pub mod serving_bench;
 pub mod system;
@@ -110,9 +112,9 @@ pub use baselines::{min_cut_partition, MinCutResult, Policy};
 pub use cache::PartitionCache;
 pub use chaos::{chaos_run, ChaosConfig, ChaosReport, ChaosTransport, ClientSummary};
 pub use cluster::{
-    cluster_bench, cluster_chaos_run, ClusterBenchReport, ClusterChaosConfig, ClusterChaosReport,
-    ClusterEngine, ClusterLink, ClusterModeStats, ClusterProfile, ClusterServerSummary,
-    ClusterTransport, GatedChannel, OutageSwitch, RouteInfo, ServerSpec, ServerStatus,
+    cluster_chaos_run, ClusterChaosConfig, ClusterChaosReport, ClusterEngine, ClusterLink,
+    ClusterProfile, ClusterServerSummary, ClusterTransport, GatedChannel, OutageSwitch, RouteInfo,
+    ServerSpec, ServerStatus,
 };
 pub use compare::{
     compare_policies, run_scenario, CompareConfig, CompareReport, PolicyResult, ScenarioKind,
@@ -140,16 +142,15 @@ pub use policy::{
 pub use protocol::{framing_bytes_copied, Frame, Message, ProtocolError, PROTOCOL_VERSION};
 pub use quant::{
     dequantize_into, payload_len, quantize_into, round_trip_bound, QuantError, QuantPolicy,
-    QuantStage, DEFAULT_ACCURACY_BUDGET,
+    DEFAULT_ACCURACY_BUDGET,
 };
-pub use quant_bench::{quant_bench, QuantBenchConfig, QuantBenchReport, QuantModeStats};
 pub use scenario::{
     bandwidth_sweep, load_timeline, load_timeline_with_telemetry, LoadPhase, SweepPoint,
     TimelinePoint,
 };
 pub use serving_bench::{
-    fleet_bench, serving_bench, BenchConfig, BenchMode, BenchPoint, BenchReport, BenchTransport,
-    FleetConfig, FleetPoint, FleetReport,
+    fleet_bench, serving_bench, BenchConfig, BenchPoint, BenchReport, BenchTransport, FleetConfig,
+    FleetPoint, FleetReport,
 };
 pub use system::{OffloadingSystem, SystemConfig, Testbed};
 pub use telemetry::{

@@ -201,9 +201,9 @@ pub fn memo_quantize(x: f64) -> u64 {
 /// Only wrap policies whose decision is a pure function of the context —
 /// a learning policy's decision drifts with its `observe` state, which a
 /// memo would freeze. The engine therefore applies this wrapper only to
-/// the stateless [`Policy`](crate::Policy)-enum specs (when
-/// [`EngineConfig::decision_memo`](crate::EngineConfig::decision_memo) is
-/// set), never to externally supplied policies.
+/// the stateless [`Policy`](crate::Policy)-enum specs
+/// ([`OffloadEngine::new`](crate::OffloadEngine::new)), never to
+/// externally supplied policies.
 #[derive(Debug)]
 pub struct MemoPolicy {
     inner: Box<dyn PartitionPolicy>,

@@ -1,5 +1,5 @@
-//! Adaptive upload-tensor quantization: kernels, the allocation-free
-//! upload stage, and the joint (p, precision) decision policy.
+//! Adaptive upload-tensor quantization: kernels and the joint
+//! (p, precision) decision policy.
 //!
 //! The paper's upload term `s_p / B` dominates on slow links, and plain
 //! Algorithm 1 degenerates to pure-local inference once even the smallest
@@ -8,16 +8,14 @@
 //! modeled accuracy cost, and re-run the partition scan over the joint
 //! (p, precision) space under an `accuracy_budget`.
 //!
-//! Three pieces live here:
+//! Two pieces live here:
 //!
 //! * scalar-packed symmetric quantization kernels
 //!   ([`quantize_into`] / [`dequantize_into`]) with a hard round-trip
-//!   error bound ([`round_trip_bound`]);
-//! * [`QuantStage`] — the quantize-on-upload stage the engine slots
-//!   between `device_prefix` and `upload`: scratch buffers are reused
-//!   across requests and the shipped payload comes from
-//!   [`crate::pool::zero_payload`], so the steady-state hot path
-//!   allocates nothing;
+//!   error bound ([`round_trip_bound`]). [`payload_len`] is the packed
+//!   size the engine charges a narrow upload; the runtime ships a pooled
+//!   zero payload of that length ([`crate::pool::zero_payload`]) and does
+//!   not run the kernels;
 //! * [`QuantPolicy`] — a composable [`PartitionPolicy`] implementing the
 //!   joint decision. With `accuracy_budget = 0` it is bit-identical to
 //!   the fp32 [`LoadPartPolicy`](crate::policy::LoadPartPolicy).
@@ -27,7 +25,6 @@
 
 use crate::algorithm::{Decision, PartitionSolver};
 use crate::policy::{PartitionPolicy, PolicyContext};
-use bytes::Bytes;
 use lp_graph::quant::{base_degradation, SCALE_HEADER_BYTES};
 use lp_graph::{quantized_transmission_series, AccuracyModel, ComputationGraph, Precision};
 use lp_sim::SimDuration;
@@ -201,72 +198,6 @@ pub fn dequantize_into(
         }
     }
     Ok(())
-}
-
-/// The quantize-on-upload / dequantize-on-receive stage.
-///
-/// Owns scratch buffers that are reused across requests, so after the
-/// first request at each size the hot path performs zero payload
-/// allocations: the quantized bytes land in the retained scratch `Vec`,
-/// and the buffer actually shipped on the wire is a refcount bump out of
-/// [`crate::pool`] (the wire runtime moves *simulated* tensors — sizes
-/// matter, bytes don't — exactly as the fp32 path always has).
-#[derive(Debug, Default)]
-pub struct QuantStage {
-    packed: Vec<u8>,
-    unpacked: Vec<f32>,
-    quantized: u64,
-}
-
-impl QuantStage {
-    /// A stage with empty scratch buffers.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Quantizes `values` into the retained scratch buffer and returns the
-    /// packed bytes.
-    pub fn quantize(&mut self, values: &[f32], precision: Precision) -> &[u8] {
-        quantize_into(values, precision, &mut self.packed);
-        self.quantized += 1;
-        &self.packed
-    }
-
-    /// Dequantizes `payload` into the retained scratch buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`QuantError`] from [`dequantize_into`].
-    pub fn dequantize(
-        &mut self,
-        payload: &[u8],
-        precision: Precision,
-        numel: usize,
-    ) -> Result<&[f32], QuantError> {
-        dequantize_into(payload, precision, numel, &mut self.unpacked)?;
-        Ok(&self.unpacked)
-    }
-
-    /// The pooled zero-payload of `sent` bytes that rides the wire frame —
-    /// a refcount bump for every size seen before ([`crate::pool`]).
-    #[must_use]
-    pub fn wire_payload(&self, sent: u64) -> Bytes {
-        crate::pool::zero_payload(sent as usize)
-    }
-
-    /// Requests quantized through this stage.
-    #[must_use]
-    pub fn quantized(&self) -> u64 {
-        self.quantized
-    }
-
-    /// Current scratch capacities `(packed bytes, unpacked elements)` —
-    /// the zero-allocation assertion watches these go flat.
-    #[must_use]
-    pub fn scratch_capacity(&self) -> (usize, usize) {
-        (self.packed.capacity(), self.unpacked.capacity())
-    }
 }
 
 /// Per-precision lookup tables behind [`QuantPolicy`].
@@ -507,14 +438,14 @@ mod tests {
             state ^= state << 17;
             (state >> 40) as f32 / 65536.0 * 16.0 - 8.0
         };
-        let mut stage = QuantStage::new();
+        let (mut packed, mut out) = (Vec::new(), Vec::new());
         for len in [1usize, 2, 7, 64, 513] {
             let values: Vec<f32> = (0..len).map(|_| next()).collect();
             let max_abs = values.iter().fold(0.0f32, |m, v| m.max(v.abs()));
             for prec in Precision::ALL {
-                let packed = stage.quantize(&values, prec).to_vec();
+                quantize_into(&values, prec, &mut packed);
                 assert_eq!(packed.len(), payload_len(len, prec));
-                let out = stage.dequantize(&packed, prec, len).unwrap().to_vec();
+                dequantize_into(&packed, prec, len, &mut out).unwrap();
                 assert_eq!(out.len(), len);
                 let bound = round_trip_bound(max_abs, prec) * (1.0 + 1e-5) + f32::EPSILON;
                 for (a, b) in values.iter().zip(&out) {
@@ -530,21 +461,20 @@ mod tests {
     #[test]
     fn fp32_is_the_identity() {
         let values = [1.5f32, -0.25, 3.25e-8, -1.0e9];
-        let mut stage = QuantStage::new();
-        let packed = stage.quantize(&values, Precision::Fp32).to_vec();
-        let out = stage
-            .dequantize(&packed, Precision::Fp32, values.len())
-            .unwrap();
-        assert_eq!(out, &values, "fp32 must round-trip bit-exactly");
+        let (mut packed, mut out) = (Vec::new(), Vec::new());
+        quantize_into(&values, Precision::Fp32, &mut packed);
+        dequantize_into(&packed, Precision::Fp32, values.len(), &mut out).unwrap();
+        assert_eq!(out, values, "fp32 must round-trip bit-exactly");
     }
 
     #[test]
     fn all_zero_tensor_round_trips() {
         let values = [0.0f32; 9];
-        let mut stage = QuantStage::new();
+        let (mut packed, mut out) = (Vec::new(), Vec::new());
         for prec in Precision::ALL {
-            let packed = stage.quantize(&values, prec).to_vec();
-            let out = stage.dequantize(&packed, prec, values.len()).unwrap();
+            quantize_into(&values, prec, &mut packed);
+            dequantize_into(&packed, prec, values.len(), &mut out).unwrap();
+            assert_eq!(out.len(), values.len(), "{prec}");
             assert!(out.iter().all(|&x| x == 0.0), "{prec}");
         }
     }
@@ -561,29 +491,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("expected 11"));
-    }
-
-    #[test]
-    fn stage_scratch_goes_flat_after_warmup() {
-        let values = vec![0.5f32; 4096];
-        let mut stage = QuantStage::new();
-        // One round over every precision warms the scratch to the widest
-        // payload seen; after that the capacity must never move again.
-        for prec in Precision::ALL {
-            let _ = stage.quantize(&values, prec);
-        }
-        let warm = stage.scratch_capacity();
-        for _ in 0..32 {
-            for prec in Precision::ALL {
-                let _ = stage.quantize(&values, prec);
-            }
-        }
-        assert_eq!(
-            stage.scratch_capacity(),
-            warm,
-            "steady-state quantization must not grow scratch"
-        );
-        assert_eq!(stage.quantized(), 4 + 32 * 4);
     }
 
     #[test]

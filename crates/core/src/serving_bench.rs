@@ -1,62 +1,33 @@
-//! The reproducible serving-throughput benchmark behind `loadpart bench`.
+//! The serving-throughput benchmarks behind `loadpart bench`.
 //!
-//! Two server configurations face identical traffic from N concurrent
-//! threaded clients over the real wire [`protocol`](crate::protocol):
-//!
-//! * **baseline** — the oldest serving path's framing and scheduling:
-//!   [`ServerTuning::single_threaded_legacy`] (no suffix coalescing,
-//!   replies use the contiguous copying encoder), clients flatten every
-//!   frame to one contiguous buffer, and the engine's Algorithm-1
-//!   decision memo is disabled.
-//! * **parallel** — the tuned hot path: continuous suffix batching,
-//!   zero-copy header/payload framing with the shared payload pool, one
-//!   `Arc`'d graph across all engines, and the decision memo on.
-//!
-//! Both modes charge the same per-suffix execution cost
-//! ([`BenchConfig::suffix_cost`]) on the serving thread, so the measured
-//! difference is how the serving path schedules that work: the baseline
-//! charges every suffix, the tuned path one charge per same-bucket batch.
+//! [`serving_bench`] drives the tuned serving path — continuous suffix
+//! batching, zero-copy header/payload framing with the shared payload
+//! pool, one `Arc`'d graph across all engines and the decision memo —
+//! with traffic from N concurrent threaded clients over the real wire
+//! [`protocol`](crate::protocol). The server charges an
+//! injected per-suffix execution cost ([`BenchConfig::suffix_cost`]) on
+//! its serving thread, once per same-bucket batch. [`fleet_bench`] sweeps
+//! hundreds of persistent sessions over loopback TCP.
 //!
 //! Wall-clock throughput and latency come from [`Instant`]; the copied-byte
 //! counts come from [`framing_bytes_copied`]. Results serialize to the
-//! `BENCH_serving.json` document consumed by CI's bench smoke job.
+//! `BENCH_serving.json` and `BENCH_fleet.json` documents consumed by CI's
+//! bench smoke jobs.
 
 use crate::admission::AdmissionConfig;
 use crate::engine::EngineConfig;
-use crate::protocol::{framing_bytes_copied, ProtocolError};
+use crate::protocol::framing_bytes_copied;
 use crate::telemetry::Telemetry;
 use crate::threaded::{
     spawn_server_tuned, FrameChannel, LoadEnv, ServerFaultSpec, ServerHandle, ServerTuning,
     ThreadedClient,
 };
 use crate::transport::{default_shards, SocketServer, TcpFrameChannel};
-use bytes::Bytes;
 use lp_graph::ComputationGraph;
 use lp_json::Json;
 use lp_profiler::PredictionModels;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-
-/// Which serving path a measurement exercised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BenchMode {
-    /// The oldest serving path: no suffix coalescing, copying framing, no
-    /// decision memo.
-    Baseline,
-    /// The tuned path: suffix batching, zero-copy framing, decision memo.
-    Parallel,
-}
-
-impl BenchMode {
-    /// Stable name used in the JSON document.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            BenchMode::Baseline => "baseline",
-            BenchMode::Parallel => "parallel",
-        }
-    }
-}
 
 /// Which wire the benchmark's clients run over.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -64,12 +35,10 @@ pub enum BenchTransport {
     /// In-process channel sessions (the original benchmark).
     #[default]
     Channel,
-    /// Loopback TCP through a locally spawned [`SocketServer`]: both modes
-    /// still run, since the harness controls the server tuning.
+    /// Loopback TCP through a locally spawned [`SocketServer`].
     Tcp,
-    /// TCP to an already-running `loadpart serve` at this address. Only
-    /// the parallel mode runs (a remote server cannot be re-tuned into the
-    /// legacy baseline), and the server is left running afterwards.
+    /// TCP to an already-running `loadpart serve` at this address; the
+    /// server is left running afterwards.
     Remote(String),
 }
 
@@ -93,7 +62,7 @@ pub struct BenchConfig {
     /// Requests each client issues per measurement point.
     pub requests_per_client: usize,
     /// Wall-clock cost charged per admitted suffix on the executing server
-    /// thread — identical in both modes; see [`ServerTuning::suffix_cost`].
+    /// thread; see [`ServerTuning::suffix_cost`].
     pub suffix_cost: Duration,
     /// Client-side bandwidth estimate injected per request (Mbps). 8 Mbps
     /// sits in the partial-offload regime, so requests actually cross the
@@ -135,11 +104,9 @@ impl BenchConfig {
     }
 }
 
-/// One measured (mode, concurrency) point.
+/// One measured concurrency point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchPoint {
-    /// Serving path measured.
-    pub mode: BenchMode,
     /// Concurrent clients.
     pub clients: usize,
     /// Requests completed (all of them — the engine absorbs faults).
@@ -176,10 +143,9 @@ impl BenchPoint {
 /// interpret them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// All measured points, baseline first, client counts ascending within
-    /// each mode.
+    /// All measured points, client counts in configuration order.
     pub points: Vec<BenchPoint>,
-    /// Per-suffix execution cost charged in both modes.
+    /// Per-suffix execution cost charged.
     pub suffix_cost: Duration,
     /// Stable name of the transport the clients ran over
     /// (`"channel"` / `"tcp"` / `"tcp-remote"`).
@@ -187,23 +153,6 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// The point for `(mode, clients)`, if measured.
-    #[must_use]
-    pub fn point(&self, mode: BenchMode, clients: usize) -> Option<&BenchPoint> {
-        self.points
-            .iter()
-            .find(|p| p.mode == mode && p.clients == clients)
-    }
-
-    /// Parallel-over-baseline throughput ratio at `clients`, when both
-    /// modes measured that concurrency.
-    #[must_use]
-    pub fn speedup_at(&self, clients: usize) -> Option<f64> {
-        let base = self.point(BenchMode::Baseline, clients)?;
-        let par = self.point(BenchMode::Parallel, clients)?;
-        (base.throughput_rps > 0.0).then(|| par.throughput_rps / base.throughput_rps)
-    }
-
     /// Serializes to the `BENCH_serving.json` document.
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -212,7 +161,6 @@ impl BenchReport {
             .iter()
             .map(|p| {
                 Json::Obj(vec![
-                    ("mode".into(), Json::Str(p.mode.name().into())),
                     ("clients".into(), Json::Num(p.clients as f64)),
                     ("requests".into(), Json::Num(p.requests as f64)),
                     ("elapsed_secs".into(), Json::Num(p.elapsed.as_secs_f64())),
@@ -225,15 +173,6 @@ impl BenchReport {
                 ])
             })
             .collect();
-        let speedup = self
-            .points
-            .iter()
-            .filter(|p| p.mode == BenchMode::Parallel)
-            .filter_map(|p| {
-                self.speedup_at(p.clients)
-                    .map(|s| (p.clients.to_string(), Json::Num(s)))
-            })
-            .collect();
         Json::Obj(vec![
             ("benchmark".into(), Json::Str("serving".into())),
             ("transport".into(), Json::Str(self.transport.clone())),
@@ -242,7 +181,6 @@ impl BenchReport {
                 Json::Num(self.suffix_cost.as_secs_f64() * 1e3),
             ),
             ("points".into(), Json::Arr(points)),
-            ("speedup".into(), Json::Obj(speedup)),
         ])
     }
 
@@ -250,9 +188,8 @@ impl BenchReport {
     #[must_use]
     pub fn render_table(&self) -> String {
         let mut out = format!(
-            "serving benchmark — {:.1} ms/suffix\n{:>8}  {:>7}  {:>10}  {:>8}  {:>8}  {:>12}  {:>6}\n",
+            "serving benchmark — {:.1} ms/suffix\n{:>7}  {:>10}  {:>8}  {:>8}  {:>12}  {:>6}\n",
             self.suffix_cost.as_secs_f64() * 1e3,
-            "mode",
             "clients",
             "req/s",
             "p50 ms",
@@ -262,8 +199,7 @@ impl BenchReport {
         );
         for p in &self.points {
             out.push_str(&format!(
-                "{:>8}  {:>7}  {:>10.1}  {:>8.2}  {:>8.2}  {:>12}  {:>5.1}%\n",
-                p.mode.name(),
+                "{:>7}  {:>10.1}  {:>8.2}  {:>8.2}  {:>12}  {:>5.1}%\n",
                 p.clients,
                 p.throughput_rps,
                 p.p50_ms,
@@ -272,34 +208,12 @@ impl BenchReport {
                 p.shed_ratio() * 100.0
             ));
         }
-        for p in &self.points {
-            if p.mode == BenchMode::Parallel {
-                if let Some(s) = self.speedup_at(p.clients) {
-                    out.push_str(&format!("speedup at {:>2} clients: {s:.2}x\n", p.clients));
-                }
-            }
-        }
         out
     }
 }
 
-/// Forces the pre-PR client framing: delegates only the contiguous
-/// [`FrameChannel::send`]/[`FrameChannel::recv_deadline`], so the default
-/// split methods flatten every outgoing frame into one freshly copied
-/// buffer — exactly what the wire did before zero-copy framing.
-struct LegacyChannel<'a, C: FrameChannel + ?Sized>(&'a C);
-
-impl<C: FrameChannel + ?Sized> FrameChannel for LegacyChannel<'_, C> {
-    fn send(&self, frame: Bytes) -> Result<(), ProtocolError> {
-        self.0.send(frame)
-    }
-
-    fn recv_deadline(&self, deadline: Instant) -> Result<Bytes, ProtocolError> {
-        self.0.recv_deadline(deadline)
-    }
-}
-
-/// Runs the full benchmark: both modes at every configured concurrency.
+/// Runs the full benchmark: the tuned serving path at every configured
+/// concurrency.
 ///
 /// # Panics
 ///
@@ -309,19 +223,11 @@ impl<C: FrameChannel + ?Sized> FrameChannel for LegacyChannel<'_, C> {
 pub fn serving_bench(config: &BenchConfig) -> BenchReport {
     let graph = Arc::new(lp_models::alexnet(1));
     let (user, edge) = crate::system::trained_models(config.samples_per_kind, config.seed);
-    // A remote server cannot be re-tuned into the legacy baseline: measure
-    // only the tuned serving path against it.
-    let modes: &[BenchMode] = if matches!(config.transport, BenchTransport::Remote(_)) {
-        &[BenchMode::Parallel]
-    } else {
-        &[BenchMode::Baseline, BenchMode::Parallel]
-    };
-    let mut points = Vec::new();
-    for &mode in modes {
-        for &clients in &config.client_counts {
-            points.push(run_point(mode, clients, &graph, &user, &edge, config));
-        }
-    }
+    let points = config
+        .client_counts
+        .iter()
+        .map(|&clients| run_point(clients, &graph, &user, &edge, config))
+        .collect();
     BenchReport {
         points,
         suffix_cost: config.suffix_cost,
@@ -370,22 +276,15 @@ impl ServerEnd {
 }
 
 fn run_point(
-    mode: BenchMode,
     clients: usize,
     graph: &Arc<ComputationGraph>,
     user: &PredictionModels,
     edge: &PredictionModels,
     config: &BenchConfig,
 ) -> BenchPoint {
-    let tuning = match mode {
-        BenchMode::Baseline => ServerTuning {
-            suffix_cost: config.suffix_cost,
-            ..ServerTuning::single_threaded_legacy()
-        },
-        BenchMode::Parallel => ServerTuning {
-            suffix_cost: config.suffix_cost,
-            ..ServerTuning::default()
-        },
+    let tuning = ServerTuning {
+        suffix_cost: config.suffix_cost,
+        ..ServerTuning::default()
     };
     let spawn = || {
         spawn_server_tuned(
@@ -415,7 +314,6 @@ fn run_point(
             user,
             edge,
             EngineConfig {
-                decision_memo: mode == BenchMode::Parallel,
                 seed: config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9),
                 ..EngineConfig::default()
             },
@@ -431,11 +329,9 @@ fn run_point(
             let mut shed = 0u64;
             for _ in 0..rounds {
                 let t0 = Instant::now();
-                let record = match mode {
-                    BenchMode::Baseline => client.infer(&LegacyChannel(&*conn), bandwidth),
-                    BenchMode::Parallel => client.infer(&*conn, bandwidth),
-                }
-                .expect("engine degradation absorbs wire faults");
+                let record = client
+                    .infer(&*conn, bandwidth)
+                    .expect("engine degradation absorbs wire faults");
                 latencies.push(t0.elapsed());
                 if record.rejected {
                     shed += 1;
@@ -468,7 +364,6 @@ fn run_point(
         requests as f64 / elapsed.as_secs_f64()
     };
     BenchPoint {
-        mode,
         clients,
         requests,
         elapsed,
@@ -846,23 +741,22 @@ mod tests {
         }
     }
 
+    /// The zero-copy claim (`bytes_copied == 0`) is pinned in
+    /// `tests/zero_copy_serving.rs`, a test binary of its own: the copy
+    /// counter is process-wide, and other tests in this binary copy
+    /// frames while this one runs.
     #[test]
-    fn bench_measures_every_mode_and_count() {
+    fn bench_measures_every_count() {
         let report = serving_bench(&tiny_config());
-        assert_eq!(report.points.len(), 4, "2 modes x 2 counts");
-        for p in &report.points {
+        assert_eq!(report.points.len(), 2, "one point per client count");
+        for (p, clients) in report.points.iter().zip([1usize, 2]) {
+            assert_eq!(p.clients, clients);
             assert_eq!(p.requests, p.clients as u64 * 3);
             assert!(p.throughput_rps > 0.0, "{p:?}");
             assert!(p.p99_ms >= p.p50_ms, "{p:?}");
             assert!(p.offloaded > 0, "8 Mbps must offload: {p:?}");
             assert_eq!(p.shed, 0, "unbounded admission never sheds");
         }
-        assert!(report.speedup_at(2).is_some());
-        // The baseline's copying framing must show up in the copied-byte
-        // accounting; AlexNet's conv1 output tensor alone is hundreds of
-        // kilobytes per offload.
-        let base = report.point(BenchMode::Baseline, 2).expect("measured");
-        assert!(base.bytes_copied > 100_000, "{}", base.bytes_copied);
     }
 
     #[test]
@@ -884,7 +778,7 @@ mod tests {
             .get("points")
             .and_then(Json::as_arr)
             .expect("points array");
-        assert_eq!(points.len(), 2);
+        assert_eq!(points.len(), 1);
         for p in points {
             assert!(p.get("throughput_rps").and_then(Json::as_f64).is_some());
             assert!(p.get("clients").and_then(Json::as_f64).is_some());
@@ -892,9 +786,8 @@ mod tests {
         assert!(report.render_table().contains("req/s"));
     }
 
-    /// A tiny measurement over loopback TCP: both modes still run (the
-    /// harness spawns and tunes the server itself) and the JSON names the
-    /// transport.
+    /// A tiny measurement over loopback TCP: the harness spawns the server
+    /// itself and the JSON names the transport.
     #[test]
     fn bench_runs_over_loopback_tcp() {
         let report = serving_bench(&BenchConfig {
@@ -905,7 +798,7 @@ mod tests {
             transport: BenchTransport::Tcp,
             ..BenchConfig::default()
         });
-        assert_eq!(report.points.len(), 4, "2 modes x 2 counts");
+        assert_eq!(report.points.len(), 2, "one point per client count");
         for p in &report.points {
             assert_eq!(p.requests, p.clients as u64 * 2);
             assert!(p.throughput_rps > 0.0, "{p:?}");

@@ -34,9 +34,11 @@
 //!   load reply are awaited — so a request costs two round trips;
 //! * time is logical — the client's clock advances one profiler period per
 //!   request, and the server's clock advances a fixed tick per **received
-//!   frame** (plus the observed execution time per offload), so load-query
-//!   handling and tracker-window expiry see a moving clock even when the
-//!   client only queries.
+//!   frame** and nothing else, so load-query handling and tracker-window
+//!   expiry see a moving clock even when the client only queries.
+//!   Execution time accumulates only in the admission controller's backlog
+//!   watermark, which the predicted queue delay (and so load shedding) is
+//!   computed from.
 //!
 //! Every client-side wire operation is **deadline-based** ([`FrameChannel`]
 //! / [`ServerHandle::recv_frame_timeout`]): a stalled or dead server yields
@@ -370,10 +372,6 @@ pub fn spawn_server_instrumented(
 /// [`spawn_server_tuned`]. [`spawn_server_full`] uses the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerTuning {
-    /// Encode replies with the contiguous [`Message::encode`] (one memcpy
-    /// of the payload per reply, plus a fresh payload allocation) instead
-    /// of the zero-copy [`Message::to_frame`] path. Benchmark baseline.
-    pub legacy_framing: bool,
     /// Wall-clock cost charged per suffix execution on the thread that
     /// serves it, modelling the suffix's GPU/CPU occupancy.
     /// [`Duration::ZERO`] (the default everywhere outside the benchmark
@@ -397,7 +395,6 @@ pub struct ServerTuning {
 impl Default for ServerTuning {
     fn default() -> Self {
         Self {
-            legacy_framing: false,
             suffix_cost: Duration::ZERO,
             max_batch: 16,
             batch_bucket: 4,
@@ -406,35 +403,18 @@ impl Default for ServerTuning {
 }
 
 impl ServerTuning {
-    /// The oldest serving path's framing and scheduling: contiguous
-    /// (copying) reply framing and no coalescing.
-    #[must_use]
-    pub fn single_threaded_legacy() -> Self {
-        Self {
-            legacy_framing: true,
-            suffix_cost: Duration::ZERO,
-            max_batch: 1,
-            batch_bucket: 1,
-        }
-    }
-
     /// The bucket a partition point batches under (shared by suffix
     /// coalescing and batch-aware admission).
     #[must_use]
     fn bucket(&self, p: usize) -> u64 {
         (p / self.batch_bucket.max(1)) as u64
     }
+}
 
-    /// Frames a reply message per the configured framing mode. Server
-    /// replies carry at most one model-output tensor, far under the
-    /// protocol's payload cap, so encoding cannot fail here.
-    fn frame(&self, reply: &Message) -> Frame {
-        if self.legacy_framing {
-            Frame::from_contiguous(reply.encode().expect("server reply fits a frame"))
-        } else {
-            reply.to_frame().expect("server reply fits a frame")
-        }
-    }
+/// Frames a server reply. Replies carry at most one model-output tensor,
+/// far under the protocol's payload cap, so encoding cannot fail here.
+fn reply_frame(reply: &Message) -> Frame {
+    reply.to_frame().expect("server reply fits a frame")
 }
 
 /// The fully-general server spawn: a scriptable [`LoadEnv`], a
@@ -584,7 +564,7 @@ impl ServerCore {
                     m.load_queries.incr(1);
                     m.k.set(k);
                 }
-                Served::Reply(self.tuning.frame(&Message::LoadReply {
+                Served::Reply(reply_frame(&Message::LoadReply {
                     k_micro: Message::k_to_micro(k),
                 }))
             }
@@ -592,7 +572,7 @@ impl ServerCore {
                 if let Some(m) = &self.metrics {
                     m.probe_acks.incr(1);
                 }
-                Served::Reply(self.tuning.frame(&Message::ProbeAck))
+                Served::Reply(reply_frame(&Message::ProbeAck))
             }
             Message::Shutdown => {
                 self.end(Ending::Shutdown);
@@ -635,7 +615,7 @@ impl ServerCore {
                 // Piggyback the measured load factor so the shed client
                 // can pre-seed its profile.
                 let k = self.tracker.k_at(self.now);
-                Served::Reply(self.tuning.frame(&Message::Rejected {
+                Served::Reply(reply_frame(&Message::Rejected {
                     request_id,
                     retry_after_us: retry_after.as_micros_f64().round() as u64,
                     k_micro: Message::k_to_micro(k),
@@ -761,14 +741,10 @@ impl Server {
             .get_or_partition(&self.graph, suffix.p.min(self.graph.len()))
             .expect("p in range");
         let out_bytes = self.graph.output().size_bytes() as usize;
-        self.tuning.frame(&Message::OffloadResponse {
+        reply_frame(&Message::OffloadResponse {
             request_id: suffix.request_id,
             server_time_us: suffix.server_time_us,
-            payload: if self.tuning.legacy_framing {
-                Bytes::from(vec![0u8; out_bytes])
-            } else {
-                zero_payload(out_bytes)
-            },
+            payload: zero_payload(out_bytes),
         })
     }
 
@@ -807,8 +783,8 @@ impl Drop for ServingGuard<'_> {
 }
 
 /// [`spawn_server_full`] with explicit [`ServerTuning`] — the entry point
-/// the benchmark harnesses use to set the injected suffix cost, batching
-/// depth and framing mode.
+/// the benchmark harnesses use to set the injected suffix cost and
+/// batching depth.
 #[must_use]
 pub fn spawn_server_tuned(
     graph: impl Into<Arc<ComputationGraph>>,
@@ -1590,16 +1566,20 @@ mod tests {
         server.shutdown().expect("clean shutdown");
     }
 
-    /// The tuning knobs change scheduling and framing, not behaviour: a
-    /// session against the default tuning under an injected suffix cost
-    /// produces the same records as one against the legacy tuning.
+    /// The tuning knobs change scheduling, not behaviour: a session
+    /// against the default tuning under an injected suffix cost produces
+    /// the same records as one against an unbatched tuning.
     #[test]
     fn tuned_server_with_suffix_cost_still_serves_identically() {
         let (user, edge) = models();
         let graph = Arc::new(lp_models::alexnet(1));
         let mut runs = Vec::new();
         for tuning in [
-            ServerTuning::single_threaded_legacy(),
+            ServerTuning {
+                max_batch: 1,
+                batch_bucket: 1,
+                ..ServerTuning::default()
+            },
             ServerTuning {
                 suffix_cost: Duration::from_micros(100),
                 ..ServerTuning::default()

@@ -14,14 +14,19 @@
 //! * registering extra endpoints leaves the **single-server path
 //!   bit-identical** — the multi-server refactor is a pure extension;
 //! * a shedding server cannot provoke a **retry storm**: the per-request
-//!   retry budget truncates backoff no matter what the server hints.
+//!   retry budget truncates backoff no matter what the server hints;
+//! * a scripted **outage on the preferred server** stays invisible with
+//!   failover on — every request in the window is still served remotely —
+//!   while clients pinned to that server fall back to the device, and
+//!   neither run loses a request.
 
 use loadpart::engine::backends::{SimulatedDevice, WireBackend, WireTransport};
 use loadpart::policy::build_named;
 use loadpart::{
-    spawn_server_tuned, AdmissionConfig, ClusterEngine, ClusterLink, EngineConfig, FrameChannel,
-    GatedChannel, InferenceRecord, LoadEnv, OffloadEngine, OutageSwitch, Outcome, RouteInfo,
-    ServerFaultSpec, ServerHandle, ServerTuning, Telemetry,
+    cluster_chaos_run, spawn_server_tuned, AdmissionConfig, ClusterChaosConfig, ClusterChaosReport,
+    ClusterEngine, ClusterLink, EngineConfig, FrameChannel, GatedChannel, InferenceRecord, LoadEnv,
+    OffloadEngine, OutageSwitch, Outcome, RouteInfo, ServerFaultSpec, ServerHandle, ServerTuning,
+    Telemetry,
 };
 use lp_hardware::DeviceModel;
 use lp_profiler::PredictionModels;
@@ -430,4 +435,68 @@ fn rejected_requests_fail_over_to_servers_with_capacity() {
     drop(cluster);
     healthy.shutdown().expect("clean");
     shedding.shutdown().expect("clean");
+}
+
+/// Requests inside the outage window that some server completed remotely
+/// (not local, not shed, not a degraded fallback), and how many requests
+/// fell in the window. Records are round-major, client-minor.
+fn outage_service(config: &ClusterChaosConfig, report: &ClusterChaosReport) -> (usize, usize) {
+    let window: Vec<&InferenceRecord> = report
+        .records
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| config.in_outage(i / config.n_clients))
+        .map(|(_, r)| r)
+        .collect();
+    let remote = window
+        .iter()
+        .filter(|r| r.offloaded() && !r.fallback_local && !r.rejected)
+        .count();
+    (remote, window.len())
+}
+
+/// The scripted outage with failover on and off, spike disabled: the
+/// preferred server goes dark for rounds 8..16 of 30. With failover the
+/// other servers take every request in the window; pinned to the dark
+/// server, the clients finish those requests on the device instead.
+#[test]
+fn failover_serves_every_outage_request_remotely_and_pinning_does_not() {
+    let (user, edge) = models();
+    let graph = lp_models::alexnet(1);
+    let on = ClusterChaosConfig {
+        rounds: 30,
+        outage_start: 8,
+        outage_rounds: 8,
+        spike_rounds: 0,
+        failover: true,
+        ..ClusterChaosConfig::default()
+    };
+    let off = ClusterChaosConfig {
+        failover: false,
+        ..on.clone()
+    };
+    let run = |config: &ClusterChaosConfig| {
+        cluster_chaos_run(&graph, user, edge, config, &Telemetry::disabled()).expect("valid")
+    };
+    let (on_report, off_report) = (run(&on), run(&off));
+    assert_eq!(
+        on_report,
+        run(&on),
+        "the failover soak must replay bit for bit"
+    );
+    assert_eq!(on_report.lost(), 0, "failover on lost requests");
+    assert_eq!(off_report.lost(), 0, "failover off lost requests");
+    assert!(on_report.failovers > 0, "the outage must force reroutes");
+
+    let (on_remote, window) = outage_service(&on, &on_report);
+    assert_eq!(window, on.n_clients * on.outage_rounds);
+    assert_eq!(
+        on_remote, window,
+        "failover must serve every outage-window request remotely"
+    );
+    let (off_remote, _) = outage_service(&off, &off_report);
+    assert!(
+        off_remote < on_remote,
+        "pinned clients served {off_remote} of {window} outage requests remotely"
+    );
 }

@@ -241,26 +241,40 @@ fn trait_policies_reproduce_legacy_enum_decisions_across_the_sweep() {
 }
 
 /// The decision memo is an equivalence-preserving fast path end to end:
-/// two identically-seeded co-simulations, one with the memo and one
-/// without, produce bit-identical record sequences — while the memoized
-/// run actually answers repeats from the memo.
+/// two identically-seeded co-simulations, one through
+/// [`OffloadingSystem::new`] (which memoizes the enum policy) and one with
+/// the bare policy installed through [`OffloadingSystem::with_policy`],
+/// produce bit-identical record sequences — while the memoized run
+/// actually answers repeats from the memo.
 #[test]
 fn memo_enabled_cosim_replays_identically_to_memoless() {
     let (user, edge) = models();
     let graph = lp_models::alexnet(1);
     let run = |mbps: f64, memo: bool| {
-        let mut sys = OffloadingSystem::new(
-            graph.clone(),
-            Policy::LoadPart,
-            Testbed::with_constant_bandwidth(mbps, 5),
-            user,
-            edge.clone(),
-            SystemConfig {
-                seed: 5,
-                decision_memo: memo,
-                ..SystemConfig::default()
-            },
-        );
+        let testbed = Testbed::with_constant_bandwidth(mbps, 5);
+        let config = SystemConfig {
+            seed: 5,
+            ..SystemConfig::default()
+        };
+        let mut sys = if memo {
+            OffloadingSystem::new(
+                graph.clone(),
+                Policy::LoadPart,
+                testbed,
+                user,
+                edge.clone(),
+                config,
+            )
+        } else {
+            OffloadingSystem::with_policy(
+                graph.clone(),
+                Policy::LoadPart.build(),
+                testbed,
+                user,
+                edge.clone(),
+                config,
+            )
+        };
         let records: Vec<InferenceRecord> = (1..=8)
             .map(|s| sys.infer(SimTime::ZERO + SimDuration::from_secs(s)))
             .collect();
@@ -303,7 +317,7 @@ fn engine_memo_invalidates_on_quantized_key_change_and_telemetry_counts_hits() {
         user,
         edge,
         0,
-        EngineConfig::default(), // decision_memo on by default
+        EngineConfig::default(), // `new` always memoizes the enum policy
     )
     .expect("valid config");
     engine.set_telemetry(telemetry.clone());
@@ -425,18 +439,27 @@ fn run_tuned_session(
     records
 }
 
-/// The tuned server (continuous batching, zero-copy framing) is an
-/// equivalence-preserving refactor of the legacy one (no batching,
-/// copying framing): same decisions, same per-session record order, down
-/// to every simulated timing field — the tuning changes *how* suffixes
-/// are scheduled and framed, never *what* the client observes.
+/// The tuned server (continuous batching) is an equivalence-preserving
+/// refactor of an unbatched one: same decisions, same per-session record
+/// order, down to every simulated timing field — the tuning changes *how*
+/// suffixes are scheduled, never *what* the client observes. (Reply
+/// framing is one encoder for every tuning; `protocol.rs` pins that it
+/// flattens to the contiguous encoding.)
 #[test]
 fn tuned_server_matches_the_legacy_server() {
-    let legacy = run_tuned_session(ServerTuning::single_threaded_legacy(), 3, 5);
+    let unbatched = run_tuned_session(
+        ServerTuning {
+            max_batch: 1,
+            batch_bucket: 1,
+            ..ServerTuning::default()
+        },
+        3,
+        5,
+    );
     let tuned = run_tuned_session(ServerTuning::default(), 3, 5);
     assert_eq!(
-        legacy, tuned,
-        "batching + zero-copy framing must be record-for-record identical"
+        unbatched, tuned,
+        "batching must be record-for-record identical"
     );
 }
 

@@ -1,7 +1,7 @@
-//! End-to-end coverage of the quantized upload path over the threaded
-//! wire runtime.
+//! End-to-end coverage of the quantized upload path: over the threaded
+//! wire runtime, and in modelled time over the co-simulation.
 //!
-//! Three invariants ride here:
+//! Four invariants ride here:
 //!
 //! 1. **Zero-alloc steady state** — once the first requests warm the
 //!    pool with each packed payload size, later quantized uploads reuse
@@ -16,6 +16,11 @@
 //! 3. **The server observes the negotiated precision** — narrow uploads
 //!    increment `server.quantized_offloads_total` on the server's own
 //!    metrics registry.
+//! 4. **Quantized offload wins the starved band** — on links slow enough
+//!    that fp32 Algorithm 1 runs everything on the device, the joint
+//!    (p, precision) policy still offloads and beats pure-local, and at
+//!    2 Mbps also the best forced fp32 offload. The co-simulation's
+//!    modelled latencies make this exact and seeded.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,11 +28,12 @@ use std::time::Duration;
 use loadpart::engine::backends::{NullDevice, WireBackend, WireTransport};
 use loadpart::{
     spawn_server, spawn_server_tuned, EngineConfig, InferenceRecord, LoadEnv, OffloadEngine,
-    Policy, QuantPolicy, ServerFaultSpec, ServerHandle, ServerTuning, Telemetry,
+    OffloadingSystem, PartitionPolicy, PartitionSolver, Policy, QuantPolicy, ServerFaultSpec,
+    ServerHandle, ServerTuning, SystemConfig, Telemetry, Testbed,
 };
 use lp_graph::Precision;
 use lp_profiler::PredictionModels;
-use lp_sim::SimTime;
+use lp_sim::{SimDuration, SimTime};
 use std::sync::OnceLock;
 
 fn models() -> &'static (PredictionModels, PredictionModels) {
@@ -227,4 +233,83 @@ fn server_counts_quantized_offloads() {
         "server must count exactly the narrow uploads it received"
     );
     server.shutdown().expect("clean shutdown");
+}
+
+/// Requests per co-simulated run, one per simulated second.
+const COSIM_REQUESTS: u64 = 10;
+
+/// Seed of the co-simulated link, GPU and engine.
+const COSIM_SEED: u64 = 42;
+
+/// Runs [`COSIM_REQUESTS`] co-simulated AlexNet requests under `policy`
+/// over a constant `mbps` link and an idle edge GPU.
+fn cosim(policy: Box<dyn PartitionPolicy>, mbps: f64) -> Vec<InferenceRecord> {
+    let (user, edge) = models();
+    let mut sys = OffloadingSystem::with_policy(
+        lp_models::alexnet(1),
+        policy,
+        Testbed::with_constant_bandwidth(mbps, COSIM_SEED),
+        user,
+        edge.clone(),
+        SystemConfig {
+            seed: COSIM_SEED,
+            ..SystemConfig::default()
+        },
+    );
+    (1..=COSIM_REQUESTS)
+        .map(|s| sys.infer(SimTime::ZERO + SimDuration::from_secs(s)))
+        .collect()
+}
+
+fn mean_total_ms(records: &[InferenceRecord]) -> f64 {
+    records.iter().map(|r| r.total.as_millis_f64()).sum::<f64>() / records.len() as f64
+}
+
+/// Invariant 4: in the starved band {2, 1} Mbps fp32 LoADPart keeps every
+/// request on the device, while the quant policy offloads every request
+/// at a narrow precision and finishes faster than pure-local inference.
+/// At 2 Mbps it also beats the best fp32 offload the solver can force
+/// (`p < n`). Mean `total` is modelled time, so the comparison is exact
+/// and replays bit for bit.
+#[test]
+fn quantized_offload_beats_local_and_forced_fp32_on_a_starved_link() {
+    let graph = lp_models::alexnet(1);
+    let n = graph.len();
+    let (user, edge) = models();
+    let quant = || Box::new(QuantPolicy::for_graph(&graph, BUDGET)) as Box<dyn PartitionPolicy>;
+    for mbps in [2.0, 1.0] {
+        let local = cosim(Policy::Local.build(), mbps);
+        let fp32 = cosim(Policy::LoadPart.build(), mbps);
+        let narrow = cosim(quant(), mbps);
+        assert_eq!(narrow, cosim(quant(), mbps), "{mbps} Mbps replay diverged");
+        assert!(
+            fp32.iter().all(|r| !r.offloaded()),
+            "{mbps} Mbps must starve fp32 LoADPart into p = n: {fp32:?}"
+        );
+        for r in &narrow {
+            assert!(r.offloaded(), "{mbps} Mbps quant stayed local: {r:?}");
+            assert_ne!(r.precision, Precision::Fp32, "{mbps} Mbps: {r:?}");
+        }
+        let (local_ms, narrow_ms) = (mean_total_ms(&local), mean_total_ms(&narrow));
+        assert!(
+            narrow_ms < local_ms,
+            "{mbps} Mbps: quant {narrow_ms:.1} ms must beat local {local_ms:.1} ms"
+        );
+        if mbps == 2.0 {
+            // Algorithm 1's scan restricted to p < n; ties go to the
+            // larger p, as in the solver.
+            let solver = PartitionSolver::new(&graph, user, edge);
+            let best = (0..n)
+                .rev()
+                .map(|p| solver.latency_at(p, mbps, 1.0))
+                .min_by_key(|d| d.predicted)
+                .expect("AlexNet has offload points");
+            let forced_ms = mean_total_ms(&cosim(Policy::Fixed(best.p).build(), mbps));
+            assert!(
+                narrow_ms < forced_ms,
+                "2 Mbps: quant {narrow_ms:.1} ms must beat fp32 offload at p = {} ({forced_ms:.1} ms)",
+                best.p
+            );
+        }
+    }
 }
