@@ -57,11 +57,11 @@ use loadpart::UdsFrameChannel;
 use loadpart::{
     chaos_run, cluster_chaos_run, compare_policies, fleet_bench, measure_bandwidth,
     multi_client_run_with_telemetry, serving_bench, spawn_server, spawn_server_tuned,
-    spawn_server_with_faults, AdmissionConfig, BenchConfig, BenchTransport, ChaosConfig,
-    ChaosTransport, ClusterChaosConfig, ClusterTransport, CompareConfig, EmulatedLink,
-    EngineConfig, FleetConfig, FrameChannel, InferenceRecord, JsonlSink, LinkSpec, LoadEnv,
-    Message, MultiClientConfig, PartitionSolver, PolicyContext, Precision, ServerFaultSpec,
-    ServerTuning, SocketServer, TcpFrameChannel, Telemetry, ThreadedClient,
+    AdmissionConfig, BenchConfig, BenchTransport, ChaosConfig, ChaosTransport, ClusterChaosConfig,
+    ClusterTransport, CompareConfig, EmulatedLink, EngineConfig, FleetConfig, FrameChannel,
+    InferenceRecord, JsonlSink, LinkSpec, LoadEnv, Message, MultiClientConfig, PartitionSolver,
+    PolicyContext, Precision, ServerFaultSpec, ServerTuning, SocketServer, TcpFrameChannel,
+    Telemetry, ThreadedClient,
 };
 use lp_sim::{SimDuration, SimTime};
 use std::collections::HashMap;
@@ -89,7 +89,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   loadpart models
   loadpart decide    --model <name> --bandwidth <Mbps> [--k <factor>] [--policy <name>] [--samples <n>] [--seed <n>]
-  loadpart curve     --model <name> --bandwidth <Mbps> [--k <factor>] [--samples <n>] [--seed <n>]
+  loadpart curve     --model <name> --bandwidth <Mbps> [--k <factor>] [--policy <name>] [--samples <n>] [--seed <n>]
   loadpart partition --model <name> --p <point> [--dot]
   loadpart faults    [--model <name>] [--crash-after <frames>] [--bandwidth <Mbps>] [--samples <n>] [--seed <n>]
   loadpart report    [--model <name>] [--clients <n>] [--duration <secs>] [--bandwidth <Mbps>] [--samples <n>] [--seed <n>] [--trace <file.jsonl>]
@@ -104,6 +104,86 @@ const USAGE: &str = "usage:
   loadpart smoke     --connect <host:port> | --uds <path> [--model <name>] [--requests <n>] [--samples <n>] [--seed <n>]
                      [--latency-ms <ms>] [--jitter-ms <ms>] [--rate-mbps <Mbps>] [--stall-every <n>] [--stall-ms <ms>] [--reset-after <frames>] [--link-seed <n>]
                      [--shutdown-server]";
+
+/// A subcommand's handler.
+type Handler = fn(&HashMap<String, String>) -> Result<String, String>;
+
+/// Every subcommand: its name, the mode flag that selects it (`chaos
+/// --cluster`, `bench --sessions-sweep`), the other flags it accepts, as
+/// listed in [`USAGE`], and its handler. A mode's entry comes before its
+/// subcommand's plain entry.
+const COMMANDS: &[(&str, Option<&str>, &str, Handler)] = &[
+    ("models", None, "", |_| Ok(cmd_models())),
+    (
+        "decide",
+        None,
+        "model bandwidth k policy samples seed",
+        |f| cmd_decide(f, false),
+    ),
+    (
+        "curve",
+        None,
+        "model bandwidth k policy samples seed",
+        |f| cmd_decide(f, true),
+    ),
+    ("partition", None, "model p dot", cmd_partition),
+    (
+        "faults",
+        None,
+        "model crash-after bandwidth samples seed",
+        cmd_faults,
+    ),
+    (
+        "report",
+        None,
+        "model clients duration bandwidth samples seed trace",
+        cmd_report,
+    ),
+    (
+        "chaos",
+        Some("cluster"),
+        "model clients rounds outage-start outage-rounds samples seed policy no-failover \
+         transport connect",
+        cmd_chaos_cluster,
+    ),
+    (
+        "chaos",
+        None,
+        "model clients rounds spike-k bandwidth samples seed transport",
+        cmd_chaos,
+    ),
+    (
+        "bench",
+        Some("sessions-sweep"),
+        "quick sessions threads batch shards requests suffix-cost-ms seed out",
+        cmd_bench_fleet,
+    ),
+    (
+        "bench",
+        None,
+        "quick out requests suffix-cost-ms seed transport connect",
+        cmd_bench,
+    ),
+    (
+        "compare",
+        None,
+        "quick out requests windows samples seed",
+        cmd_compare,
+    ),
+    (
+        "serve",
+        None,
+        "model listen uds k shards batch no-admission samples seed",
+        cmd_serve,
+    ),
+    (
+        "smoke",
+        None,
+        "connect uds model requests samples seed latency-ms jitter-ms rate-mbps stall-every \
+         stall-ms reset-after link-seed shutdown-server",
+        cmd_smoke,
+    ),
+];
 
 /// Parses `--key value` pairs (and bare `--flag`s) after the subcommand.
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
@@ -156,20 +236,18 @@ fn run(args: &[String]) -> Result<String, String> {
         return Err("no subcommand".to_string());
     };
     let flags = parse_flags(rest)?;
-    match cmd.as_str() {
-        "models" => Ok(cmd_models()),
-        "decide" => cmd_decide(&flags, false),
-        "curve" => cmd_decide(&flags, true),
-        "partition" => cmd_partition(&flags),
-        "faults" => cmd_faults(&flags),
-        "report" => cmd_report(&flags),
-        "chaos" => cmd_chaos(&flags),
-        "bench" => cmd_bench(&flags),
-        "compare" => cmd_compare(&flags),
-        "serve" => cmd_serve(&flags),
-        "smoke" => cmd_smoke(&flags),
-        other => Err(format!("unknown subcommand {other:?}")),
+    let (name, mode, known, handler) = COMMANDS
+        .iter()
+        .find(|(name, mode, ..)| name == cmd && mode.is_none_or(|m| flags.contains_key(m)))
+        .ok_or_else(|| format!("unknown subcommand {cmd:?}"))?;
+    // A flag the subcommand does not know (a typo, a retired option) is an
+    // error rather than a silently different run.
+    let knows = |flag: &str| *mode == Some(flag) || known.split_whitespace().any(|k| k == flag);
+    if let Some(flag) = flags.keys().find(|f| !knows(f)) {
+        let mode = mode.map_or(String::new(), |m| format!(" --{m}"));
+        return Err(format!("unknown flag --{flag} for {name}{mode}"));
     }
+    handler(&flags)
 }
 
 fn cmd_models() -> String {
@@ -331,14 +409,17 @@ fn cmd_faults(flags: &HashMap<String, String>) -> Result<String, String> {
         "{} over the wire runtime; the server crashes after receiving {crash_after} frames\n",
         graph.name()
     );
-    let server = spawn_server_with_faults(
+    let server = spawn_server_tuned(
         graph.clone(),
         edge.clone(),
-        1.0,
+        LoadEnv::new(1.0),
         ServerFaultSpec {
             crash_after_frames: Some(crash_after),
             ..ServerFaultSpec::default()
         },
+        None,
+        &Telemetry::disabled(),
+        ServerTuning::default(),
     );
     for _ in 0..3 {
         let r = client
@@ -436,9 +517,6 @@ fn cmd_report(flags: &HashMap<String, String>) -> Result<String, String> {
 }
 
 fn cmd_chaos(flags: &HashMap<String, String>) -> Result<String, String> {
-    if flags.contains_key("cluster") {
-        return cmd_chaos_cluster(flags);
-    }
     let name = flags.get("model").map_or("alexnet", String::as_str);
     let graph = lp_models::by_name(name, 1)
         .ok_or_else(|| format!("unknown model {name:?}; run `loadpart models` for the zoo"))?;
@@ -659,28 +737,6 @@ fn cmd_chaos_cluster(flags: &HashMap<String, String>) -> Result<String, String> 
 }
 
 fn cmd_bench(flags: &HashMap<String, String>) -> Result<String, String> {
-    // `bench` overwrites a report file, so a flag it does not know (a typo,
-    // a retired mode) is an error rather than a silent serving run.
-    const KNOWN: [&str; 12] = [
-        "quick",
-        "out",
-        "requests",
-        "suffix-cost-ms",
-        "seed",
-        "transport",
-        "connect",
-        "sessions-sweep",
-        "sessions",
-        "threads",
-        "batch",
-        "shards",
-    ];
-    if let Some(flag) = flags.keys().find(|f| !KNOWN.contains(&f.as_str())) {
-        return Err(format!("unknown flag --{flag} for bench"));
-    }
-    if flags.contains_key("sessions-sweep") {
-        return cmd_bench_fleet(flags);
-    }
     let mut config = if flags.contains_key("quick") {
         BenchConfig::quick()
     } else {
@@ -1283,6 +1339,30 @@ mod tests {
             .is_some_and(|s| s.len() == 3));
     }
 
+    /// Each subcommand accepts exactly the flags `USAGE` lists for it.
+    #[test]
+    fn command_table_matches_usage() {
+        use std::collections::{BTreeMap, BTreeSet};
+        let mut usage: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        let mut current = "";
+        for line in USAGE.lines().skip(1) {
+            let mut words = line.split_whitespace();
+            if words.next() == Some("loadpart") {
+                current = words.next().expect("a subcommand name");
+            }
+            let flags = line
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|w| w.strip_prefix("--"));
+            usage.entry(current).or_default().extend(flags);
+        }
+        let mut table: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        for (name, mode, known, _) in COMMANDS {
+            let flags = table.entry(name).or_default();
+            flags.extend(known.split_whitespace().chain(*mode));
+        }
+        assert_eq!(table, usage);
+    }
+
     #[test]
     fn errors_are_helpful() {
         assert!(run(&argv("decide --bandwidth 8"))
@@ -1345,12 +1425,30 @@ mod tests {
             let err = run(&argv(args)).unwrap_err();
             assert!(err.contains("must be finite"), "{args}: {err}");
         }
+        // Every subcommand, and each mode of one, rejects a flag it does
+        // not know before doing any work.
         for args in [
             "bench --bogus",
             "bench --sessions-sweep --quick --frobnicate",
+            "bench --sessions-sweep --transport tcp",
+            "bench --quick --sessions 4,8",
+            "decide --model alexnet --bandwidth 8 --bogus-flag 3",
+            "curve --model alexnet --bandwidth 8 --dot",
+            "partition --model alexnet --p 8 --k 2",
+            "models --verbose",
+            "faults --clients 2",
+            "report --transport tcp",
+            "chaos --no-failover",
+            "chaos --cluster --spike-k 40",
+            "compare --transport tcp",
+            "serve --workers 4",
+            "smoke --connect 127.0.0.1:9 --workers 4",
         ] {
             let err = run(&argv(args)).unwrap_err();
             assert!(err.contains("unknown flag"), "{args}: {err}");
         }
+        assert!(run(&argv("chaos --cluster --spike-k 40"))
+            .unwrap_err()
+            .contains("--spike-k for chaos --cluster"));
     }
 }

@@ -1,13 +1,14 @@
 //! The chaos soak harness: overload protection exercised end to end.
 //!
-//! [`chaos_run`] drives N threaded clients against one
-//! [`spawn_server_full`] instance through a scripted timeline: a warm-up
+//! [`chaos_run`] drives N threaded clients against one admission-controlled
+//! [`spawn_server_tuned`] instance through a scripted timeline: a warm-up
 //! under base load, a GPU load spike (the [`LoadEnv`] stretch factor
 //! jumps), and a recovery tail — optionally with client-side frame faults
-//! ([`FaultInjector`]) layered on top. Everything is deterministic: clients
-//! take turns within a round (one in-flight exchange at a time, so frame
-//! order at the server is fixed), the spike is keyed by round index, and
-//! fault plans are keyed by frame index.
+//! (a [`FaultPlan`] per client, run by its [`EmulatedLink`]) layered on
+//! top. Everything is deterministic: clients take turns within a round
+//! (one in-flight exchange at a time, so frame order at the server is
+//! fixed), the spike is keyed by round index, and fault plans are keyed
+//! by frame index.
 //!
 //! What the soak asserts (see `tests/chaos_soak.rs`):
 //!
@@ -22,12 +23,14 @@
 
 use crate::admission::AdmissionConfig;
 use crate::baselines::Policy;
+use crate::emulator::{EmulatedLink, FaultAction, FaultPlan, LinkSpec};
 use crate::engine::backends::{NullDevice, WireBackend, WireTransport};
 use crate::engine::{BreakerState, ConfigError, EngineConfig, InferenceRecord, OffloadEngine};
-use crate::fault::{FaultAction, FaultInjector, FaultPlan};
 use crate::protocol::ProtocolError;
 use crate::telemetry::Telemetry;
-use crate::threaded::{spawn_server_full, FrameChannel, LoadEnv, ServerFaultSpec, ServerHandle};
+use crate::threaded::{
+    spawn_server_tuned, FrameChannel, LoadEnv, ServerFaultSpec, ServerHandle, ServerTuning,
+};
 use crate::transport::{SocketServer, TcpFrameChannel};
 use lp_graph::ComputationGraph;
 use lp_profiler::PredictionModels;
@@ -48,16 +51,16 @@ pub enum ChaosTransport {
     Tcp,
 }
 
-/// The server end of a soak: the bare server handle or its socket
-/// front-end.
+/// The server end of a soak (here and in the cluster soak): the bare
+/// server handle or its socket front-end.
 #[derive(Debug)]
-enum ChaosServer {
+pub(crate) enum ChaosServer {
     Handle(ServerHandle),
     Socket(SocketServer),
 }
 
 impl ChaosServer {
-    fn shutdown(self) -> Result<u64, ProtocolError> {
+    pub(crate) fn shutdown(self) -> Result<u64, ProtocolError> {
         match self {
             Self::Handle(handle) => handle.shutdown(),
             Self::Socket(sock) => sock.shutdown(),
@@ -265,13 +268,14 @@ pub fn chaos_run(
     // One shared graph: the server and every client engine hold `Arc`
     // bumps of a single copy.
     let shared_graph = std::sync::Arc::new(graph.clone());
-    let server = spawn_server_full(
+    let server = spawn_server_tuned(
         std::sync::Arc::clone(&shared_graph),
         edge_models.clone(),
         env.clone(),
         ServerFaultSpec::default(),
         Some(config.admission),
         telemetry,
+        ServerTuning::default(),
     );
     let (server, conns): (ChaosServer, Vec<Box<dyn FrameChannel>>) = match config.transport {
         ChaosTransport::Channel => {
@@ -293,12 +297,15 @@ pub fn chaos_run(
             (ChaosServer::Socket(sock), conns)
         }
     };
-    let injectors: Vec<_> = conns
-        .iter()
+    let links: Vec<_> = conns
+        .into_iter()
         .enumerate()
         .map(|(i, conn)| {
-            let plan = config.fault_plans.get(i).cloned().unwrap_or_default();
-            FaultInjector::new(&**conn, plan)
+            let spec = LinkSpec {
+                faults: config.fault_plans.get(i).cloned().unwrap_or_default(),
+                ..LinkSpec::default()
+            };
+            EmulatedLink::new(conn, spec)
         })
         .collect();
     let mut engines = Vec::with_capacity(config.n_clients);
@@ -346,7 +353,7 @@ pub fn chaos_run(
         for (i, (engine, now)) in engines.iter_mut().enumerate() {
             *now += config.request_period;
             engine.profile_mut().inject_bandwidth(config.bandwidth_mbps);
-            let channel = &injectors[i];
+            let channel = &links[i];
             let deadline = engine.config().io_timeout;
             let mut device = NullDevice;
             let mut backend = WireBackend {
@@ -382,10 +389,9 @@ pub fn chaos_run(
     for (i, (engine, _)) in engines.iter().enumerate() {
         summaries[i].breaker_state = engine.breaker().state();
         summaries[i].breaker_transitions = engine.breaker().transitions();
-        summaries[i].faults_injected = injectors[i].faults_injected();
+        summaries[i].faults_injected = links[i].faults_injected();
     }
-    drop(injectors);
-    drop(conns);
+    drop(links);
     let server_served = server
         .shutdown()
         .expect("chaos server must survive the soak");

@@ -32,10 +32,12 @@
 //! [`cluster_chaos_run`] scripts a deterministic soak over N
 //! heterogeneous servers (distinct background-load [`LoadEnv`] scripts,
 //! bandwidths and suffix costs): a mid-soak outage on one server (its
-//! links go dark via [`GatedChannel`]) followed by a `k` spike on the
+//! links go dark behind an [`OutageSwitch`]) followed by a `k` spike on the
 //! same server once it has recovered.
 
 use crate::admission::AdmissionConfig;
+use crate::chaos::ChaosServer;
+use crate::emulator::{EmulatedLink, LinkSpec, OutageSwitch};
 use crate::engine::backends::{SimulatedDevice, WireBackend, WireTransport};
 use crate::engine::{
     AttemptOutcome, ConfigError, EngineConfig, FailedAttempt, InferenceRecord, OffloadEngine,
@@ -44,18 +46,13 @@ use crate::engine::{
 use crate::policy::{build_named, PartitionPolicy};
 use crate::protocol::ProtocolError;
 use crate::telemetry::Telemetry;
-use crate::threaded::{
-    spawn_server_tuned, FrameChannel, LoadEnv, ServerFaultSpec, ServerHandle, ServerTuning,
-};
+use crate::threaded::{spawn_server_tuned, FrameChannel, LoadEnv, ServerFaultSpec, ServerTuning};
 use crate::transport::{SocketServer, TcpFrameChannel};
-use bytes::Bytes;
 use lp_graph::ComputationGraph;
 use lp_hardware::DeviceModel;
 use lp_profiler::PredictionModels;
 use lp_sim::{SimDuration, SimTime};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Longest a `Rejected{retry_after}` drain estimate may suspend a server
 /// from routing — mirrors the engine's own backoff-hint clamp, so one
@@ -105,93 +102,6 @@ impl ServerSpec {
             Self::named("edge-b", 2.0, 8.0),
             Self::named("edge-c", 3.0, 6.0),
         ]
-    }
-}
-
-/// A shared on/off switch that simulates a server outage from the
-/// client side of its links (a crashed or partitioned server looks the
-/// same to a client: frames go nowhere and replies never come).
-#[derive(Debug, Clone, Default)]
-pub struct OutageSwitch(Arc<AtomicBool>);
-
-impl OutageSwitch {
-    /// A new switch, initially open (traffic flows).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Blocks (`true`) or restores (`false`) every [`GatedChannel`]
-    /// holding this switch.
-    pub fn set_blocked(&self, blocked: bool) {
-        self.0.store(blocked, Ordering::SeqCst);
-    }
-
-    /// Whether the outage is currently active.
-    #[must_use]
-    pub fn blocked(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
-}
-
-/// A [`FrameChannel`] wrapper that models a dead link: while its
-/// [`OutageSwitch`] is blocked, sends are silently dropped and receives
-/// time out *immediately* (no wall-clock wait — the deadline is treated
-/// as already expired), so a scripted outage is both deterministic and
-/// cheap. Because sends are dropped client-side, the server never sees
-/// mid-outage frames and no stale replies poison the channel when the
-/// outage lifts.
-pub struct GatedChannel {
-    inner: Box<dyn FrameChannel>,
-    switch: OutageSwitch,
-}
-
-impl GatedChannel {
-    /// Gates `inner` behind `switch`.
-    #[must_use]
-    pub fn new(inner: Box<dyn FrameChannel>, switch: OutageSwitch) -> Self {
-        Self { inner, switch }
-    }
-}
-
-impl std::fmt::Debug for GatedChannel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GatedChannel")
-            .field("blocked", &self.switch.blocked())
-            .finish_non_exhaustive()
-    }
-}
-
-impl FrameChannel for GatedChannel {
-    fn send(&self, frame: Bytes) -> Result<(), ProtocolError> {
-        if self.switch.blocked() {
-            return Ok(());
-        }
-        self.inner.send(frame)
-    }
-
-    fn recv_deadline(&self, deadline: Instant) -> Result<Bytes, ProtocolError> {
-        if self.switch.blocked() {
-            return Err(ProtocolError::Timeout);
-        }
-        self.inner.recv_deadline(deadline)
-    }
-
-    fn send_split(&self, frame: crate::protocol::Frame) -> Result<(), ProtocolError> {
-        if self.switch.blocked() {
-            return Ok(());
-        }
-        self.inner.send_split(frame)
-    }
-
-    fn recv_split_deadline(
-        &self,
-        deadline: Instant,
-    ) -> Result<crate::protocol::Frame, ProtocolError> {
-        if self.switch.blocked() {
-            return Err(ProtocolError::Timeout);
-        }
-        self.inner.recv_split_deadline(deadline)
     }
 }
 
@@ -695,22 +605,6 @@ impl ClusterTransport {
     }
 }
 
-/// The server end of one spawned cluster member.
-#[derive(Debug)]
-enum ClusterServerEnd {
-    Handle(ServerHandle),
-    Socket(SocketServer),
-}
-
-impl ClusterServerEnd {
-    fn shutdown(self) -> Result<u64, ProtocolError> {
-        match self {
-            Self::Handle(handle) => handle.shutdown(),
-            Self::Socket(sock) => sock.shutdown(),
-        }
-    }
-}
-
 /// The scripted cluster chaos timeline: a heterogeneous server fleet, a
 /// mid-soak outage on one server (links dark, then restored), and a
 /// later `k` spike on a (by default the same, recovered) server.
@@ -943,7 +837,7 @@ pub fn cluster_chaos_run(
     let shared_graph = Arc::new(graph.clone());
     let n_servers = config.servers.len();
     // Spawn the fleet (unless the servers are remote processes).
-    let mut ends: Vec<ClusterServerEnd> = Vec::new();
+    let mut ends: Vec<ChaosServer> = Vec::new();
     let mut envs: Vec<LoadEnv> = Vec::new();
     if !matches!(config.transport, ClusterTransport::Remote(_)) {
         for spec in &config.servers {
@@ -962,8 +856,8 @@ pub fn cluster_chaos_run(
             );
             envs.push(env);
             ends.push(match config.transport {
-                ClusterTransport::Channel => ClusterServerEnd::Handle(handle),
-                ClusterTransport::Tcp => ClusterServerEnd::Socket(
+                ClusterTransport::Channel => ChaosServer::Handle(handle),
+                ClusterTransport::Tcp => ChaosServer::Socket(
                     SocketServer::bind_tcp("127.0.0.1:0", handle)
                         .expect("bind cluster server to loopback TCP"),
                 ),
@@ -979,15 +873,15 @@ pub fn cluster_chaos_run(
             .map(|s| {
                 let conn: Box<dyn FrameChannel> = match &config.transport {
                     ClusterTransport::Channel => match &ends[s] {
-                        ClusterServerEnd::Handle(h) => Box::new(h.connect()),
-                        ClusterServerEnd::Socket(_) => unreachable!(),
+                        ChaosServer::Handle(h) => Box::new(h.connect()),
+                        ChaosServer::Socket(_) => unreachable!(),
                     },
                     ClusterTransport::Tcp => match &ends[s] {
-                        ClusterServerEnd::Socket(sock) => Box::new(
+                        ChaosServer::Socket(sock) => Box::new(
                             TcpFrameChannel::connect(sock.local_addr())
                                 .expect("connect cluster client over loopback TCP"),
                         ),
-                        ClusterServerEnd::Handle(_) => unreachable!(),
+                        ChaosServer::Handle(_) => unreachable!(),
                     },
                     ClusterTransport::Remote(addrs) => Box::new(
                         TcpFrameChannel::connect(&addrs[s])
@@ -995,7 +889,11 @@ pub fn cluster_chaos_run(
                     ),
                 };
                 let conn = if outage_scripted && s == config.outage_server {
-                    Box::new(GatedChannel::new(conn, outage.clone())) as Box<dyn FrameChannel>
+                    let spec = LinkSpec {
+                        outage: Some(outage.clone()),
+                        ..LinkSpec::default()
+                    };
+                    Box::new(EmulatedLink::new(conn, spec)) as Box<dyn FrameChannel>
                 } else {
                     conn
                 };
@@ -1179,34 +1077,6 @@ mod tests {
         assert!(!cfg.in_outage(cfg.outage_end()));
         assert!(cfg.in_spike(cfg.spike_start));
         assert!(!cfg.in_spike(cfg.spike_start + cfg.spike_rounds));
-    }
-
-    #[test]
-    fn gated_channel_drops_sends_and_times_out_recvs_while_blocked() {
-        let (user, edge) = models();
-        let _ = user;
-        let graph = lp_models::alexnet(1);
-        let handle = spawn_server_tuned(
-            Arc::new(graph),
-            edge.clone(),
-            LoadEnv::new(1.0),
-            ServerFaultSpec::default(),
-            None,
-            &Telemetry::disabled(),
-            ServerTuning::default(),
-        );
-        let switch = OutageSwitch::new();
-        let gated = GatedChannel::new(Box::new(handle.connect()), switch.clone());
-        switch.set_blocked(true);
-        // Blocked: sends vanish, receives time out immediately (well
-        // under the generous deadline).
-        let started = Instant::now();
-        let err = gated.recv_deadline(Instant::now() + std::time::Duration::from_secs(5));
-        assert!(matches!(err, Err(ProtocolError::Timeout)));
-        assert!(started.elapsed() < std::time::Duration::from_secs(1));
-        switch.set_blocked(false);
-        drop(gated);
-        handle.shutdown().expect("server survives");
     }
 
     /// `Rejected{retry_after}` routing suspension: a suspended server is

@@ -260,7 +260,7 @@ fn load_reply(msg: &Message) -> Option<f64> {
 
 /// Server backend over the wire protocol: suffixes and load queries are
 /// framed [`Message`]s answered by a [`ServerHandle`]'s server thread (or
-/// any other [`FrameChannel`], e.g. a fault injector wrapping one).
+/// any other [`FrameChannel`], e.g. an emulated link wrapping one).
 #[derive(Debug)]
 pub struct WireBackend<'a, C: FrameChannel + ?Sized = ServerHandle> {
     /// The frame pipe to the server.

@@ -26,15 +26,15 @@
 //! * [`threaded`] — the engine over real OS threads and the wire
 //!   [`protocol`], with deadline-based I/O, bounded retries and local
 //!   fallback when the server misbehaves.
-//! * [`fault`] — deterministic fault injection for the wire runtime
-//!   (scripted per-frame drop/delay/corrupt/duplicate).
 //! * [`transport`] — the real-socket transport: TCP / Unix-domain-socket
 //!   implementations of [`threaded::FrameChannel`] with length-prefixed
 //!   framing, and the [`transport::SocketServer`] behind `loadpart serve`
 //!   so server and clients run as separate OS processes.
-//! * [`emulator`] — the deterministic link emulator that generalizes
-//!   fault injection: latency, jitter, token-bucket rate limiting,
-//!   periodic stalls and connection resets over any frame channel.
+//! * [`emulator`] — the one client-side fault layer: a deterministic
+//!   link emulator over any frame channel that scripts per-frame drop,
+//!   delay, corruption and duplication, models latency, jitter,
+//!   token-bucket rate limiting, periodic stalls and connection resets,
+//!   and goes dark while a shared outage switch is on.
 //! * [`multi_client`] — N engines sharing one GPU simulator.
 //! * [`policy`] — the pluggable decision layer: the
 //!   [`policy::PartitionPolicy`] trait every decision site dispatches
@@ -93,7 +93,6 @@ pub mod compare;
 pub mod emulator;
 pub mod energy;
 pub mod engine;
-pub mod fault;
 pub mod multi_client;
 pub mod policy;
 pub mod pool;
@@ -108,62 +107,39 @@ pub mod transport;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
 pub use algorithm::{Decision, PartitionSolver};
-pub use baselines::{min_cut_partition, MinCutResult, Policy};
+pub use baselines::{min_cut_partition, Policy};
 pub use cache::PartitionCache;
-pub use chaos::{chaos_run, ChaosConfig, ChaosReport, ChaosTransport, ClientSummary};
+pub use chaos::{chaos_run, ChaosConfig, ChaosTransport};
 pub use cluster::{
     cluster_chaos_run, ClusterChaosConfig, ClusterChaosReport, ClusterEngine, ClusterLink,
-    ClusterProfile, ClusterServerSummary, ClusterTransport, GatedChannel, OutageSwitch, RouteInfo,
-    ServerSpec, ServerStatus,
+    ClusterTransport, RouteInfo,
 };
-pub use compare::{
-    compare_policies, run_scenario, CompareConfig, CompareReport, PolicyResult, ScenarioKind,
-    ScenarioResult,
-};
-pub use emulator::{EmulatedLink, LinkSpec, LinkStats};
-pub use energy::{decide_energy, EnergyDecision, PowerModel};
+pub use compare::{compare_policies, run_scenario, CompareConfig, ScenarioKind, ScenarioResult};
+pub use emulator::{EmulatedLink, FaultAction, FaultPlan, LinkSpec, OutageSwitch};
+pub use energy::{decide_energy, PowerModel};
 pub use engine::{
-    BreakerState, CircuitBreaker, ConfigError, DeviceExecutor, EngineConfig, InferenceRecord,
-    OffloadEngine, Outcome, PendingRequest, RuntimeProfile, ServerBackend, SuffixOutcome,
-    SuffixRequest, Transport, WireGate,
+    BreakerState, CircuitBreaker, EngineConfig, InferenceRecord, OffloadEngine, Outcome, Transport,
+    WireGate,
 };
-pub use fault::{FaultAction, FaultInjector, FaultPlan};
 pub use lp_graph::{
     quantized_tensor_bytes, quantized_transmission_series, AccuracyModel, Precision,
 };
 pub use multi_client::{
-    multi_client_run, multi_client_run_with_telemetry, ClientOutcomes, MultiClientConfig,
-    MultiClientReport,
+    multi_client_run, multi_client_run_with_telemetry, MultiClientConfig, MultiClientReport,
 };
-pub use policy::{
-    BanditConfig, BanditPolicy, MemoPolicy, OracleCell, OraclePolicy, PartitionPolicy,
-    PolicyContext,
-};
+pub use policy::{BanditConfig, BanditPolicy, MemoPolicy, PartitionPolicy, PolicyContext};
 pub use protocol::{framing_bytes_copied, Frame, Message, ProtocolError, PROTOCOL_VERSION};
-pub use quant::{
-    dequantize_into, payload_len, quantize_into, round_trip_bound, QuantError, QuantPolicy,
-    DEFAULT_ACCURACY_BUDGET,
-};
+pub use quant::{dequantize_into, quantize_into, QuantPolicy, DEFAULT_ACCURACY_BUDGET};
 pub use scenario::{
-    bandwidth_sweep, load_timeline, load_timeline_with_telemetry, LoadPhase, SweepPoint,
-    TimelinePoint,
+    bandwidth_sweep, load_timeline, load_timeline_with_telemetry, LoadPhase, TimelinePoint,
 };
-pub use serving_bench::{
-    fleet_bench, serving_bench, BenchConfig, BenchPoint, BenchReport, BenchTransport, FleetConfig,
-    FleetPoint, FleetReport,
-};
+pub use serving_bench::{fleet_bench, serving_bench, BenchConfig, BenchTransport, FleetConfig};
 pub use system::{OffloadingSystem, SystemConfig, Testbed};
-pub use telemetry::{
-    JsonlSink, MetricsRegistry, MetricsSnapshot, RingSink, SpanEvent, SpanKind, Telemetry,
-    TraceSink,
-};
+pub use telemetry::{JsonlSink, MetricsSnapshot, RingSink, SpanKind, Telemetry};
 pub use threaded::{
-    spawn_server, spawn_server_full, spawn_server_instrumented, spawn_server_tuned,
-    spawn_server_with_faults, ClientConn, FrameChannel, LoadEnv, ServerFaultSpec, ServerHandle,
+    spawn_server, spawn_server_tuned, FrameChannel, LoadEnv, ServerFaultSpec, ServerHandle,
     ServerTuning, StallWindow, ThreadedClient,
 };
 #[cfg(unix)]
 pub use transport::UdsFrameChannel;
-pub use transport::{
-    default_shards, measure_bandwidth, SocketChannel, SocketServer, TcpFrameChannel,
-};
+pub use transport::{default_shards, measure_bandwidth, SocketServer, TcpFrameChannel};

@@ -308,6 +308,11 @@ impl Message {
         if frame.payload.is_empty() {
             return Message::decode(frame.header);
         }
+        if let Some(&version) = frame.header.first().filter(|&&v| v != PROTOCOL_VERSION) {
+            // A foreign version (a corrupted frame) is rejected from the
+            // header alone, as the contiguous decoder would reject it.
+            return Err(ProtocolError::BadVersion(version));
+        }
         let mut buf = frame.header.clone();
         if buf.remaining() >= 2 && buf[0] == PROTOCOL_VERSION {
             buf.advance(1);

@@ -40,13 +40,13 @@
 //!   watermark, which the predicted queue delay (and so load shedding) is
 //!   computed from.
 //!
-//! Every client-side wire operation is **deadline-based** ([`FrameChannel`]
-//! / [`ServerHandle::recv_frame_timeout`]): a stalled or dead server yields
+//! Every client-side wire operation is **deadline-based**
+//! ([`FrameChannel::recv_deadline`]): a stalled or dead server yields
 //! [`ProtocolError::Timeout`] / [`ProtocolError::Disconnected`] instead of
 //! a hang or a panic, and the engine degrades to local inference. The
-//! [`ServerFaultSpec`] passed to [`spawn_server_with_faults`] scripts
-//! server crashes and stalls deterministically for tests and demos; the
-//! client-side counterpart is [`crate::fault::FaultInjector`].
+//! [`ServerFaultSpec`] passed to [`spawn_server_tuned`] scripts server
+//! crashes and stalls deterministically for tests and demos; the
+//! client-side counterpart is [`crate::emulator::EmulatedLink`].
 //!
 //! Tests are deterministic, but the concurrency — the shared core behind
 //! its lock, `std::sync::mpsc` channels, graceful shutdown — is real.
@@ -65,7 +65,7 @@ use lp_profiler::{LoadFactorTracker, PredictionModels};
 use lp_sim::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvError, RecvTimeoutError, SendError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -77,8 +77,9 @@ const RECV_TICK: SimDuration = SimDuration::from_millis(100);
 /// A bidirectional frame pipe the client-side wire backends speak over.
 ///
 /// [`ServerHandle`] implements it directly;
-/// [`crate::fault::FaultInjector`] wraps any implementation to inject
-/// scripted faults between the engine and the real channel.
+/// [`crate::emulator::EmulatedLink`] wraps any implementation to inject
+/// scripted faults and link timing between the engine and the real
+/// channel.
 pub trait FrameChannel {
     /// Sends one frame toward the server.
     ///
@@ -98,10 +99,10 @@ pub trait FrameChannel {
     /// Sends one header/payload [`Frame`] toward the server.
     ///
     /// The default flattens to the contiguous encoding and uses
-    /// [`FrameChannel::send`], so existing implementations (fault
-    /// injectors, test middleboxes) keep working unchanged; the in-process
-    /// channel endpoints override this to pass both segments through
-    /// zero-copy.
+    /// [`FrameChannel::send`], so an implementation that speaks only
+    /// contiguous bytes (a test middlebox) still works; the channel
+    /// endpoints, the socket channels and the link emulator override this
+    /// to pass both segments through zero-copy.
     ///
     /// # Errors
     ///
@@ -114,9 +115,9 @@ pub trait FrameChannel {
     /// profiler refresh's probes and load query, pipelined.
     ///
     /// The default calls [`FrameChannel::send_split`] once per frame, so
-    /// per-frame middleboxes (fault injectors, link emulators, tracers)
-    /// see, index and perturb every frame exactly as if it were sent
-    /// alone. Socket channels override this with one gathered write.
+    /// per-frame middleboxes (the link emulator, tracers) see, index and
+    /// perturb every frame exactly as if it were sent alone. Socket
+    /// channels override this with one gathered write.
     ///
     /// # Errors
     ///
@@ -262,7 +263,7 @@ impl StallWindow {
     }
 }
 
-/// Deterministic server-side fault script for [`spawn_server_with_faults`]:
+/// Deterministic server-side fault script for [`spawn_server_tuned`]:
 /// crash and stall behaviour keyed by received-frame counts, so tests can
 /// place a fault at an exact point in the session without wall-clock
 /// randomness. The count runs over every session — channel and socket
@@ -291,7 +292,7 @@ pub struct ServerFaultSpec {
 /// tracker still *measures* it from the observed/predicted ratio, which is
 /// the §III-C mechanism.
 ///
-/// All spawn entry points accept the graph as either an owned
+/// Both spawn entry points accept the graph as either an owned
 /// [`ComputationGraph`] or an `Arc<ComputationGraph>`; pass an `Arc` clone
 /// to share one model between the server and every client engine.
 #[must_use]
@@ -300,18 +301,15 @@ pub fn spawn_server(
     edge_models: PredictionModels,
     k_factor: f64,
 ) -> ServerHandle {
-    spawn_server_with_faults(graph, edge_models, k_factor, ServerFaultSpec::default())
-}
-
-/// [`spawn_server`] plus a deterministic fault script ([`ServerFaultSpec`]).
-#[must_use]
-pub fn spawn_server_with_faults(
-    graph: impl Into<Arc<ComputationGraph>>,
-    edge_models: PredictionModels,
-    k_factor: f64,
-    faults: ServerFaultSpec,
-) -> ServerHandle {
-    spawn_server_instrumented(graph, edge_models, k_factor, faults, &Telemetry::disabled())
+    spawn_server_tuned(
+        graph,
+        edge_models,
+        LoadEnv::new(k_factor),
+        ServerFaultSpec::default(),
+        None,
+        &Telemetry::disabled(),
+        ServerTuning::default(),
+    )
 }
 
 /// Pre-registered instrument handles for the server core; `None` when the
@@ -347,29 +345,8 @@ impl ServerMetrics {
     }
 }
 
-/// [`spawn_server_with_faults`] plus an observability handle: the server
-/// counts its frame traffic under `server.*` in `telemetry`'s registry
-/// (shared with whatever client-side engine observes the same run).
-#[must_use]
-pub fn spawn_server_instrumented(
-    graph: impl Into<Arc<ComputationGraph>>,
-    edge_models: PredictionModels,
-    k_factor: f64,
-    faults: ServerFaultSpec,
-    telemetry: &Telemetry,
-) -> ServerHandle {
-    spawn_server_full(
-        graph,
-        edge_models,
-        LoadEnv::new(k_factor),
-        faults,
-        None,
-        telemetry,
-    )
-}
-
 /// Tuning knobs for the serving hot path, consumed by
-/// [`spawn_server_tuned`]. [`spawn_server_full`] uses the default.
+/// [`spawn_server_tuned`]. [`spawn_server`] uses the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerTuning {
     /// Wall-clock cost charged per suffix execution on the thread that
@@ -415,36 +392,6 @@ impl ServerTuning {
 /// far under the protocol's payload cap, so encoding cannot fail here.
 fn reply_frame(reply: &Message) -> Frame {
     reply.to_frame().expect("server reply fits a frame")
-}
-
-/// The fully-general server spawn: a scriptable [`LoadEnv`], a
-/// deterministic fault script, optional [admission control](crate::admission)
-/// and telemetry. `None` for `admission` means the unbounded budget — the
-/// pre-admission-control behaviour.
-///
-/// The server's logical clock advances `RECV_TICK` (100 ms) per received
-/// frame;
-/// execution time accumulates only in the admission controller's backlog
-/// watermark, which is what the predicted queue delay (and therefore load
-/// shedding) is computed from.
-#[must_use]
-pub fn spawn_server_full(
-    graph: impl Into<Arc<ComputationGraph>>,
-    edge_models: PredictionModels,
-    env: LoadEnv,
-    faults: ServerFaultSpec,
-    admission: Option<AdmissionConfig>,
-    telemetry: &Telemetry,
-) -> ServerHandle {
-    spawn_server_tuned(
-        graph,
-        edge_models,
-        env,
-        faults,
-        admission,
-        telemetry,
-        ServerTuning::default(),
-    )
 }
 
 /// How service ended.
@@ -782,9 +729,18 @@ impl Drop for ServingGuard<'_> {
     }
 }
 
-/// [`spawn_server_full`] with explicit [`ServerTuning`] — the entry point
-/// the benchmark harnesses use to set the injected suffix cost and
-/// batching depth.
+/// The fully-general server spawn: a scriptable [`LoadEnv`], a
+/// deterministic fault script, optional [admission control](crate::admission),
+/// telemetry and [`ServerTuning`]. `None` for `admission` means the
+/// unbounded budget — the pre-admission-control behaviour. With telemetry
+/// enabled the server counts its frame traffic under `server.*` in its
+/// registry (shared with whatever client-side engine observes the same
+/// run).
+///
+/// The server's logical clock advances `RECV_TICK` (100 ms) per received
+/// frame; execution time accumulates only in the admission controller's
+/// backlog watermark, which is what the predicted queue delay (and
+/// therefore load shedding) is computed from.
 #[must_use]
 pub fn spawn_server_tuned(
     graph: impl Into<Arc<ComputationGraph>>,
@@ -905,23 +861,6 @@ fn predicted_suffix(models: &PredictionModels, graph: &ComputationGraph, p: usiz
 }
 
 impl ServerHandle {
-    /// Sends a raw frame to the server as session 0 (used by the client
-    /// and by fault-injection tests).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the server thread has exited.
-    pub fn send_frame(&self, frame: Bytes) -> Result<(), SendError<Bytes>> {
-        self.tx
-            .send(ToServer::Frame(0, Frame::from_contiguous(frame)))
-            .map_err(|e| {
-                let ToServer::Frame(_, frame) = e.0 else {
-                    unreachable!("send_frame only wraps frames");
-                };
-                SendError(frame.flatten())
-            })
-    }
-
     /// Opens an additional client session with its own reply channel.
     /// Frames sent over the returned [`ClientConn`] are answered on that
     /// session's channel only, so concurrent clients never steal each
@@ -960,33 +899,6 @@ impl ServerHandle {
             .unwrap_or(Err(ProtocolError::ServerPanicked))
     }
 
-    /// Receives the next frame from the server, blocking indefinitely.
-    /// Client-side request paths must use [`Self::recv_frame_timeout`] (or
-    /// the [`FrameChannel`] deadline API) instead, so a stalled server
-    /// cannot hang them.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the server thread has exited and drained.
-    pub fn recv_frame(&self) -> Result<Bytes, RecvError> {
-        self.rx.recv().map(Frame::flatten)
-    }
-
-    /// Receives the next frame from the server, waiting at most `timeout`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Timeout`] when nothing arrives in time,
-    /// [`ProtocolError::Disconnected`] when the server thread has exited
-    /// and the channel drained.
-    pub fn recv_frame_timeout(&self, timeout: Duration) -> Result<Bytes, ProtocolError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(frame) => Ok(frame.flatten()),
-            Err(RecvTimeoutError::Timeout) => Err(ProtocolError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(ProtocolError::Disconnected),
-        }
-    }
-
     /// Shuts the server down and returns how many offload requests it
     /// served. A panicked serving thread is reported as
     /// [`ProtocolError::ServerPanicked`] instead of propagating the panic
@@ -996,19 +908,18 @@ impl ServerHandle {
     ///
     /// [`ProtocolError::ServerPanicked`] when a serving thread panicked.
     pub fn shutdown(self) -> Result<u64, ProtocolError> {
-        let _ = self.send_frame(Message::Shutdown.encode().expect("no payload"));
+        let _ = self.send(Message::Shutdown.encode().expect("no payload"));
         self.wait()
     }
 }
 
 impl FrameChannel for ServerHandle {
     fn send(&self, frame: Bytes) -> Result<(), ProtocolError> {
-        self.send_frame(frame)
-            .map_err(|_| ProtocolError::Disconnected)
+        self.send_split(Frame::from_contiguous(frame))
     }
 
     fn recv_deadline(&self, deadline: Instant) -> Result<Bytes, ProtocolError> {
-        self.recv_frame_timeout(deadline.saturating_duration_since(Instant::now()))
+        self.recv_split_deadline(deadline).map(Frame::flatten)
     }
 
     fn send_split(&self, frame: Frame) -> Result<(), ProtocolError> {
@@ -1117,8 +1028,8 @@ impl ThreadedClient {
     }
 
     /// Installs an observability handle on the underlying engine. Pass the
-    /// same handle to [`spawn_server_instrumented`] to see client and
-    /// server sides of one session in a single registry.
+    /// same handle to [`spawn_server_tuned`] to see client and server
+    /// sides of one session in a single registry.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.engine.set_telemetry(telemetry);
     }
@@ -1189,6 +1100,25 @@ mod tests {
         MODELS.get_or_init(|| crate::system::trained_models(150, 42))
     }
 
+    /// An alexnet server running the fault script `faults`.
+    fn faulty_server(faults: ServerFaultSpec) -> ServerHandle {
+        let (_, edge) = models();
+        spawn_server_tuned(
+            lp_models::alexnet(1),
+            edge.clone(),
+            LoadEnv::new(1.0),
+            faults,
+            None,
+            &Telemetry::disabled(),
+            ServerTuning::default(),
+        )
+    }
+
+    /// The next reply to session 0, waiting at most `wait`.
+    fn reply_within(server: &ServerHandle, wait: Duration) -> Result<Bytes, ProtocolError> {
+        server.recv_deadline(Instant::now() + wait)
+    }
+
     #[test]
     fn offload_round_trip_over_threads() {
         let (user, edge) = models();
@@ -1249,11 +1179,11 @@ mod tests {
         let server = spawn_server(graph.clone(), edge.clone(), 1.0);
         // Garbage, truncated and wrong-version frames must not kill it.
         server
-            .send_frame(Bytes::from_static(b"\xffgarbage"))
+            .send(Bytes::from_static(b"\xffgarbage"))
             .expect("alive");
-        server.send_frame(Bytes::new()).expect("alive");
+        server.send(Bytes::new()).expect("alive");
         server
-            .send_frame(Bytes::from_static(&[9, 1, 2, 3]))
+            .send(Bytes::from_static(&[9, 1, 2, 3]))
             .expect("alive");
         let mut client = ThreadedClient::new(graph, user, edge);
         let r = client.infer(&server, 8.0).expect("still serving");
@@ -1267,7 +1197,7 @@ mod tests {
         let graph = lp_models::alexnet(1);
         let server = spawn_server(graph, edge.clone(), 1.0);
         server
-            .send_frame(
+            .send(
                 Message::Probe {
                     payload: Bytes::from(vec![0u8; 1024]),
                 }
@@ -1275,7 +1205,8 @@ mod tests {
                 .expect("encodes"),
             )
             .expect("alive");
-        let ack = Message::decode(server.recv_frame().expect("alive")).expect("valid");
+        let ack = Message::decode(reply_within(&server, Duration::from_secs(5)).expect("alive"))
+            .expect("valid");
         assert_eq!(ack, Message::ProbeAck);
         server.shutdown().expect("clean shutdown");
     }
@@ -1308,17 +1239,17 @@ mod tests {
         let server = spawn_server(graph, edge.clone(), 1.0);
         // Nothing was sent: a bounded wait must end in Timeout, not a hang.
         assert_eq!(
-            server.recv_frame_timeout(Duration::from_millis(10)),
+            reply_within(&server, Duration::from_millis(10)),
             Err(ProtocolError::Timeout)
         );
         // Kill the server thread; the channel now reports Disconnected.
         server
-            .send_frame(Message::Shutdown.encode().expect("encodes"))
+            .send(Message::Shutdown.encode().expect("encodes"))
             .expect("alive");
         // Wait for the thread to exit by joining via a fresh handle scope.
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(
-            server.recv_frame_timeout(Duration::from_millis(10)),
+            reply_within(&server, Duration::from_millis(10)),
             Err(ProtocolError::Disconnected)
         );
     }
@@ -1345,9 +1276,11 @@ mod tests {
         let mut last_k = f64::NAN;
         for _ in 0..60 {
             server
-                .send_frame(Message::LoadQuery.encode().expect("encodes"))
+                .send(Message::LoadQuery.encode().expect("encodes"))
                 .expect("alive");
-            match Message::decode(server.recv_frame().expect("alive")).expect("valid") {
+            match Message::decode(reply_within(&server, Duration::from_secs(5)).expect("alive"))
+                .expect("valid")
+            {
                 Message::LoadReply { k_micro } => last_k = Message::micro_to_k(k_micro),
                 other => panic!("unexpected {other:?}"),
             }
@@ -1358,21 +1291,14 @@ mod tests {
 
     #[test]
     fn scripted_crash_disconnects_both_directions() {
-        let (_, edge) = models();
-        let graph = lp_models::alexnet(1);
-        let server = spawn_server_with_faults(
-            graph,
-            edge.clone(),
-            1.0,
-            ServerFaultSpec {
-                crash_after_frames: Some(1),
-                ..ServerFaultSpec::default()
-            },
-        );
+        let server = faulty_server(ServerFaultSpec {
+            crash_after_frames: Some(1),
+            ..ServerFaultSpec::default()
+        });
         // Frame 1 is served; frame 2 crosses the threshold and kills the
         // thread without a reply.
         server
-            .send_frame(
+            .send(
                 Message::Probe {
                     payload: Bytes::new(),
                 }
@@ -1381,75 +1307,59 @@ mod tests {
             )
             .expect("alive");
         assert_eq!(
-            Message::decode(server.recv_frame().expect("alive")).expect("valid"),
+            Message::decode(reply_within(&server, Duration::from_secs(5)).expect("alive"))
+                .expect("valid"),
             Message::ProbeAck
         );
         server
-            .send_frame(Message::LoadQuery.encode().expect("encodes"))
+            .send(Message::LoadQuery.encode().expect("encodes"))
             .expect("queued");
         assert_eq!(
-            server.recv_frame_timeout(Duration::from_secs(1)),
+            reply_within(&server, Duration::from_secs(1)),
             Err(ProtocolError::Disconnected)
         );
     }
 
     #[test]
     fn scripted_stall_swallows_the_window_then_recovers() {
-        let (_, edge) = models();
-        let graph = lp_models::alexnet(1);
-        let server = spawn_server_with_faults(
-            graph,
-            edge.clone(),
-            1.0,
-            ServerFaultSpec {
-                stall: Some(StallWindow {
-                    after_frames: 0,
-                    frames: 2,
-                }),
-                ..ServerFaultSpec::default()
-            },
-        );
+        let server = faulty_server(ServerFaultSpec {
+            stall: Some(StallWindow {
+                after_frames: 0,
+                frames: 2,
+            }),
+            ..ServerFaultSpec::default()
+        });
         // Frames 0 and 1 go unanswered; frame 2 is served again.
         for _ in 0..2 {
             server
-                .send_frame(Message::LoadQuery.encode().expect("encodes"))
+                .send(Message::LoadQuery.encode().expect("encodes"))
                 .expect("alive");
             assert_eq!(
-                server.recv_frame_timeout(Duration::from_millis(50)),
+                reply_within(&server, Duration::from_millis(50)),
                 Err(ProtocolError::Timeout)
             );
         }
         server
-            .send_frame(Message::LoadQuery.encode().expect("encodes"))
+            .send(Message::LoadQuery.encode().expect("encodes"))
             .expect("alive");
-        let reply = Message::decode(
-            server
-                .recv_frame_timeout(Duration::from_secs(1))
-                .expect("served again"),
-        )
-        .expect("valid");
+        let reply =
+            Message::decode(reply_within(&server, Duration::from_secs(1)).expect("served again"))
+                .expect("valid");
         assert!(matches!(reply, Message::LoadReply { .. }));
         server.shutdown().expect("clean shutdown");
     }
 
     #[test]
     fn scripted_panic_is_reported_not_propagated() {
-        let (_, edge) = models();
-        let graph = lp_models::alexnet(1);
-        let server = spawn_server_with_faults(
-            graph,
-            edge.clone(),
-            1.0,
-            ServerFaultSpec {
-                panic_after_frames: Some(1),
-                ..ServerFaultSpec::default()
-            },
-        );
+        let server = faulty_server(ServerFaultSpec {
+            panic_after_frames: Some(1),
+            ..ServerFaultSpec::default()
+        });
         // Frame 1 is served; frame 2 (the shutdown itself) crosses the
         // threshold and panics the thread. The teardown path must surface
         // that as an error, not a propagated panic.
         server
-            .send_frame(
+            .send(
                 Message::Probe {
                     payload: Bytes::new(),
                 }
@@ -1458,7 +1368,8 @@ mod tests {
             )
             .expect("alive");
         assert_eq!(
-            Message::decode(server.recv_frame().expect("alive")).expect("valid"),
+            Message::decode(reply_within(&server, Duration::from_secs(5)).expect("alive"))
+                .expect("valid"),
             Message::ProbeAck
         );
         assert_eq!(server.shutdown(), Err(ProtocolError::ServerPanicked));
@@ -1479,19 +1390,15 @@ mod tests {
                 .expect("alive");
         }
         server
-            .send_frame(Message::LoadQuery.encode().expect("encodes"))
+            .send(Message::LoadQuery.encode().expect("encodes"))
             .expect("alive");
         let deadline = Instant::now() + Duration::from_secs(1);
         for conn in [&a, &b] {
             let reply = Message::decode(conn.recv_deadline(deadline).expect("routed")).expect("ok");
             assert!(matches!(reply, Message::LoadReply { .. }));
         }
-        let reply = Message::decode(
-            server
-                .recv_frame_timeout(Duration::from_secs(1))
-                .expect("routed"),
-        )
-        .expect("ok");
+        let reply = Message::decode(reply_within(&server, Duration::from_secs(1)).expect("routed"))
+            .expect("ok");
         assert!(matches!(reply, Message::LoadReply { .. }));
         server.shutdown().expect("clean shutdown");
     }
@@ -1500,7 +1407,7 @@ mod tests {
     fn admission_rejects_over_the_wire() {
         let (_, edge) = models();
         let graph = lp_models::alexnet(1);
-        let server = spawn_server_full(
+        let server = spawn_server_tuned(
             graph,
             edge.clone(),
             LoadEnv::new(1.0),
@@ -1511,9 +1418,10 @@ mod tests {
                 max_batch: 1,
             }),
             &Telemetry::disabled(),
+            ServerTuning::default(),
         );
         server
-            .send_frame(
+            .send(
                 Message::OffloadRequest {
                     request_id: 7,
                     partition_point: 5,
@@ -1524,12 +1432,9 @@ mod tests {
                 .expect("encodes"),
             )
             .expect("alive");
-        let reply = Message::decode(
-            server
-                .recv_frame_timeout(Duration::from_secs(1))
-                .expect("answered"),
-        )
-        .expect("valid");
+        let reply =
+            Message::decode(reply_within(&server, Duration::from_secs(1)).expect("answered"))
+                .expect("valid");
         match reply {
             Message::Rejected { request_id, .. } => assert_eq!(request_id, 7),
             other => panic!("expected rejection, got {other:?}"),
@@ -1546,13 +1451,14 @@ mod tests {
         let (user, edge) = models();
         let graph = lp_models::alexnet(1);
         let env = LoadEnv::new(1.0);
-        let server = spawn_server_full(
+        let server = spawn_server_tuned(
             graph.clone(),
             edge.clone(),
             env.clone(),
             ServerFaultSpec::default(),
             None,
             &Telemetry::disabled(),
+            ServerTuning::default(),
         );
         let mut client = ThreadedClient::new(graph, user, edge);
         client.infer(&server, 8.0).expect("ok");

@@ -24,9 +24,9 @@ use loadpart::engine::backends::{SimulatedDevice, WireBackend, WireTransport};
 use loadpart::policy::build_named;
 use loadpart::{
     cluster_chaos_run, spawn_server_tuned, AdmissionConfig, ClusterChaosConfig, ClusterChaosReport,
-    ClusterEngine, ClusterLink, EngineConfig, FrameChannel, GatedChannel, InferenceRecord, LoadEnv,
-    OffloadEngine, OutageSwitch, Outcome, RouteInfo, ServerFaultSpec, ServerHandle, ServerTuning,
-    Telemetry,
+    ClusterEngine, ClusterLink, EmulatedLink, EngineConfig, FrameChannel, InferenceRecord,
+    LinkSpec, LoadEnv, OffloadEngine, OutageSwitch, Outcome, RouteInfo, ServerFaultSpec,
+    ServerHandle, ServerTuning, Telemetry,
 };
 use lp_hardware::DeviceModel;
 use lp_profiler::PredictionModels;
@@ -94,6 +94,15 @@ fn cluster_over(
         links,
     )
     .expect("valid cluster")
+}
+
+/// `conn`, dark while `switch` is on.
+fn gated(conn: Box<dyn FrameChannel>, switch: &OutageSwitch) -> Box<dyn FrameChannel> {
+    let spec = LinkSpec {
+        outage: Some(switch.clone()),
+        ..LinkSpec::default()
+    };
+    Box::new(EmulatedLink::new(conn, spec))
 }
 
 /// Drives `rounds` requests one second apart, returning records + routes.
@@ -232,7 +241,7 @@ fn probe_failure_on_one_server_does_not_cooldown_the_other() {
         ClusterLink {
             name: "dead".into(),
             bandwidth_mbps: 8.0,
-            conn: Box::new(GatedChannel::new(Box::new(dead.connect()), switch.clone())),
+            conn: gated(Box::new(dead.connect()), &switch),
         },
         ClusterLink {
             name: "healthy".into(),
@@ -363,10 +372,7 @@ fn retry_budget_prevents_a_retry_storm() {
     let links = vec![ClusterLink {
         name: "dark".into(),
         bandwidth_mbps: 8.0,
-        conn: Box::new(GatedChannel::new(
-            Box::new(server.connect()),
-            switch.clone(),
-        )),
+        conn: gated(Box::new(server.connect()), &switch),
     }];
     let mut cluster = ClusterEngine::new(
         Arc::new(lp_models::alexnet(1)),

@@ -479,7 +479,7 @@ fn parallel_server_replays_bit_identically_under_a_fixed_seed() {
 /// fallback.
 #[test]
 fn shed_requests_emit_the_same_span_sequence() {
-    use loadpart::{spawn_server_full, AdmissionConfig, EngineConfig, LoadEnv, ServerFaultSpec};
+    use loadpart::{AdmissionConfig, EngineConfig, LoadEnv, ServerFaultSpec};
 
     let (user, edge) = models();
     let graph = lp_models::alexnet(1);
@@ -508,13 +508,14 @@ fn shed_requests_emit_the_same_span_sequence() {
     assert_eq!(r.server, SimDuration::ZERO, "no suffix ran on the server");
 
     let wire_sink = RingSink::new(64);
-    let server = spawn_server_full(
+    let server = spawn_server_tuned(
         graph.clone(),
         edge.clone(),
         LoadEnv::new(1.0),
         ServerFaultSpec::default(),
         Some(admission),
         &Telemetry::disabled(),
+        ServerTuning::default(),
     );
     let mut client = ThreadedClient::new(graph.clone(), user, edge);
     client.set_telemetry(Telemetry::enabled().with_sink(wire_sink.clone()));
@@ -538,13 +539,14 @@ fn shed_requests_emit_the_same_span_sequence() {
     // A hair-trigger breaker adds its transition span between the
     // rejection and the finish — the only schema difference breakers make.
     let breaker_sink = RingSink::new(64);
-    let server = spawn_server_full(
+    let server = spawn_server_tuned(
         graph.clone(),
         edge.clone(),
         LoadEnv::new(1.0),
         ServerFaultSpec::default(),
         Some(admission),
         &Telemetry::disabled(),
+        ServerTuning::default(),
     );
     let mut client = ThreadedClient::with_config(
         graph,

@@ -6,8 +6,9 @@
 //! faults degrade the request to local execution (`fallback_local` on the
 //! record) and start a cooldown; once the fault clears, offloading resumes.
 //!
-//! Client-side faults are injected with [`FaultInjector`] (a scripted
-//! middlebox between the engine and the server channel); server-side crash
+//! Client-side faults are injected by an [`EmulatedLink`] running a
+//! [`FaultPlan`] (a scripted middlebox between the engine and the server
+//! channel); server-side crash
 //! and stall scripts ride in [`ServerFaultSpec`]. Frame indices below
 //! follow the client's per-request send order at steady state — probe (0)
 //! and load query (1), which leave together as one pipelined refresh, then
@@ -15,10 +16,10 @@
 //! both, so each refresh attempt is two frames, and one whose probe was
 //! lost still sends (and gets answered) its query.
 
-use loadpart::fault::{FaultAction, FaultInjector, FaultPlan};
 use loadpart::{
-    spawn_server, spawn_server_with_faults, EngineConfig, InferenceRecord, ServerFaultSpec,
-    StallWindow, ThreadedClient,
+    spawn_server, spawn_server_tuned, EmulatedLink, EngineConfig, FaultAction, FaultPlan,
+    FrameChannel, InferenceRecord, LinkSpec, LoadEnv, ServerFaultSpec, ServerHandle, ServerTuning,
+    StallWindow, Telemetry, ThreadedClient,
 };
 use lp_profiler::PredictionModels;
 use std::sync::OnceLock;
@@ -46,6 +47,31 @@ fn fast_client(graph: lp_graph::ComputationGraph) -> ThreadedClient {
     .expect("valid config")
 }
 
+/// A plain link to `server` that executes the client-side fault `plan`.
+fn faulty<C: FrameChannel>(server: &C, plan: FaultPlan) -> EmulatedLink<&C> {
+    EmulatedLink::new(
+        server,
+        LinkSpec {
+            faults: plan,
+            ..LinkSpec::default()
+        },
+    )
+}
+
+/// A server for `graph` running the server-side fault script `faults`.
+fn faulty_server(graph: lp_graph::ComputationGraph, faults: ServerFaultSpec) -> ServerHandle {
+    let (_, edge) = models();
+    spawn_server_tuned(
+        graph,
+        edge.clone(),
+        LoadEnv::new(1.0),
+        faults,
+        None,
+        &Telemetry::disabled(),
+        ServerTuning::default(),
+    )
+}
+
 const N: usize = 27; // alexnet node count: p == N means fully local
 
 #[test]
@@ -56,7 +82,7 @@ fn dropped_offload_request_is_absorbed_by_a_retry() {
     let mut client = fast_client(graph);
     // The first offload request (send frame 2) vanishes; the retry lands.
     let plan = FaultPlan::new().on_send(2, FaultAction::Drop);
-    let inj = FaultInjector::new(&server, plan);
+    let inj = faulty(&server, plan);
     let r = client.infer(&inj, 8.0).expect("absorbed");
     assert!(r.offloaded(), "retry must complete the offload");
     assert!(!r.fallback_local);
@@ -76,7 +102,7 @@ fn persistent_drops_degrade_locally_then_recover() {
         .on_send(2, FaultAction::Drop)
         .on_send(3, FaultAction::Drop)
         .on_send(4, FaultAction::Drop);
-    let inj = FaultInjector::new(&server, plan);
+    let inj = faulty(&server, plan);
 
     let r0 = client.infer(&inj, 8.0).expect("no panic");
     assert!(
@@ -111,7 +137,7 @@ fn reply_delayed_past_the_deadline_is_recovered_as_stale() {
     // The offload response (recv frame 2) crosses the deadline; it lands
     // late, during the retry's receive, and still matches the request id.
     let plan = FaultPlan::new().on_recv(2, FaultAction::Delay);
-    let inj = FaultInjector::new(&server, plan);
+    let inj = faulty(&server, plan);
     let r0 = client.infer(&inj, 8.0).expect("no panic");
     assert!(r0.offloaded() && !r0.fallback_local);
     assert_eq!(r0.retries, 1, "one timed-out exchange");
@@ -140,7 +166,7 @@ fn corrupt_frames_in_both_directions_are_retried() {
     let plan = FaultPlan::new()
         .on_send(1, FaultAction::Corrupt)
         .on_recv(3, FaultAction::Corrupt);
-    let inj = FaultInjector::new(&server, plan);
+    let inj = faulty(&server, plan);
     let r = client.infer(&inj, 8.0).expect("no panic");
     assert!(r.offloaded() && !r.fallback_local, "{r:?}");
     assert_eq!(r.retries, 2, "one refresh retry + one offload retry");
@@ -157,7 +183,7 @@ fn duplicated_reply_is_drained_not_misattributed() {
     // The offload response arrives twice; the twin must not be mistaken
     // for the next request's probe ack.
     let plan = FaultPlan::new().on_recv(2, FaultAction::Duplicate);
-    let inj = FaultInjector::new(&server, plan);
+    let inj = faulty(&server, plan);
     let r0 = client.infer(&inj, 8.0).expect("no panic");
     let r1 = client.infer(&inj, 8.0).expect("twin skipped as stale");
     for r in [&r0, &r1] {
@@ -169,14 +195,14 @@ fn duplicated_reply_is_drained_not_misattributed() {
     assert_eq!(server.shutdown(), Ok(2));
 }
 
-/// Runs `requests` requests through a [`FaultInjector`] scripted with
+/// Runs `requests` requests through a link scripted with
 /// `plan`; returns the records and how many offloads the server served.
 fn scripted_session(plan: FaultPlan, requests: usize) -> (Vec<InferenceRecord>, u64) {
     let (_, edge) = models();
     let graph = lp_models::alexnet(1);
     let server = spawn_server(graph.clone(), edge.clone(), 1.0);
     let mut client = fast_client(graph);
-    let inj = FaultInjector::new(&server, plan);
+    let inj = faulty(&server, plan);
     let records = (0..requests)
         .map(|_| client.infer(&inj, 8.0).expect("no panic"))
         .collect();
@@ -242,10 +268,8 @@ fn server_crash_mid_session_falls_back_then_fresh_server_recovers() {
     let graph = lp_models::alexnet(1);
     // Request 0 consumes frames 1-3; request 1's offload request is frame
     // 6, which crosses the threshold and kills the server thread unserved.
-    let server = spawn_server_with_faults(
+    let server = faulty_server(
         graph.clone(),
-        edge.clone(),
-        1.0,
         ServerFaultSpec {
             crash_after_frames: Some(5),
             ..ServerFaultSpec::default()
@@ -278,16 +302,13 @@ fn server_crash_mid_session_falls_back_then_fresh_server_recovers() {
 
 #[test]
 fn server_stall_window_degrades_then_same_server_recovers() {
-    let (_, edge) = models();
     let graph = lp_models::alexnet(1);
     // Frames 3-8 are swallowed: request 1's three refresh attempts (probe
     // + load query each) all time out, request 2 rides out the cooldown
     // locally, and request 3 finds the server responsive again — same
     // channel, no respawn.
-    let server = spawn_server_with_faults(
+    let server = faulty_server(
         graph.clone(),
-        edge.clone(),
-        1.0,
         ServerFaultSpec {
             stall: Some(StallWindow {
                 after_frames: 3,
@@ -393,14 +414,11 @@ fn future_tag_reply_degrades_gracefully_on_an_old_decoder() {
 fn server_panic_mid_session_is_reported_at_shutdown() {
     use loadpart::ProtocolError;
 
-    let (_, edge) = models();
     let graph = lp_models::alexnet(1);
     // Frames 0-2 serve request 0; frame 3 (request 1's probe) crosses the
     // threshold and panics the server thread.
-    let server = spawn_server_with_faults(
+    let server = faulty_server(
         graph.clone(),
-        edge.clone(),
-        1.0,
         ServerFaultSpec {
             panic_after_frames: Some(3),
             ..ServerFaultSpec::default()
@@ -462,7 +480,7 @@ fn a_crash_retry_episode_never_trains_the_online_learner() {
         .on_send(2, FaultAction::Drop)
         .on_send(3, FaultAction::Drop)
         .on_send(4, FaultAction::Drop);
-    let inj = FaultInjector::new(&server, plan);
+    let inj = faulty(&server, plan);
 
     let r0 = client.infer(&inj, 8.0).expect("no panic");
     assert!(r0.fallback_local, "{r0:?}");

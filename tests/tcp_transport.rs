@@ -11,10 +11,9 @@
 //! resettable access link.
 
 use bytes::Bytes;
-use loadpart::fault::{FaultAction, FaultInjector, FaultPlan};
 use loadpart::{
-    chaos_run, spawn_server, spawn_server_tuned, spawn_server_with_faults, ChaosConfig,
-    ChaosTransport, EmulatedLink, EngineConfig, Frame, FrameChannel, LinkSpec, LoadEnv, Message,
+    chaos_run, spawn_server, spawn_server_tuned, ChaosConfig, ChaosTransport, EmulatedLink,
+    EngineConfig, FaultAction, FaultPlan, Frame, FrameChannel, LinkSpec, LoadEnv, Message,
     ProtocolError, ServerFaultSpec, ServerTuning, SocketServer, StallWindow, TcpFrameChannel,
     Telemetry, ThreadedClient,
 };
@@ -48,6 +47,17 @@ fn fast_client(graph: lp_graph::ComputationGraph) -> ThreadedClient {
 
 const N: usize = 27; // alexnet node count: p == N means fully local
 
+/// A plain link over `chan` that executes the client-side fault `plan`.
+fn faulty(chan: &TcpFrameChannel, plan: FaultPlan) -> EmulatedLink<&TcpFrameChannel> {
+    EmulatedLink::new(
+        chan,
+        LinkSpec {
+            faults: plan,
+            ..LinkSpec::default()
+        },
+    )
+}
+
 /// An alexnet server behind a loopback TCP socket, plus one connected
 /// client channel.
 fn tcp_server(k: f64) -> (SocketServer, TcpFrameChannel) {
@@ -72,13 +82,13 @@ fn offloads_end_to_end_over_tcp() {
 }
 
 /// Mirror of `dropped_offload_request_is_absorbed_by_a_retry`, with the
-/// injector wrapping the TCP channel instead of the in-process one.
+/// fault plan wrapping the TCP channel instead of the in-process one.
 #[test]
 fn dropped_offload_request_is_absorbed_by_a_retry_over_tcp() {
     let (sock, chan) = tcp_server(1.0);
     let mut client = fast_client(lp_models::alexnet(1));
     let plan = FaultPlan::new().on_send(2, FaultAction::Drop);
-    let inj = FaultInjector::new(&chan, plan);
+    let inj = faulty(&chan, plan);
     let r = client.infer(&inj, 8.0).expect("absorbed");
     assert!(r.offloaded(), "retry must complete the offload");
     assert!(!r.fallback_local);
@@ -97,7 +107,7 @@ fn persistent_drops_degrade_locally_then_recover_over_tcp() {
         .on_send(2, FaultAction::Drop)
         .on_send(3, FaultAction::Drop)
         .on_send(4, FaultAction::Drop);
-    let inj = FaultInjector::new(&chan, plan);
+    let inj = faulty(&chan, plan);
 
     let r0 = client.infer(&inj, 8.0).expect("no panic");
     assert!(
@@ -121,7 +131,7 @@ fn delayed_reply_is_recovered_as_stale_over_tcp() {
     let (sock, chan) = tcp_server(1.0);
     let mut client = fast_client(lp_models::alexnet(1));
     let plan = FaultPlan::new().on_recv(2, FaultAction::Delay);
-    let inj = FaultInjector::new(&chan, plan);
+    let inj = faulty(&chan, plan);
     let r0 = client.infer(&inj, 8.0).expect("no panic");
     assert!(r0.offloaded() && !r0.fallback_local);
     assert_eq!(r0.retries, 1, "one timed-out exchange");
@@ -144,7 +154,7 @@ fn corrupt_frames_in_both_directions_are_retried_over_tcp() {
     let plan = FaultPlan::new()
         .on_send(1, FaultAction::Corrupt)
         .on_recv(3, FaultAction::Corrupt);
-    let inj = FaultInjector::new(&chan, plan);
+    let inj = faulty(&chan, plan);
     let r = client.infer(&inj, 8.0).expect("no panic");
     assert!(r.offloaded() && !r.fallback_local, "{r:?}");
     assert_eq!(r.retries, 2, "one refresh retry + one offload retry");
@@ -583,7 +593,15 @@ fn a_cold_start_burst_is_answered_in_order() {
 /// two shards.
 fn faulty_tcp_server(faults: ServerFaultSpec) -> SocketServer {
     let (_, edge) = models();
-    let server = spawn_server_with_faults(lp_models::alexnet(1), edge.clone(), 1.0, faults);
+    let server = spawn_server_tuned(
+        lp_models::alexnet(1),
+        edge.clone(),
+        LoadEnv::new(1.0),
+        faults,
+        None,
+        &Telemetry::disabled(),
+        ServerTuning::default(),
+    );
     SocketServer::bind_tcp_sharded("127.0.0.1:0", server, 2).expect("bind loopback")
 }
 

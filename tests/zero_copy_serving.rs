@@ -1,16 +1,25 @@
-//! The tuned serving path copies no framing bytes.
+//! The serving path copies no framing bytes — nor does the fault layer.
 //!
 //! Requests leave as header/payload frames and replies come back framed
 //! by `Message::to_frame`, so an offload's tensor crosses the wire as a
-//! reference-count bump, never a memcpy. The copy counter
+//! reference-count bump, never a memcpy; the link emulator passes frames
+//! through the same way, faults and timing included. The copy counter
 //! (`framing_bytes_copied`) is process-wide, which is why this check has
-//! a test binary of its own: no other test can copy frames while it runs.
+//! a test binary of its own, and why its tests take turns: no other test
+//! can copy frames while one runs.
 
-use loadpart::{serving_bench, BenchConfig, BenchTransport};
+use loadpart::{
+    chaos_run, framing_bytes_copied, serving_bench, spawn_server, BenchConfig, BenchTransport,
+    ChaosConfig, ChaosTransport, EmulatedLink, LinkSpec, Telemetry, ThreadedClient,
+};
+use std::sync::Mutex;
 use std::time::Duration;
+
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 #[test]
 fn tuned_serving_path_copies_no_framing_bytes() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     for transport in [BenchTransport::Channel, BenchTransport::Tcp] {
         let report = serving_bench(&BenchConfig {
             client_counts: vec![1, 2],
@@ -28,4 +37,50 @@ fn tuned_serving_path_copies_no_framing_bytes() {
             assert_eq!(p.bytes_copied, 0, "{transport:?}: framing copied: {p:?}");
         }
     }
+}
+
+/// Frames cross the emulated link uncopied: a chaos soak whose clients
+/// run the default fault plans (a dropped send, a corrupted reply), over
+/// channels and over TCP, and a session through a link with latency and
+/// jitter.
+#[test]
+fn fault_layer_copies_no_framing_bytes() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (user, edge) = loadpart::system::trained_models(60, 1);
+    let graph = lp_models::alexnet(1);
+    for transport in [ChaosTransport::Channel, ChaosTransport::Tcp] {
+        let config = ChaosConfig {
+            rounds: 12,
+            transport,
+            ..ChaosConfig::default()
+        };
+        let before = framing_bytes_copied();
+        let report =
+            chaos_run(&graph, &user, &edge, &config, &Telemetry::disabled()).expect("valid");
+        let copied = framing_bytes_copied() - before;
+        let faults: u64 = report.clients.iter().map(|c| c.faults_injected).sum();
+        assert_eq!(faults, 2, "{transport:?}: both scripted faults fire");
+        assert!(report.server_served > 0, "{transport:?}: nothing offloaded");
+        assert_eq!(copied, 0, "{transport:?}: the soak copied framing bytes");
+    }
+
+    let server = spawn_server(graph.clone(), edge.clone(), 1.0);
+    let mut client = ThreadedClient::new(graph, &user, &edge);
+    let link = EmulatedLink::new(
+        &server,
+        LinkSpec {
+            latency: Duration::from_millis(1),
+            jitter: Duration::from_millis(1),
+            seed: 7,
+            ..LinkSpec::default()
+        },
+    );
+    let before = framing_bytes_copied();
+    for _ in 0..3 {
+        let r = client.infer(&link, 8.0).expect("slow but alive");
+        assert!(r.offloaded() && !r.fallback_local, "{r:?}");
+    }
+    let copied = framing_bytes_copied() - before;
+    assert_eq!(copied, 0, "the emulated link copied framing bytes");
+    assert_eq!(server.shutdown(), Ok(3));
 }
