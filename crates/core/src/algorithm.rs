@@ -11,7 +11,10 @@
 //! solver stores prefix sums of `f`, suffix sums of `M_edge` and the
 //! transmission series once per graph; each [`decide`](PartitionSolver::decide)
 //! is then a single O(n) scan that multiplies the most recent `k` onto the
-//! suffix sums — exactly the implementation the paper describes. Following
+//! suffix sums — exactly the implementation the paper describes. Each
+//! candidate's `t_p` is summed in `f64` and rounded once to nanoseconds for
+//! the comparison, and the winner's [`Decision`] is built once, after the
+//! scan. Following
 //! §IV the result-download term `s_n/B_d` is ignored by default (the output
 //! tensor is tiny); [`decide_with_download`](PartitionSolver::decide_with_download)
 //! keeps it for completeness.
@@ -38,6 +41,23 @@ pub struct Decision {
     pub server: SimDuration,
     /// Predicted download time (zero unless download is modelled).
     pub download: SimDuration,
+}
+
+/// One decision's inputs, validated, with what every candidate shares
+/// computed once: the upload rate in bytes/s, the download term in
+/// seconds (0 unless modelled) and `k`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScanInputs {
+    up_bytes_per_sec: f64,
+    download: f64,
+    k: f64,
+}
+
+/// `t_p` from its terms, summed in `f64` and rounded once to whole
+/// nanoseconds: the granularity at which Algorithm 1's `<=` compares
+/// candidates.
+fn rounded_sum([device, upload, server, download]: [f64; 4]) -> SimDuration {
+    SimDuration::from_secs_f64(device + upload + server + download)
 }
 
 /// Precomputed per-graph state for Algorithm 1.
@@ -143,30 +163,85 @@ impl PartitionSolver {
         bandwidth_down_mbps: Option<f64>,
         k: f64,
     ) -> Decision {
-        let n = self.len();
-        assert!(p <= n, "partition point out of range");
+        assert!(p <= self.len(), "partition point out of range");
+        let scan = self.scan_inputs(bandwidth_up_mbps, bandwidth_down_mbps, k);
+        self.decision_at(p, Precision::Fp32, self.transmission[p], &scan)
+    }
+
+    /// Validates one decision's inputs and hoists what every candidate
+    /// shares out of the candidate loop.
+    pub(crate) fn scan_inputs(
+        &self,
+        bandwidth_up_mbps: f64,
+        bandwidth_down_mbps: Option<f64>,
+        k: f64,
+    ) -> ScanInputs {
         assert!(bandwidth_up_mbps > 0.0, "upload bandwidth must be positive");
         assert!(k >= 1.0, "constraint (1c): k >= 1");
-        let device = self.prefix_device[p];
-        let (upload, server, download) = if p == n {
-            (0.0, 0.0, 0.0)
-        } else {
-            let up = self.transmission[p] as f64 / lp_net::mbps_to_bytes_per_sec(bandwidth_up_mbps);
-            let srv = k * self.suffix_edge[p];
-            let down = bandwidth_down_mbps.map_or(0.0, |bd| {
+        ScanInputs {
+            up_bytes_per_sec: lp_net::mbps_to_bytes_per_sec(bandwidth_up_mbps),
+            download: bandwidth_down_mbps.map_or(0.0, |bd| {
                 self.output_bytes as f64 / lp_net::mbps_to_bytes_per_sec(bd)
-            });
-            (up, srv, down)
-        };
+            }),
+            k,
+        }
+    }
+
+    /// `t_p`'s four terms in seconds — device, upload, server, download —
+    /// for a cut at `p` that uploads `upload_bytes`: the one formula
+    /// behind every scan and every [`Decision`].
+    fn terms(&self, p: usize, upload_bytes: u64, scan: &ScanInputs) -> [f64; 4] {
+        let device = self.prefix_device[p];
+        if p == self.len() {
+            return [device, 0.0, 0.0, 0.0];
+        }
+        [
+            device,
+            upload_bytes as f64 / scan.up_bytes_per_sec,
+            scan.k * self.suffix_edge[p],
+            scan.download,
+        ]
+    }
+
+    /// `t_p` for a cut at `p` that uploads `upload_bytes`, rounded as
+    /// [`rounded_sum`] does.
+    pub(crate) fn t_p(&self, p: usize, upload_bytes: u64, scan: &ScanInputs) -> SimDuration {
+        rounded_sum(self.terms(p, upload_bytes, scan))
+    }
+
+    /// The full [`Decision`] for a cut at `p` uploading `upload_bytes` at
+    /// `precision`; its `predicted` is [`t_p`](Self::t_p).
+    pub(crate) fn decision_at(
+        &self,
+        p: usize,
+        precision: Precision,
+        upload_bytes: u64,
+        scan: &ScanInputs,
+    ) -> Decision {
+        let terms = self.terms(p, upload_bytes, scan);
+        let [device, upload, server, download] = terms;
         Decision {
             p,
-            precision: Precision::Fp32,
-            predicted: SimDuration::from_secs_f64(device + upload + server + download),
+            precision,
+            predicted: rounded_sum(terms),
             device: SimDuration::from_secs_f64(device),
             upload: SimDuration::from_secs_f64(upload),
             server: SimDuration::from_secs_f64(server),
             download: SimDuration::from_secs_f64(download),
         }
+    }
+
+    /// Algorithm 1's update over ascending `points` at fp32: the `<=`
+    /// hands ties (at nanosecond granularity) to the larger `p`.
+    fn argmin(&self, points: impl Iterator<Item = usize>, scan: &ScanInputs) -> usize {
+        let mut best = (SimDuration::from_nanos(u64::MAX), 0);
+        for p in points {
+            let t = self.t_p(p, self.transmission[p], scan);
+            if t <= best.0 {
+                best = (t, p);
+            }
+        }
+        best.1
     }
 
     /// Algorithm 1: the optimal partition point for the current upload
@@ -203,15 +278,9 @@ impl PartitionSolver {
     }
 
     fn decide_inner(&self, bu: f64, bd: Option<f64>, k: f64) -> Decision {
-        let n = self.len();
-        let mut best = self.latency_inner(0, bu, bd, k);
-        for p in 1..=n {
-            let cand = self.latency_inner(p, bu, bd, k);
-            if cand.predicted <= best.predicted {
-                best = cand;
-            }
-        }
-        best
+        let scan = self.scan_inputs(bu, bd, k);
+        let p = self.argmin(0..=self.len(), &scan);
+        self.decision_at(p, Precision::Fp32, self.transmission[p], &scan)
     }
 
     /// DeepWear-style candidate pruning: the points worth scanning are the
@@ -223,11 +292,13 @@ impl PartitionSolver {
     /// 3-10x without changing any decision (see `tests/pruning.rs`).
     #[must_use]
     pub fn candidate_points(&self) -> Vec<usize> {
+        self.candidates().collect()
+    }
+
+    fn candidates(&self) -> impl Iterator<Item = usize> + '_ {
         let n = self.len();
         let input = self.transmission[0];
-        (0..=n)
-            .filter(|&p| p == 0 || p == n || self.transmission[p] < input)
-            .collect()
+        (0..=n).filter(move |&p| p == 0 || p == n || self.transmission[p] < input)
     }
 
     /// Algorithm 1 restricted to [`candidate_points`](Self::candidate_points)
@@ -238,14 +309,9 @@ impl PartitionSolver {
     /// Panics if `bandwidth_up_mbps <= 0` or `k < 1`.
     #[must_use]
     pub fn decide_pruned(&self, bandwidth_up_mbps: f64, k: f64) -> Decision {
-        let mut best: Option<Decision> = None;
-        for p in self.candidate_points() {
-            let cand = self.latency_inner(p, bandwidth_up_mbps, None, k);
-            if best.as_ref().is_none_or(|b| cand.predicted <= b.predicted) {
-                best = Some(cand);
-            }
-        }
-        best.expect("candidate set always contains 0 and n")
+        let scan = self.scan_inputs(bandwidth_up_mbps, None, k);
+        let p = self.argmin(self.candidates(), &scan);
+        self.decision_at(p, Precision::Fp32, self.transmission[p], &scan)
     }
 
     /// The predicted latency curve `t_p` for all `p` (used by Figure 1).

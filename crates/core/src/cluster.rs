@@ -49,7 +49,7 @@ use crate::telemetry::Telemetry;
 use crate::threaded::{spawn_server_tuned, FrameChannel, LoadEnv, ServerFaultSpec, ServerTuning};
 use crate::transport::{SocketServer, TcpFrameChannel};
 use lp_graph::ComputationGraph;
-use lp_hardware::DeviceModel;
+use lp_hardware::{DeviceModel, NodeTimes};
 use lp_profiler::PredictionModels;
 use lp_sim::{SimDuration, SimTime};
 use std::sync::Arc;
@@ -220,7 +220,7 @@ pub struct ClusterEngine {
     engine: OffloadEngine,
     conns: Vec<Box<dyn FrameChannel>>,
     profile: ClusterProfile,
-    device_model: DeviceModel,
+    device_times: NodeTimes,
     failover: bool,
 }
 
@@ -236,9 +236,10 @@ impl std::fmt::Debug for ClusterEngine {
 impl ClusterEngine {
     /// Assembles a cluster driver over `links`. The policy decides the
     /// partition point per candidate server; the routing layer picks the
-    /// server. Device-side layers cost sampled [`DeviceModel`] time, so
-    /// a degraded (pure-local) request pays the full local inference in
-    /// logical time — which is what the failover-off baseline measures.
+    /// server. Device-side layers cost time sampled from
+    /// `device_model`'s node-time table (built here, once), so a degraded
+    /// (pure-local) request pays the full local inference in logical time
+    /// — which is what the failover-off baseline measures.
     ///
     /// # Errors
     ///
@@ -277,10 +278,10 @@ impl ClusterEngine {
             conns.push(link.conn);
         }
         Ok(Self {
+            device_times: device_model.node_times(engine.graph()),
             engine,
             conns,
             profile: ClusterProfile::new(names),
-            device_model,
             failover: true,
         })
     }
@@ -448,7 +449,7 @@ impl ClusterEngine {
                             // Out of servers: the device finishes the
                             // remaining layers itself.
                             let mut device = SimulatedDevice {
-                                model: &self.device_model,
+                                times: &self.device_times,
                             };
                             break self.engine.complete_failed(failed, &mut device);
                         }
@@ -488,7 +489,7 @@ impl ClusterEngine {
         let deadline = self.engine.config().io_timeout;
         let conn: &dyn FrameChannel = &*self.conns[s];
         let mut device = SimulatedDevice {
-            model: &self.device_model,
+            times: &self.device_times,
         };
         let mut backend = WireBackend {
             server: conn,
@@ -528,7 +529,7 @@ impl ClusterEngine {
         let deadline = self.engine.config().io_timeout;
         let conn: &dyn FrameChannel = &*self.conns[s];
         let mut device = SimulatedDevice {
-            model: &self.device_model,
+            times: &self.device_times,
         };
         let mut backend = WireBackend {
             server: conn,

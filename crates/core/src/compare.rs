@@ -451,6 +451,8 @@ fn run_contender(kind: ScenarioKind, config: &CompareConfig, contender: Contende
     }
     .expect("valid compare config");
     let mut testbed = Testbed::new(Link::symmetric(kind.trace()), config.seed);
+    let device_times = testbed.device_times(engine.graph());
+    let kernel_times = testbed.kernel_times(engine.graph());
     let mut tracker = LoadFactorTracker::new(engine_config.tracker_period);
     let mut watchdog = GpuUtilWatchdog::new();
     let server_cache = PartitionCache::new();
@@ -494,23 +496,18 @@ fn run_contender(kind: ScenarioKind, config: &CompareConfig, contender: Contende
         }
         let record = {
             let Testbed {
-                link,
-                gpu,
-                gpu_model,
-                device_model,
-                fg_ctx,
-                ..
+                link, gpu, fg_ctx, ..
             } = &mut testbed;
             let mut device = ScaledDevice {
                 inner: SimulatedDevice {
-                    model: device_model,
+                    times: &device_times,
                 },
                 scale: device_scale,
             };
             let mut transport = LinkTransport { link };
             let mut backend = GpuBackend {
                 gpu,
-                gpu_model,
+                kernel_times: &kernel_times,
                 ctx: *fg_ctx,
                 tracker: &mut tracker,
                 watchdog: Some(&mut watchdog),

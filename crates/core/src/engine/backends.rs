@@ -2,10 +2,12 @@
 //! compose the engine from.
 //!
 //! * [`SimulatedDevice`] + [`LinkTransport`] + [`GpuBackend`] — the
-//!   co-simulation: sampled latency models, a jittered [`Link`], and a
-//!   queueing [`GpuSim`]. `OffloadingSystem` uses them with an exclusive
-//!   GPU and the watchdog armed; `multi_client_run` shares one GPU and
-//!   tracker across all clients' backends.
+//!   co-simulation: node-time tables sampled per request, a jittered
+//!   [`Link`], and a queueing [`GpuSim`]. Each table is built once per
+//!   run (`DeviceModel::node_times`, `GpuModel::node_times`) and the
+//!   backends borrow it. `OffloadingSystem` uses them with an
+//!   exclusive GPU and the watchdog armed; `multi_client_run` shares one
+//!   GPU and tracker across all clients' backends.
 //! * [`NullDevice`] + [`WireTransport`] + [`WireBackend`] — the threaded
 //!   runtime: logical time, everything crossing the client/server boundary
 //!   framed as [`Message`]s over channels.
@@ -24,18 +26,20 @@ use crate::pool::zero_payload;
 use crate::protocol::{Frame, Message, ProtocolError};
 use crate::threaded::{FrameChannel, ServerHandle};
 use lp_graph::ComputationGraph;
-use lp_hardware::{DeviceModel, GpuModel, GpuSim, TaskId};
+use lp_hardware::{GpuSim, NodeTimes, TaskId};
 use lp_net::{Link, ProbeProfiler};
 use lp_profiler::{GpuUtilWatchdog, LoadFactorTracker};
 use lp_sim::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use std::time::{Duration, Instant};
 
-/// Device execution by sampling a [`DeviceModel`] per node.
+/// Device execution by sampling the graph's device node-time table
+/// ([`DeviceModel::node_times`](lp_hardware::DeviceModel::node_times)),
+/// one draw per node.
 #[derive(Debug)]
 pub struct SimulatedDevice<'a> {
-    /// Latency model of the user-end device.
-    pub model: &'a DeviceModel,
+    /// The user-end device's node-time table for the engine's graph.
+    pub times: &'a NodeTimes,
 }
 
 impl DeviceExecutor for SimulatedDevice<'_> {
@@ -46,16 +50,8 @@ impl DeviceExecutor for SimulatedDevice<'_> {
         to: usize,
         rng: &mut StdRng,
     ) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for node in graph.nodes().iter().take(to).skip(from) {
-            total += self.model.sample(
-                &node.kind,
-                graph.value_desc(node.inputs[0]),
-                &node.output,
-                rng,
-            );
-        }
-        total
+        assert_eq!(self.times.len(), graph.len(), "table of another graph");
+        self.times.sample(from..to, rng).sum()
     }
 }
 
@@ -117,16 +113,17 @@ impl Transport for LinkTransport<'_> {
 }
 
 /// Server backend over a (possibly shared) [`GpuSim`]: suffix kernels are
-/// sampled from the edge latency model and submitted to the simulator's
-/// real queueing; `k` comes from the [`LoadFactorTracker`] every backend
-/// view shares.
+/// sampled from the graph's edge kernel-time table
+/// ([`GpuModel::node_times`](lp_hardware::GpuModel::node_times)) and
+/// submitted to the simulator's real queueing; `k` comes from the
+/// [`LoadFactorTracker`] every backend view shares.
 #[derive(Debug)]
 pub struct GpuBackend<'a> {
     /// The edge GPU simulator (shared across clients in multi-client
     /// runs).
     pub gpu: &'a mut GpuSim,
-    /// Kernel-latency model of the edge GPU.
-    pub gpu_model: &'a GpuModel,
+    /// The edge GPU's kernel-time table for the engine's graph.
+    pub kernel_times: &'a NodeTimes,
     /// The GPU context this client's suffixes run in.
     pub ctx: usize,
     /// The server-side load tracker (shared).
@@ -167,20 +164,8 @@ impl ServerBackend for GpuBackend<'_> {
             .expect("p in range");
         self.gpu.advance_to(req.arrive);
         let n = graph.len();
-        let kernels: Vec<SimDuration> = graph
-            .nodes()
-            .iter()
-            .take(n)
-            .skip(req.p)
-            .map(|node| {
-                self.gpu_model.sample(
-                    &node.kind,
-                    graph.value_desc(node.inputs[0]),
-                    &node.output,
-                    rng,
-                )
-            })
-            .collect();
+        assert_eq!(self.kernel_times.len(), n, "table of another graph");
+        let kernels: Vec<SimDuration> = self.kernel_times.sample(req.p..n, rng).collect();
         // advance_to can overshoot a slice boundary; the request becomes
         // visible to the scheduler at the GPU's current instant (the gap
         // is genuine queueing behind the in-flight kernel).

@@ -20,8 +20,8 @@
 //! each step executes, expressed as three traits the engine is generic
 //! over:
 //!
-//! * [`DeviceExecutor`] — how `L_1..L_p` runs (sampled latency model vs
-//!   logical no-op);
+//! * [`DeviceExecutor`] — how `L_1..L_p` runs (a sampled node-time table
+//!   vs logical no-op);
 //! * [`Transport`] — how the profiler's probes and `k` fetch and the
 //!   tensors move (simulated [`lp_net::Link`] vs protocol frames over
 //!   channels, where one refresh is one pipelined exchange);
@@ -1089,8 +1089,10 @@ impl OffloadEngine {
         let upload_start = at + device_time;
         if precision != Precision::Fp32 {
             // Quantization happens on-device between the prefix and the
-            // upload; its cost is folded into the measured prefix time, so
-            // the span is instantaneous and carries the bytes saved.
+            // upload. Nothing models its kernel cost yet (the device
+            // executor samples only `L_1..L_p`), so the span is
+            // instantaneous and carries only the bytes saved; the
+            // kernel-cost term is ROADMAP item 1's open work.
             self.emit_span(
                 &record,
                 SpanKind::Quantize,

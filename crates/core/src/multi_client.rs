@@ -242,8 +242,10 @@ pub fn multi_client_run_with_telemetry(
     telemetry: &Telemetry,
 ) -> Result<MultiClientReport, ConfigError> {
     config.validate()?;
-    let device_model = DeviceModel::default();
-    let gpu_model = GpuModel::default();
+    // Every request samples these tables; neither model is re-evaluated
+    // per node after this point.
+    let device_times = DeviceModel::default().node_times(graph);
+    let kernel_times = GpuModel::default().node_times(graph);
     let link = Link::symmetric(BandwidthTrace::constant(config.bandwidth_mbps));
     let server_cache = PartitionCache::new();
     let mut tracker = LoadFactorTracker::new(SimDuration::from_secs(5));
@@ -298,7 +300,7 @@ pub fn multi_client_run_with_telemetry(
                 let pending = client.pending.take().expect("checked above");
                 let mut backend = GpuBackend {
                     gpu: &mut gpu,
-                    gpu_model: &gpu_model,
+                    kernel_times: &kernel_times,
                     ctx: client.ctx,
                     tracker: &mut tracker,
                     watchdog: Some(&mut watchdog),
@@ -345,11 +347,11 @@ pub fn multi_client_run_with_telemetry(
         client.next_request = None;
 
         let mut device = SimulatedDevice {
-            model: &device_model,
+            times: &device_times,
         };
         let mut backend = GpuBackend {
             gpu: &mut gpu,
-            gpu_model: &gpu_model,
+            kernel_times: &kernel_times,
             ctx: client.ctx,
             tracker: &mut tracker,
             watchdog: Some(&mut watchdog),
@@ -381,7 +383,7 @@ pub fn multi_client_run_with_telemetry(
             let done = gpu.run_until_complete(pending.task);
             let mut backend = GpuBackend {
                 gpu: &mut gpu,
-                gpu_model: &gpu_model,
+                kernel_times: &kernel_times,
                 ctx: client.ctx,
                 tracker: &mut tracker,
                 watchdog: Some(&mut watchdog),

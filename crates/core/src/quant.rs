@@ -27,7 +27,6 @@ use crate::algorithm::{Decision, PartitionSolver};
 use crate::policy::{PartitionPolicy, PolicyContext};
 use lp_graph::quant::{base_degradation, SCALE_HEADER_BYTES};
 use lp_graph::{quantized_transmission_series, AccuracyModel, ComputationGraph, Precision};
-use lp_sim::SimDuration;
 
 /// Default accuracy budget for the registry's bare `quant` policy: one
 /// top-1 point (`0.01`), enough to admit int8 on most cuts while keeping
@@ -356,31 +355,25 @@ impl PartitionPolicy for QuantPolicy {
         debug_assert_eq!(tables.series[0].len(), n + 1, "tables built for this graph");
         // Exact fp32 Algorithm 1 first: the baseline every quantized
         // candidate must beat (or tie, taking the bytes savings).
-        let mut best = solver.decide(ctx.bandwidth_mbps, ctx.k);
-        let bytes_per_sec = lp_net::mbps_to_bytes_per_sec(ctx.bandwidth_mbps);
+        let fp32 = solver.decide(ctx.bandwidth_mbps, ctx.k);
+        let scan = solver.scan_inputs(ctx.bandwidth_mbps, None, ctx.k);
+        let mut best = fp32.predicted;
+        let mut narrow = None;
         for (i, prec) in Precision::NARROW.into_iter().enumerate() {
             for p in 0..n {
                 if tables.degradation[i][p] > self.budget {
                     continue;
                 }
-                let device = solver.prefix_device_secs(p);
-                let upload = tables.series[i][p] as f64 / bytes_per_sec;
-                let server = ctx.k * solver.suffix_edge_secs(p);
-                let predicted = SimDuration::from_secs_f64(device + upload + server);
-                if predicted <= best.predicted {
-                    best = Decision {
-                        p,
-                        precision: prec,
-                        predicted,
-                        device: SimDuration::from_secs_f64(device),
-                        upload: SimDuration::from_secs_f64(upload),
-                        server: SimDuration::from_secs_f64(server),
-                        download: SimDuration::ZERO,
-                    };
+                let t = solver.t_p(p, tables.series[i][p], &scan);
+                if t <= best {
+                    best = t;
+                    narrow = Some((p, prec, tables.series[i][p]));
                 }
             }
         }
-        best
+        narrow.map_or(fp32, |(p, prec, bytes)| {
+            solver.decision_at(p, prec, bytes, &scan)
+        })
     }
 }
 

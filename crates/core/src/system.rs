@@ -3,9 +3,12 @@
 //! [`Testbed`] bundles the simulated hardware — the link, the edge GPU with
 //! its background-load contexts, and the device/GPU latency models.
 //! [`OffloadingSystem`] is the [`OffloadEngine`] composed with the
-//! co-simulated backends: a [`SimulatedDevice`] over the device latency
-//! model, a [`LinkTransport`] over the jittered link, and a [`GpuBackend`]
-//! over an exclusive GPU context with the §IV watchdog armed. The
+//! co-simulated backends: a [`SimulatedDevice`] over the device's
+//! node-time table, a [`LinkTransport`] over the jittered link, and a
+//! [`GpuBackend`] over the GPU's kernel-time table and an exclusive GPU
+//! context with the §IV watchdog armed. Both tables are built once, when
+//! the system is assembled; the testbed's models are private, so nothing
+//! can change a model behind its table. The
 //! per-request pipeline itself — profiler refresh, Algorithm 1 decision,
 //! partition caches, prefix/upload/suffix, load-tracker feedback — lives in
 //! the engine; this module only owns the hardware and the server-side
@@ -18,7 +21,7 @@ use crate::engine::backends::{GpuBackend, LinkTransport, SimulatedDevice};
 use crate::engine::OffloadEngine;
 use lp_graph::ComputationGraph;
 use lp_hardware::load::install_background;
-use lp_hardware::{DeviceModel, GpuModel, GpuSim, LoadLevel};
+use lp_hardware::{DeviceModel, GpuModel, GpuSim, LoadLevel, NodeTimes};
 use lp_net::{BandwidthTrace, Link};
 use lp_profiler::dataset::{DeviceSource, EdgeSource};
 use lp_profiler::{train_all, GpuUtilWatchdog, LoadFactorTracker, PredictionModels};
@@ -35,10 +38,8 @@ pub struct Testbed {
     pub link: Link,
     /// The edge GPU simulator.
     pub gpu: GpuSim,
-    /// Kernel-latency model of the edge GPU.
-    pub gpu_model: GpuModel,
-    /// Latency model of the user-end device.
-    pub device_model: DeviceModel,
+    gpu_model: GpuModel,
+    device_model: DeviceModel,
     /// The foreground context offloaded partitions run in.
     pub fg_ctx: usize,
     bg_ctxs: Vec<usize>,
@@ -102,6 +103,20 @@ impl Testbed {
     pub fn load(&self) -> LoadLevel {
         self.load
     }
+
+    /// The user-end device's node-time table for `graph` (what a
+    /// [`SimulatedDevice`] samples).
+    #[must_use]
+    pub fn device_times(&self, graph: &ComputationGraph) -> NodeTimes {
+        self.device_model.node_times(graph)
+    }
+
+    /// The edge GPU's kernel-time table for `graph` (what a
+    /// [`GpuBackend`] samples).
+    #[must_use]
+    pub fn kernel_times(&self, graph: &ComputationGraph) -> NodeTimes {
+        self.gpu_model.node_times(graph)
+    }
 }
 
 /// The running system: the offload engine driving inferences over a
@@ -111,6 +126,8 @@ pub struct OffloadingSystem {
     engine: OffloadEngine,
     /// The simulated hardware (public for scenario drivers to switch load).
     pub testbed: Testbed,
+    device_times: NodeTimes,
+    kernel_times: NodeTimes,
     tracker: LoadFactorTracker,
     watchdog: GpuUtilWatchdog,
     server_cache: PartitionCache,
@@ -166,6 +183,8 @@ impl OffloadingSystem {
     fn from_engine(engine: OffloadEngine, testbed: Testbed) -> Self {
         let tracker = LoadFactorTracker::new(engine.config().tracker_period);
         Self {
+            device_times: testbed.device_times(engine.graph()),
+            kernel_times: testbed.kernel_times(engine.graph()),
             engine,
             testbed,
             tracker,
@@ -221,20 +240,15 @@ impl OffloadingSystem {
     /// Panics if `at` is before the testbed's current simulated time.
     pub fn infer(&mut self, at: SimTime) -> InferenceRecord {
         let Testbed {
-            link,
-            gpu,
-            gpu_model,
-            device_model,
-            fg_ctx,
-            ..
+            link, gpu, fg_ctx, ..
         } = &mut self.testbed;
         let mut device = SimulatedDevice {
-            model: device_model,
+            times: &self.device_times,
         };
         let mut transport = LinkTransport { link };
         let mut backend = GpuBackend {
             gpu,
-            gpu_model,
+            kernel_times: &self.kernel_times,
             ctx: *fg_ctx,
             tracker: &mut self.tracker,
             watchdog: Some(&mut self.watchdog),

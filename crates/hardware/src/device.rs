@@ -11,6 +11,7 @@
 //! Calibration anchors (paper §V-B/§V-C): VGG16 local inference ≈ 5.2 s,
 //! Xception local ≈ 1.8–2.8 s, AlexNet local in the hundreds of ms.
 
+use crate::NodeTimes;
 use lp_graph::{flops::node_flops, NodeKind};
 use lp_sim::{lognormal_factor, SimDuration};
 use lp_tensor::TensorDesc;
@@ -124,14 +125,18 @@ impl DeviceModel {
             .scale(lognormal_factor(rng, self.noise_sigma))
     }
 
+    /// Every node's [`expected`](Self::expected) time in `graph`, with this
+    /// model's noise sigma: the table a request samples instead of the
+    /// model.
+    #[must_use]
+    pub fn node_times(&self, graph: &lp_graph::ComputationGraph) -> NodeTimes {
+        NodeTimes::of(graph, self.noise_sigma, |k, i, o| self.expected(k, i, o))
+    }
+
     /// Noise-free total time of a whole graph executed locally.
     #[must_use]
     pub fn graph_time(&self, graph: &lp_graph::ComputationGraph) -> SimDuration {
-        graph
-            .nodes()
-            .iter()
-            .map(|n| self.expected(&n.kind, graph.value_desc(n.inputs[0]), &n.output))
-            .sum()
+        self.node_times(graph).expected().iter().copied().sum()
     }
 }
 

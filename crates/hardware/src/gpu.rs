@@ -43,7 +43,10 @@ pub struct Generator {
 
 #[derive(Debug)]
 struct Task {
-    id: u64,
+    /// The id [`GpuSim::submit`] handed out; `None` for a background
+    /// generator's task, whose completion no caller can ask for and so is
+    /// never recorded.
+    id: Option<u64>,
     arrival: SimTime,
     kernels: Vec<SimDuration>,
     next: usize,
@@ -282,7 +285,7 @@ impl GpuSim {
             match arrival {
                 Arrival::Task(ci, id, kernels) => {
                     self.contexts[ci].queue.push_back(Task {
-                        id,
+                        id: Some(id),
                         arrival: t,
                         kernels,
                         next: 0,
@@ -315,10 +318,8 @@ impl GpuSim {
             .into_iter()
             .map(|k| k.scale(lognormal_factor(&mut self.rng, sigma)))
             .collect();
-        let id = self.next_id;
-        self.next_id += 1;
         self.contexts[ci].queue.push_back(Task {
-            id,
+            id: None,
             arrival: t,
             kernels,
             next: 0,
@@ -353,7 +354,9 @@ impl GpuSim {
             let finished = task.next == task.kernels.len();
             if finished {
                 let task = self.contexts[ci].queue.pop_front().expect("front");
-                self.completions.insert(task.id, (task.arrival, self.now));
+                if let Some(id) = task.id {
+                    self.completions.insert(id, (task.arrival, self.now));
+                }
                 // Closed-loop generator re-arming.
                 let ctx = &mut self.contexts[ci];
                 if ctx.gen_waiting {
@@ -643,5 +646,38 @@ mod tests {
             gpu.run_until_complete(id).as_nanos()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn only_submitted_tasks_leave_a_completion_record() {
+        // Background generators complete thousands of tasks a minute
+        // (7,205 here at 100%(l)); none of them may leave a record, or the
+        // completion map grows without bound over a long load timeline.
+        let model = crate::GpuModel::default();
+        let mut gpu = GpuSim::with_default_slice(12);
+        crate::load::install_background(
+            &mut gpu,
+            crate::LoadLevel::Pct100Low,
+            &model,
+            SimTime::ZERO,
+        );
+        let fg = gpu.add_context();
+        gpu.advance_to(SimTime::ZERO + SimDuration::from_secs(30));
+        let t0 = gpu.now();
+        let squeezenet = lp_models::squeezenet(1);
+        let id = gpu.submit(
+            fg,
+            t0,
+            model.kernel_sequence(&squeezenet, 1, squeezenet.len()),
+        );
+        gpu.advance_to(SimTime::ZERO + SimDuration::from_secs(60));
+        assert_eq!(gpu.completions.len(), 1);
+        // What is recorded must not move the schedule: the foreground
+        // task's completion instant is pinned.
+        assert_eq!(t0, SimTime::from_nanos(30_002_229_695));
+        assert_eq!(
+            gpu.completion(id),
+            Some((t0, SimTime::from_nanos(30_055_537_851)))
+        );
     }
 }

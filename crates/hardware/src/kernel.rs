@@ -6,6 +6,7 @@
 //! Occupancy (small tensors underfill the GPU) is the nonlinearity that
 //! gives the edge-side LR models their Table III error levels.
 
+use crate::NodeTimes;
 use lp_graph::{flops::node_flops, ComputationGraph, NodeKind};
 use lp_sim::{lognormal_factor, SimDuration};
 use lp_tensor::TensorDesc;
@@ -88,6 +89,14 @@ impl GpuModel {
             .scale(lognormal_factor(rng, self.noise_sigma))
     }
 
+    /// Every node's [`expected`](Self::expected) kernel time in `graph`,
+    /// with this model's noise sigma: the table a request samples instead
+    /// of the model.
+    #[must_use]
+    pub fn node_times(&self, graph: &ComputationGraph) -> NodeTimes {
+        NodeTimes::of(graph, self.noise_sigma, |k, i, o| self.expected(k, i, o))
+    }
+
     /// Expected kernel durations for a contiguous range `[start, end]` of a
     /// graph's topological order (1-based, inclusive), e.g. the server-side
     /// partition `[p+1, n]`.
@@ -106,13 +115,7 @@ impl GpuModel {
             start >= 1 && end <= graph.len() && start <= end,
             "bad range"
         );
-        graph
-            .nodes()
-            .iter()
-            .take(end)
-            .skip(start - 1)
-            .map(|n| self.expected(&n.kind, graph.value_desc(n.inputs[0]), &n.output))
-            .collect()
+        self.node_times(graph).expected()[start - 1..end].to_vec()
     }
 
     /// Expected total GPU time of the whole graph on the idle GPU.

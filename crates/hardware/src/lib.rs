@@ -10,6 +10,9 @@
 //!   local inference lands near the paper's 5.2 s.
 //! * [`kernel::GpuModel`] — per-node GPU *kernel* cost on the idle T4
 //!   (launch overhead vs roofline compute/memory time).
+//! * [`times::NodeTimes`] — either model evaluated once over a graph's
+//!   nodes: the table a request draws its noise from instead of
+//!   re-deriving every node's noise-free time.
 //! * [`gpu::GpuSim`] — a discrete-event GPU: one kernel at a time,
 //!   **non-preemptive kernels**, round-robin **2 ms time slices** across
 //!   contexts (preemption happens between kernels, exactly the §III-C
@@ -31,9 +34,11 @@ pub mod gpu;
 pub mod kernel;
 pub mod load;
 pub mod specs;
+pub mod times;
 
 pub use device::DeviceModel;
 pub use gpu::{GpuSim, TaskId};
 pub use kernel::GpuModel;
 pub use load::{background_generators, LoadLevel};
 pub use specs::{HardwareSpec, EDGE_SERVER_SPEC, USER_DEVICE_SPEC};
+pub use times::NodeTimes;

@@ -295,7 +295,7 @@ fn probe_failure_on_one_server_does_not_cooldown_the_other() {
 fn single_server_path_is_bit_identical_with_extra_endpoints_registered() {
     let (user, edge) = models();
     let graph = Arc::new(lp_models::alexnet(1));
-    let device_model = DeviceModel::default();
+    let device_times = DeviceModel::default().node_times(&graph);
     let run = |extra_endpoints: usize| -> Vec<InferenceRecord> {
         let server = spawn(LoadEnv::new(1.0), ServerFaultSpec::default(), None);
         let mut engine = OffloadEngine::with_policy(
@@ -317,7 +317,7 @@ fn single_server_path_is_bit_identical_with_extra_endpoints_registered() {
         for _ in 0..5 {
             now += SimDuration::from_secs(1);
             let mut device = SimulatedDevice {
-                model: &device_model,
+                times: &device_times,
             };
             let mut backend = WireBackend {
                 server: &conn,

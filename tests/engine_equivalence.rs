@@ -322,6 +322,8 @@ fn engine_memo_invalidates_on_quantized_key_change_and_telemetry_counts_hits() {
     .expect("valid config");
     engine.set_telemetry(telemetry.clone());
     let mut testbed = Testbed::with_constant_bandwidth(8.0, 7);
+    let device_times = testbed.device_times(engine.graph());
+    let kernel_times = testbed.kernel_times(engine.graph());
     let mut tracker = LoadFactorTracker::new(engine.config().tracker_period);
     let mut watchdog = GpuUtilWatchdog::new();
     let server_cache = loadpart::PartitionCache::new();
@@ -350,20 +352,15 @@ fn engine_memo_invalidates_on_quantized_key_change_and_telemetry_counts_hits() {
         let before = engine.decision_memo_hits();
         let record = {
             let Testbed {
-                link,
-                gpu,
-                gpu_model,
-                device_model,
-                fg_ctx,
-                ..
+                link, gpu, fg_ctx, ..
             } = &mut testbed;
             let mut device = SimulatedDevice {
-                model: device_model,
+                times: &device_times,
             };
             let mut transport = LinkTransport { link };
             let mut backend = GpuBackend {
                 gpu,
-                gpu_model,
+                kernel_times: &kernel_times,
                 ctx: *fg_ctx,
                 tracker: &mut tracker,
                 watchdog: Some(&mut watchdog),

@@ -1,0 +1,108 @@
+//! The co-simulation samples per-graph node-time tables instead of the
+//! latency models. These tests pin that the swap is invisible: over every
+//! zoo network and seeded random node ranges, a table draws exactly the
+//! durations the per-node `sample` loop over the model draws, and leaves
+//! the RNG in exactly the same state — so every co-simulated record stays
+//! bit-identical.
+
+use lp_graph::{ComputationGraph, NodeKind};
+use lp_hardware::{DeviceModel, GpuModel, NodeTimes};
+use lp_sim::SimDuration;
+use lp_tensor::TensorDesc;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Random ranges drawn per network, besides the empty, prefix-only and
+/// full ones.
+const RANGES: usize = 24;
+
+/// The reference: one `model.sample` per node of `from..to`, in
+/// topological order — what the backends drew before the tables.
+fn per_node_loop(
+    graph: &ComputationGraph,
+    from: usize,
+    to: usize,
+    rng: &mut StdRng,
+    sample: impl Fn(&NodeKind, &TensorDesc, &TensorDesc, &mut StdRng) -> SimDuration,
+) -> Vec<SimDuration> {
+    graph.nodes()[from..to]
+        .iter()
+        .map(|node| {
+            sample(
+                &node.kind,
+                graph.value_desc(node.inputs[0]),
+                &node.output,
+                rng,
+            )
+        })
+        .collect()
+}
+
+/// Samples `from..to` from the table and from the reference loop with the
+/// same seed, and checks both the draws and the RNGs they leave behind.
+fn assert_same_draws(
+    graph: &ComputationGraph,
+    table: &NodeTimes,
+    (from, to): (usize, usize),
+    seed: u64,
+    sample: impl Fn(&NodeKind, &TensorDesc, &TensorDesc, &mut StdRng) -> SimDuration,
+) {
+    let mut by_model = StdRng::seed_from_u64(seed);
+    let want = per_node_loop(graph, from, to, &mut by_model, sample);
+    let mut by_table = StdRng::seed_from_u64(seed);
+    let got: Vec<SimDuration> = table.sample(from..to, &mut by_table).collect();
+    assert_eq!(got, want, "{} nodes {from}..{to}", graph.name());
+    assert_eq!(
+        by_table,
+        by_model,
+        "{} nodes {from}..{to}: RNG state diverged",
+        graph.name()
+    );
+}
+
+fn ranges(n: usize, rng: &mut StdRng) -> Vec<(usize, usize)> {
+    let mut out = vec![(0, 0), (0, n), (0, n / 2), (n / 2, n)];
+    for _ in 0..RANGES {
+        let from = rng.gen_range(0..=n);
+        out.push((from, rng.gen_range(from..=n)));
+    }
+    out
+}
+
+#[test]
+fn table_sampling_replays_the_per_node_model_loop() {
+    let mut cases = StdRng::seed_from_u64(0x7AB1E);
+    // The calibrated models, plus noise-free ones: with sigma 0 neither
+    // path may draw from the RNG at all.
+    let devices = [
+        DeviceModel::default(),
+        DeviceModel {
+            noise_sigma: 0.0,
+            ..DeviceModel::default()
+        },
+    ];
+    let gpus = [
+        GpuModel::default(),
+        GpuModel {
+            noise_sigma: 0.0,
+            ..GpuModel::default()
+        },
+    ];
+    for graph in lp_models::full_zoo(1) {
+        for (device, gpu) in devices.iter().zip(&gpus) {
+            let device_times = device.node_times(&graph);
+            let kernel_times = gpu.node_times(&graph);
+            assert_eq!(device_times.len(), graph.len());
+            assert_eq!(kernel_times.len(), graph.len());
+            for range in ranges(graph.len(), &mut cases) {
+                let seed = cases.gen_range(0..u64::MAX);
+                assert_same_draws(&graph, &device_times, range, seed, |k, i, o, rng| {
+                    device.sample(k, i, o, rng)
+                });
+                assert_same_draws(&graph, &kernel_times, range, seed, |k, i, o, rng| {
+                    gpu.sample(k, i, o, rng)
+                });
+            }
+        }
+    }
+}
