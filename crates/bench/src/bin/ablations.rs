@@ -35,7 +35,10 @@ fn main() {
     let mut rows = Vec::new();
     for period_s in [1u64, 2, 5, 10, 20] {
         let graph = lp_models::squeezenet(1);
-        let testbed = Testbed::with_constant_bandwidth(8.0, 51);
+        let mut testbed = Testbed::with_constant_bandwidth(8.0, 51);
+        testbed
+            .server
+            .set_tracker_period(SimDuration::from_secs(period_s));
         let mut sys = OffloadingSystem::new(
             graph,
             Policy::LoadPart,
@@ -44,7 +47,6 @@ fn main() {
             edge.clone(),
             SystemConfig {
                 profiler_period: SimDuration::from_secs(period_s),
-                tracker_period: SimDuration::from_secs(period_s),
                 ..SystemConfig::default()
             },
         );
@@ -52,11 +54,12 @@ fn main() {
         let mut shift_at = None;
         let mut mean_after = Vec::new();
         while t.as_secs_f64() < 90.0 {
-            if t.as_secs_f64() >= 10.0 && sys.testbed.load() != LoadLevel::Pct100High {
+            if t.as_secs_f64() >= 10.0 && sys.testbed.server.load() != LoadLevel::Pct100High {
                 sys.testbed
+                    .server
                     .gpu
                     .advance_to(SimTime::ZERO + SimDuration::from_secs(10));
-                sys.testbed.set_load(LoadLevel::Pct100High);
+                sys.testbed.server.set_load(LoadLevel::Pct100High);
             }
             let r = sys.infer(t);
             if shift_at.is_none() && t.as_secs_f64() > 10.0 && r.p > 36 {

@@ -25,7 +25,9 @@ use crate::admission::AdmissionConfig;
 use crate::baselines::Policy;
 use crate::emulator::{EmulatedLink, FaultAction, FaultPlan, LinkSpec};
 use crate::engine::backends::{NullDevice, WireBackend, WireTransport};
-use crate::engine::{BreakerState, ConfigError, EngineConfig, InferenceRecord, OffloadEngine};
+use crate::engine::{
+    check_bandwidth, BreakerState, ConfigError, EngineConfig, InferenceRecord, OffloadEngine,
+};
 use crate::protocol::ProtocolError;
 use crate::telemetry::Telemetry;
 use crate::threaded::{
@@ -144,7 +146,8 @@ impl ChaosConfig {
     ///
     /// * [`ConfigError::ZeroClients`] if `n_clients == 0`;
     /// * [`ConfigError::ZeroDuration`] if `rounds == 0`;
-    /// * [`ConfigError::NonPositiveBandwidth`] if `bandwidth_mbps <= 0`;
+    /// * [`ConfigError::NonPositiveBandwidth`] unless `bandwidth_mbps > 0`
+    ///   (NaN included);
     /// * whatever [`EngineConfig::validate`] rejects.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.n_clients == 0 {
@@ -153,9 +156,7 @@ impl ChaosConfig {
         if self.rounds == 0 {
             return Err(ConfigError::ZeroDuration);
         }
-        if self.bandwidth_mbps <= 0.0 {
-            return Err(ConfigError::NonPositiveBandwidth);
-        }
+        check_bandwidth(self.bandwidth_mbps)?;
         if self.request_period == SimDuration::ZERO {
             return Err(ConfigError::ZeroDuration);
         }

@@ -40,7 +40,7 @@ use crate::chaos::ChaosServer;
 use crate::emulator::{EmulatedLink, LinkSpec, OutageSwitch};
 use crate::engine::backends::{SimulatedDevice, WireBackend, WireTransport};
 use crate::engine::{
-    AttemptOutcome, ConfigError, EngineConfig, FailedAttempt, InferenceRecord, OffloadEngine,
+    check_bandwidth, AttemptOutcome, ConfigError, EngineConfig, InferenceRecord, OffloadEngine,
     Outcome, RuntimeProfile, WireGate,
 };
 use crate::policy::{build_named, PartitionPolicy};
@@ -244,8 +244,9 @@ impl ClusterEngine {
     /// # Errors
     ///
     /// [`ConfigError::NoServers`] without links,
-    /// [`ConfigError::NonPositiveBandwidth`] for a non-positive link
-    /// bandwidth, plus whatever [`EngineConfig::validate`] rejects.
+    /// [`ConfigError::NonPositiveBandwidth`] for a link bandwidth that is
+    /// not positive (NaN included), plus whatever
+    /// [`EngineConfig::validate`] rejects.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         graph: impl Into<Arc<ComputationGraph>>,
@@ -260,8 +261,8 @@ impl ClusterEngine {
         if links.is_empty() {
             return Err(ConfigError::NoServers);
         }
-        if links.iter().any(|l| l.bandwidth_mbps <= 0.0) {
-            return Err(ConfigError::NonPositiveBandwidth);
+        for link in &links {
+            check_bandwidth(link.bandwidth_mbps)?;
         }
         let mut engine =
             OffloadEngine::with_policy(graph, policy, user_models, edge_models, client, config)?;
@@ -386,7 +387,11 @@ impl ClusterEngine {
             tried.push(s);
             info.attempts += 1;
             self.profile.servers[s].attempts += 1;
-            match self.attempt(s, now)? {
+            // One cluster-semantics attempt against `s`.
+            let attempt = self.on_wire(s, |engine, device, backend, transport| {
+                engine.start_attempt_on(s, now, device, backend, transport)
+            })?;
+            match attempt {
                 AttemptOutcome::NoService => {
                     // Nothing ran and no request id was consumed:
                     // restart the whole attempt on the next candidate.
@@ -442,7 +447,10 @@ impl ClusterEngine {
                             info.attempts += 1;
                             info.failovers += 1;
                             self.profile.servers[next].attempts += 1;
-                            let out = self.attempt_failover(next, failed)?;
+                            // Same request id, same `p`, on `next`.
+                            let out = self.on_wire(next, |engine, _, backend, transport| {
+                                engine.failover_on(next, failed, backend, transport)
+                            })?;
                             outcome = Some((next, out));
                         }
                         None => {
@@ -484,8 +492,18 @@ impl ClusterEngine {
         Ok((record, info))
     }
 
-    /// One cluster-semantics attempt against `s`.
-    fn attempt(&mut self, s: usize, now: SimTime) -> Result<AttemptOutcome, ProtocolError> {
+    /// Runs `f` on the engine with the device and the wire backend and
+    /// transport over endpoint `s`'s connection.
+    fn on_wire<R>(
+        &mut self,
+        s: usize,
+        f: impl FnOnce(
+            &mut OffloadEngine,
+            &mut SimulatedDevice<'_>,
+            &mut WireBackend<'_, dyn FrameChannel>,
+            &mut WireTransport<'_, dyn FrameChannel>,
+        ) -> R,
+    ) -> R {
         let deadline = self.engine.config().io_timeout;
         let conn: &dyn FrameChannel = &*self.conns[s];
         let mut device = SimulatedDevice {
@@ -499,50 +517,16 @@ impl ClusterEngine {
             server: conn,
             deadline,
         };
-        self.engine
-            .start_attempt_on(s, now, &mut device, &mut backend, &mut transport)
-    }
-
-    /// Re-issues a failed suffix on `s` (same request id, same `p`).
-    fn attempt_failover(
-        &mut self,
-        s: usize,
-        failed: FailedAttempt,
-    ) -> Result<AttemptOutcome, ProtocolError> {
-        let deadline = self.engine.config().io_timeout;
-        let conn: &dyn FrameChannel = &*self.conns[s];
-        let mut backend = WireBackend {
-            server: conn,
-            deadline,
-        };
-        let mut transport = WireTransport {
-            server: conn,
-            deadline,
-        };
-        self.engine
-            .failover_on(s, failed, &mut backend, &mut transport)
+        f(&mut self.engine, &mut device, &mut backend, &mut transport)
     }
 
     /// Single-server semantics against `s`: wire failures degrade to
     /// local completion inside the engine.
     fn run_single(&mut self, s: usize, now: SimTime) -> Result<InferenceRecord, ProtocolError> {
-        let deadline = self.engine.config().io_timeout;
-        let conn: &dyn FrameChannel = &*self.conns[s];
-        let mut device = SimulatedDevice {
-            times: &self.device_times,
-        };
-        let mut backend = WireBackend {
-            server: conn,
-            deadline,
-        };
-        let mut transport = WireTransport {
-            server: conn,
-            deadline,
-        };
-        match self
-            .engine
-            .start_on(s, now, &mut device, &mut backend, &mut transport)?
-        {
+        let outcome = self.on_wire(s, |engine, device, backend, transport| {
+            engine.start_on(s, now, device, backend, transport)
+        })?;
+        match outcome {
             Outcome::Complete(record) => Ok(record),
             Outcome::Deferred(_) => unreachable!("wire backends never defer"),
         }
@@ -708,8 +692,8 @@ impl ClusterChaosConfig {
         if self.rounds == 0 || self.request_period == SimDuration::ZERO {
             return Err(ConfigError::ZeroDuration);
         }
-        if self.servers.iter().any(|s| s.bandwidth_mbps <= 0.0) {
-            return Err(ConfigError::NonPositiveBandwidth);
+        for server in &self.servers {
+            check_bandwidth(server.bandwidth_mbps)?;
         }
         if build_named(&self.policy).is_err() {
             return Err(ConfigError::UnknownPolicy);
@@ -1067,6 +1051,50 @@ mod tests {
             ..ClusterChaosConfig::default()
         };
         assert_eq!(bad.validate(), Err(ConfigError::ZeroClients));
+    }
+
+    /// A NaN bandwidth is not positive: every validator refuses it, and
+    /// `multi_client_run` returns the error instead of panicking deep in
+    /// the run.
+    #[test]
+    fn nan_bandwidth_is_a_config_error() {
+        let refused = Err(ConfigError::NonPositiveBandwidth);
+        let multi = crate::MultiClientConfig {
+            bandwidth_mbps: f64::NAN,
+            ..crate::MultiClientConfig::default()
+        };
+        assert_eq!(multi.validate(), refused);
+        let (user, edge) = models();
+        let graph = lp_models::alexnet(1);
+        assert_eq!(
+            crate::multi_client_run(&graph, user, edge, &multi).map(|_| ()),
+            refused
+        );
+        let chaos = crate::ChaosConfig {
+            bandwidth_mbps: f64::NAN,
+            ..crate::ChaosConfig::default()
+        };
+        assert_eq!(chaos.validate(), refused);
+        let mut cluster = ClusterChaosConfig::default();
+        cluster.servers[1].bandwidth_mbps = f64::NAN;
+        assert_eq!(cluster.validate(), refused);
+        let server = crate::threaded::spawn_server(graph.clone(), edge.clone(), 1.0);
+        let engine = ClusterEngine::new(
+            Arc::new(graph),
+            build_named("loadpart").expect("registered"),
+            user,
+            edge,
+            DeviceModel::default(),
+            0,
+            EngineConfig::default(),
+            vec![ClusterLink {
+                name: "srv".into(),
+                bandwidth_mbps: f64::NAN,
+                conn: Box::new(server.connect()),
+            }],
+        );
+        assert_eq!(engine.map(|_| ()), refused);
+        server.shutdown().expect("clean");
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //!   context tracks the wire.
 //!
 //! Each (scenario, policy) pair runs an isolated closed-loop co-simulation
-//! (own [`Testbed`], tracker, watchdog, caches) from the same seed. Per
-//! request the harness computes the **true** expected cost of every
+//! (own [`Testbed`] with its edge server, own engine) from the same seed.
+//! Per request the harness computes the **true** expected cost of every
 //! partition point from the simulation's ground truth — the trace
-//! bandwidth at that instant, the tracker's current load factor, and the
-//! injected device-model miscalibration:
+//! bandwidth at that instant, the server tracker's current load factor,
+//! and the injected device-model miscalibration:
 //!
 //! ```text
 //! cost(p) = scale·Σ_{i≤p} f(L_i)  +  [p<n] · (s_p/B_true + ℓ + k_true·Σ_{i>p} g(L_i))
@@ -43,16 +43,16 @@
 
 use crate::algorithm::PartitionSolver;
 use crate::baselines::Policy;
-use crate::cache::PartitionCache;
-use crate::engine::backends::{GpuBackend, LinkTransport, SimulatedDevice};
+use crate::engine::backends::SimulatedDevice;
 use crate::engine::{DeviceExecutor, EngineConfig, OffloadEngine};
-use crate::policy::{BanditConfig, BanditPolicy, OracleCell, OraclePolicy};
+use crate::policy::{
+    BanditConfig, BanditPolicy, MemoPolicy, OracleCell, OraclePolicy, PartitionPolicy,
+};
 use crate::system::{trained_models, Testbed};
 use lp_graph::ComputationGraph;
 use lp_hardware::LoadLevel;
 use lp_json::Json;
 use lp_net::{mbps_to_bytes_per_sec, BandwidthTrace, Link};
-use lp_profiler::{GpuUtilWatchdog, LoadFactorTracker};
 use lp_sim::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 
@@ -413,49 +413,24 @@ fn run_contender(kind: ScenarioKind, config: &CompareConfig, contender: Contende
         ..EngineConfig::default()
     };
     let cell = OracleCell::new();
-    let mut engine = match contender {
-        Contender::Spec(policy) => {
-            OffloadEngine::new(graph, policy, &user, &edge, 0, engine_config.clone())
-        }
-        Contender::Bandit => OffloadEngine::with_policy(
-            graph,
-            Box::new(BanditPolicy::new(BanditConfig {
-                seed: config.seed,
-                ..BanditConfig::default()
-            })),
-            &user,
-            &edge,
-            0,
-            engine_config.clone(),
-        ),
-        Contender::Quant => {
-            let policy =
-                crate::quant::QuantPolicy::for_graph(&graph, crate::quant::DEFAULT_ACCURACY_BUDGET);
-            OffloadEngine::with_policy(
-                graph,
-                Box::new(policy),
-                &user,
-                &edge,
-                0,
-                engine_config.clone(),
-            )
-        }
-        Contender::Oracle => OffloadEngine::with_policy(
-            graph,
-            Box::new(OraclePolicy::new(cell.clone())),
-            &user,
-            &edge,
-            0,
-            engine_config.clone(),
-        ),
-    }
-    .expect("valid compare config");
+    // The spec'd policies get the memo `OffloadEngine::new` would add.
+    let policy: Box<dyn PartitionPolicy> = match contender {
+        Contender::Spec(policy) => Box::new(MemoPolicy::new(policy.build())),
+        Contender::Bandit => Box::new(BanditPolicy::new(BanditConfig {
+            seed: config.seed,
+            ..BanditConfig::default()
+        })),
+        Contender::Quant => Box::new(crate::quant::QuantPolicy::for_graph(
+            &graph,
+            crate::quant::DEFAULT_ACCURACY_BUDGET,
+        )),
+        Contender::Oracle => Box::new(OraclePolicy::new(cell.clone())),
+    };
+    let mut engine = OffloadEngine::with_policy(graph, policy, &user, &edge, 0, engine_config)
+        .expect("valid compare config");
     let mut testbed = Testbed::new(Link::symmetric(kind.trace()), config.seed);
     let device_times = testbed.device_times(engine.graph());
-    let kernel_times = testbed.kernel_times(engine.graph());
-    let mut tracker = LoadFactorTracker::new(engine_config.tracker_period);
-    let mut watchdog = GpuUtilWatchdog::new();
-    let server_cache = PartitionCache::new();
+    let kernel_times = testbed.server.kernel_times(engine.graph());
     let device_scale = kind.device_scale(config);
     let link_latency_secs = testbed.link.latency.as_secs_f64();
 
@@ -471,9 +446,9 @@ fn run_contender(kind: ScenarioKind, config: &CompareConfig, contender: Contende
             while boundary <= t {
                 // Load changes take effect at the GPU's current instant,
                 // so advance it to the boundary first.
-                testbed.gpu.advance_to(boundary);
+                testbed.server.gpu.advance_to(boundary);
                 load_high = !load_high;
-                testbed.set_load(if load_high {
+                testbed.server.set_load(if load_high {
                     LoadLevel::Pct100High
                 } else {
                     LoadLevel::Idle
@@ -483,7 +458,7 @@ fn run_contender(kind: ScenarioKind, config: &CompareConfig, contender: Contende
             next_toggle = Some(boundary);
         }
         let bw_true = testbed.link.upload.mbps_at(t);
-        let k_true = tracker.k_at(t).max(1.0);
+        let k_true = testbed.server.tracker.k_at(t).max(1.0);
         let costs = true_costs(
             engine.solver(),
             device_scale,
@@ -494,30 +469,16 @@ fn run_contender(kind: ScenarioKind, config: &CompareConfig, contender: Contende
         if contender == Contender::Oracle {
             cell.publish(costs.clone());
         }
-        let record = {
-            let Testbed {
-                link, gpu, fg_ctx, ..
-            } = &mut testbed;
-            let mut device = ScaledDevice {
-                inner: SimulatedDevice {
-                    times: &device_times,
-                },
-                scale: device_scale,
-            };
-            let mut transport = LinkTransport { link };
-            let mut backend = GpuBackend {
-                gpu,
-                kernel_times: &kernel_times,
-                ctx: *fg_ctx,
-                tracker: &mut tracker,
-                watchdog: Some(&mut watchdog),
-                server_cache: &server_cache,
-                admission: None,
-            };
-            engine
-                .run(t, &mut device, &mut backend, &mut transport)
-                .expect("co-simulated backends are infallible")
+        let mut device = ScaledDevice {
+            inner: SimulatedDevice {
+                times: &device_times,
+            },
+            scale: device_scale,
         };
+        let (mut transport, mut backend) = testbed.backends(&kernel_times);
+        let record = engine
+            .run(t, &mut device, &mut backend, &mut transport)
+            .expect("co-simulated backends are infallible");
         let best = costs.iter().copied().fold(f64::INFINITY, f64::min);
         regrets.push(costs[record.p] - best);
         latencies.push(record.total);

@@ -3,11 +3,13 @@
 //!
 //! * [`SimulatedDevice`] + [`LinkTransport`] + [`GpuBackend`] — the
 //!   co-simulation: node-time tables sampled per request, a jittered
-//!   [`Link`], and a queueing [`GpuSim`]. Each table is built once per
-//!   run (`DeviceModel::node_times`, `GpuModel::node_times`) and the
-//!   backends borrow it. `OffloadingSystem` uses them with an
-//!   exclusive GPU and the watchdog armed; `multi_client_run` shares one
-//!   GPU and tracker across all clients' backends.
+//!   [`Link`], and a client's view of the one [`EdgeServer`] (its
+//!   queueing GPU, tracker, watchdog and admission control). Each table
+//!   is built once per run (`DeviceModel::node_times`,
+//!   `GpuModel::node_times`) and the backends borrow it.
+//!   `OffloadingSystem` offloads through the server's foreground context;
+//!   `multi_client_run` gives every client a view over its own context of
+//!   one shared server.
 //! * [`NullDevice`] + [`WireTransport`] + [`WireBackend`] — the threaded
 //!   runtime: logical time, everything crossing the client/server boundary
 //!   framed as [`Message`]s over channels.
@@ -19,16 +21,15 @@
 //! [`ProtocolError::Disconnected`] / [`ProtocolError::Timeout`] for the
 //! engine's retry-and-degrade logic — never as a client panic.
 
-use crate::admission::{AdmissionController, AdmissionDecision};
-use crate::cache::PartitionCache;
+use crate::admission::AdmissionDecision;
 use crate::engine::{DeviceExecutor, ServerBackend, SuffixOutcome, SuffixRequest, Transport};
 use crate::pool::zero_payload;
 use crate::protocol::{Frame, Message, ProtocolError};
+use crate::system::EdgeServer;
 use crate::threaded::{FrameChannel, ServerHandle};
 use lp_graph::ComputationGraph;
-use lp_hardware::{GpuSim, NodeTimes, TaskId};
+use lp_hardware::{NodeTimes, TaskId};
 use lp_net::{Link, ProbeProfiler};
-use lp_profiler::{GpuUtilWatchdog, LoadFactorTracker};
 use lp_sim::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use std::time::{Duration, Instant};
@@ -112,44 +113,34 @@ impl Transport for LinkTransport<'_> {
     }
 }
 
-/// Server backend over a (possibly shared) [`GpuSim`]: suffix kernels are
-/// sampled from the graph's edge kernel-time table
+/// A client's view of the co-simulated [`EdgeServer`], built by
+/// [`EdgeServer::backend`]: suffix kernels are sampled from the client
+/// graph's edge kernel-time table
 /// ([`GpuModel::node_times`](lp_hardware::GpuModel::node_times)) and
-/// submitted to the simulator's real queueing; `k` comes from the
-/// [`LoadFactorTracker`] every backend view shares.
+/// submitted to the server GPU's real queueing in the client's context;
+/// `k` comes from the server's tracker, which every view shares, and the
+/// server's watchdog polls it on every request.
 #[derive(Debug)]
 pub struct GpuBackend<'a> {
-    /// The edge GPU simulator (shared across clients in multi-client
-    /// runs).
-    pub gpu: &'a mut GpuSim,
-    /// The edge GPU's kernel-time table for the engine's graph.
-    pub kernel_times: &'a NodeTimes,
-    /// The GPU context this client's suffixes run in.
-    pub ctx: usize,
-    /// The server-side load tracker (shared).
-    pub tracker: &'a mut LoadFactorTracker,
-    /// The GPU-utilization watchdog, when the driver arms one.
-    pub watchdog: Option<&'a mut GpuUtilWatchdog>,
-    /// The server-side partition cache (Figure 5 extraction).
-    pub server_cache: &'a PartitionCache,
-    /// Admission control, when the driver bounds the pending-work budget
-    /// (`None` = admit everything, the pre-overload-protection behaviour).
-    pub admission: Option<&'a mut AdmissionController>,
+    pub(crate) server: &'a mut EdgeServer,
+    pub(crate) kernel_times: &'a NodeTimes,
+    pub(crate) ctx: usize,
 }
 
 impl ServerBackend for GpuBackend<'_> {
     fn advance(&mut self, now: SimTime) {
-        self.gpu.advance_to(now);
+        self.server.gpu.advance_to(now);
     }
 
     fn monitor(&mut self, now: SimTime) {
-        if let Some(watchdog) = self.watchdog.as_deref_mut() {
-            watchdog.poll(now, self.gpu.busy_time(), self.tracker);
-        }
+        let server = &mut *self.server;
+        server
+            .watchdog
+            .poll(now, server.gpu.busy_time(), &mut server.tracker);
     }
 
     fn query_k(&mut self, now: SimTime) -> Result<f64, ProtocolError> {
-        Ok(self.tracker.k_at(now))
+        Ok(self.server.tracker.k_at(now))
     }
 
     fn execute_suffix(
@@ -158,42 +149,39 @@ impl ServerBackend for GpuBackend<'_> {
         req: &SuffixRequest,
         rng: &mut StdRng,
     ) -> Result<SuffixOutcome, ProtocolError> {
-        let (_suffix, _hit) = self
-            .server_cache
-            .get_or_partition(graph, req.p)
-            .expect("p in range");
-        self.gpu.advance_to(req.arrive);
+        let server = &mut *self.server;
+        server.gpu.advance_to(req.arrive);
         let n = graph.len();
         assert_eq!(self.kernel_times.len(), n, "table of another graph");
         let kernels: Vec<SimDuration> = self.kernel_times.sample(req.p..n, rng).collect();
         // advance_to can overshoot a slice boundary; the request becomes
         // visible to the scheduler at the GPU's current instant (the gap
         // is genuine queueing behind the in-flight kernel).
-        let submit_at = req.arrive.max(self.gpu.now());
-        if let Some(admission) = self.admission.as_deref_mut() {
+        let submit_at = req.arrive.max(server.gpu.now());
+        if let Some(admission) = server.admission.as_mut() {
             // Predicted occupancy = contention-free kernel time stretched
             // by the current load factor — the same §III-C signal the
             // clients decide on.
             let predicted = kernels
                 .iter()
                 .fold(SimDuration::ZERO, |acc, &kernel| acc + kernel);
-            let k = self.tracker.k_at(submit_at).max(1.0);
+            let k = server.tracker.k_at(submit_at).max(1.0);
             if let AdmissionDecision::Reject { retry_after } =
                 admission.assess(submit_at, predicted.scale(k))
             {
                 return Ok(SuffixOutcome::Rejected { retry_after, k });
             }
         }
-        let task = self.gpu.submit(self.ctx, submit_at, kernels);
+        let task = server.gpu.submit(self.ctx, submit_at, kernels);
         Ok(SuffixOutcome::Pending { task })
     }
 
     fn wait(&mut self, task: TaskId) -> SimTime {
-        self.gpu.run_until_complete(task)
+        self.server.gpu.run_until_complete(task)
     }
 
     fn complete(&mut self, completion: SimTime, observed: SimDuration, predicted: SimDuration) {
-        self.tracker.record(completion, observed, predicted);
+        self.server.tracker.record(completion, observed, predicted);
     }
 }
 

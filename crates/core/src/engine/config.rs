@@ -15,8 +15,6 @@ pub struct EngineConfig {
     pub profiler_period: SimDuration,
     /// Sliding-window length of the bandwidth estimator.
     pub bandwidth_window: usize,
-    /// Monitoring period of the server-side load tracker.
-    pub tracker_period: SimDuration,
     /// Whether to add the result-download leg to measured latency
     /// (§IV ignores it; kept for ablations).
     pub model_download: bool,
@@ -62,7 +60,6 @@ impl Default for EngineConfig {
         Self {
             profiler_period: SimDuration::from_secs(5),
             bandwidth_window: 8,
-            tracker_period: SimDuration::from_secs(5),
             model_download: false,
             seed: 7,
             io_timeout: Duration::from_millis(500),
@@ -90,9 +87,6 @@ impl EngineConfig {
         if self.profiler_period == SimDuration::ZERO {
             return Err(ConfigError::ZeroProfilerPeriod);
         }
-        if self.tracker_period == SimDuration::ZERO {
-            return Err(ConfigError::ZeroTrackerPeriod);
-        }
         if self.io_timeout == Duration::ZERO {
             return Err(ConfigError::ZeroIoTimeout);
         }
@@ -112,6 +106,16 @@ impl EngineConfig {
     pub fn backoff_for(&self, attempt: u32) -> Duration {
         let factor = 1u32 << attempt.saturating_sub(1).min(4);
         self.retry_backoff.saturating_mul(factor)
+    }
+}
+
+/// Refuses a link bandwidth that is not greater than zero, NaN included
+/// (a `<= 0.0` test lets NaN through).
+pub(crate) fn check_bandwidth(mbps: f64) -> Result<(), ConfigError> {
+    if mbps > 0.0 {
+        Ok(())
+    } else {
+        Err(ConfigError::NonPositiveBandwidth)
     }
 }
 
@@ -149,8 +153,6 @@ pub enum ConfigError {
     ZeroBandwidthWindow,
     /// The runtime profiler needs a positive period.
     ZeroProfilerPeriod,
-    /// The server-side load tracker needs a positive monitoring period.
-    ZeroTrackerPeriod,
     /// A multi-client run needs at least one client.
     ZeroClients,
     /// Links need a positive bandwidth.
@@ -179,7 +181,6 @@ impl fmt::Display for ConfigError {
                 write!(f, "bandwidth window must hold at least one sample")
             }
             ConfigError::ZeroProfilerPeriod => write!(f, "profiler period must be positive"),
-            ConfigError::ZeroTrackerPeriod => write!(f, "tracker period must be positive"),
             ConfigError::ZeroClients => write!(f, "need at least one client"),
             ConfigError::NonPositiveBandwidth => write!(f, "bandwidth must be positive"),
             ConfigError::ZeroDuration => write!(f, "duration must be positive"),
@@ -223,11 +224,6 @@ mod tests {
             ..EngineConfig::default()
         };
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroProfilerPeriod));
-        let cfg = EngineConfig {
-            tracker_period: SimDuration::ZERO,
-            ..EngineConfig::default()
-        };
-        assert_eq!(cfg.validate(), Err(ConfigError::ZeroTrackerPeriod));
     }
 
     #[test]

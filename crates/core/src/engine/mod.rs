@@ -51,6 +51,7 @@ mod profile;
 mod record;
 
 pub use breaker::{BreakerState, CircuitBreaker, WireGate};
+pub(crate) use config::check_bandwidth;
 pub use config::{seeded_jitter, splitmix64, ConfigError, EngineConfig};
 pub use profile::RuntimeProfile;
 pub use record::InferenceRecord;
@@ -311,14 +312,6 @@ impl FailedAttempt {
     pub fn endpoint(&self) -> usize {
         self.endpoint
     }
-}
-
-/// How a suffix hand-off ended: accepted, shed by admission control, or
-/// lost to wire faults.
-enum Disposition {
-    Ran(SuffixOutcome),
-    Shed { retry_after: SimDuration, k: f64 },
-    Faulted,
 }
 
 /// Result of [`OffloadEngine::start_attempt_on`] — [`Outcome`] plus the
@@ -854,8 +847,12 @@ impl OffloadEngine {
         match self.start_inner(endpoint, at, false, device, backend, transport)? {
             AttemptOutcome::Complete(record) => Ok(Outcome::Complete(record)),
             AttemptOutcome::Deferred(pending) => Ok(Outcome::Deferred(pending)),
-            AttemptOutcome::NoService | AttemptOutcome::Failed(_) => {
-                unreachable!("single-server mode degrades locally instead of failing the attempt")
+            // Single-server mode degrades a failed suffix in place.
+            AttemptOutcome::Failed(failed) => {
+                Ok(Outcome::Complete(self.complete_failed(failed, device)))
+            }
+            AttemptOutcome::NoService => {
+                unreachable!("single-server mode decides locally instead of refusing service")
             }
         }
     }
@@ -893,8 +890,9 @@ impl OffloadEngine {
     }
 
     /// The shared request pipeline. `failfast` selects cluster semantics
-    /// (surface failures for rerouting) over single-server semantics
-    /// (degrade to local completion in place).
+    /// (a blocked or unreachable endpoint is [`AttemptOutcome::NoService`])
+    /// over single-server semantics (decide locally instead). A failed
+    /// suffix comes back as [`AttemptOutcome::Failed`] either way.
     fn start_inner<D, S, T>(
         &mut self,
         endpoint: usize,
@@ -1123,124 +1121,110 @@ impl OffloadEngine {
             upload_bytes,
         );
 
-        let req = SuffixRequest {
-            request_id,
-            p,
-            precision,
-            upload_bytes,
-            arrive: upload_end,
-        };
-        let disposition =
-            self.suffix_disposition(endpoint, at, &req, backend, &mut retries, &mut spent);
-        record.retries = retries;
-        match disposition {
-            Disposition::Faulted => {
-                record.fallback_local = true;
-                if failfast {
-                    Ok(AttemptOutcome::Failed(FailedAttempt {
-                        record,
-                        resume_at: upload_end,
-                        endpoint,
-                        retry_after: None,
-                        spent,
-                    }))
-                } else {
-                    Ok(AttemptOutcome::Complete(
-                        self.complete_locally(endpoint, record, upload_end, device),
-                    ))
-                }
-            }
-            Disposition::Shed { retry_after, k } => {
-                // Pre-seed the profile with the server's own load factor
-                // so re-entry decisions are load-aware immediately.
-                self.endpoints[endpoint].profile.set_k(k);
-                self.endpoints[endpoint].breaker.record_failure(at);
-                self.remember_retry_after(endpoint, retry_after);
-                record.rejected = true;
-                self.emit_span(&record, SpanKind::Rejected, upload_end, retry_after, 0);
-                if failfast {
-                    Ok(AttemptOutcome::Failed(FailedAttempt {
-                        record,
-                        resume_at: upload_end,
-                        endpoint,
-                        retry_after: Some(retry_after),
-                        spent,
-                    }))
-                } else {
-                    Ok(AttemptOutcome::Complete(
-                        self.complete_locally(endpoint, record, upload_end, device),
-                    ))
-                }
-            }
-            Disposition::Ran(SuffixOutcome::Done { completion }) => {
-                Ok(AttemptOutcome::Complete(self.settle(
-                    endpoint,
-                    record,
-                    upload_end,
-                    completion,
-                    policy_decided,
-                    backend,
-                    transport,
-                )))
-            }
-            Disposition::Ran(SuffixOutcome::Pending { task }) => {
-                Ok(AttemptOutcome::Deferred(PendingRequest {
-                    task,
-                    arrive: upload_end,
-                    record,
-                    policy_decided,
-                    endpoint,
-                }))
-            }
-            Disposition::Ran(SuffixOutcome::Rejected { .. }) => {
-                unreachable!("rejections are routed to Disposition::Shed")
-            }
-        }
+        Ok(self.offload_suffix(
+            endpoint,
+            record,
+            at,
+            upload_end,
+            policy_decided,
+            spent,
+            backend,
+            transport,
+        ))
     }
 
-    /// Runs the suffix exchange loop for `req` against `endpoint`,
-    /// classifying how the hand-off ended: accepted, shed by admission
-    /// control, or lost to wire faults (breaker/cooldown updated).
-    fn suffix_disposition<S>(
+    /// The offload tail of a first attempt and of a failover: hands the
+    /// record's suffix to `endpoint` (retrying transient wire faults) and
+    /// settles it, defers it, or returns [`AttemptOutcome::Failed`] for a
+    /// wire fault or an admission shed. `breaker_at` is the instant the
+    /// endpoint's breaker and cooldown record the outcome at;
+    /// `policy_decided` gates the feedback hook at settle time.
+    #[allow(clippy::too_many_arguments)]
+    fn offload_suffix<S, T>(
         &mut self,
         endpoint: usize,
-        at: SimTime,
-        req: &SuffixRequest,
+        mut record: InferenceRecord,
+        breaker_at: SimTime,
+        upload_end: SimTime,
+        policy_decided: bool,
+        mut spent: Duration,
         backend: &mut S,
-        retries: &mut u32,
-        spent: &mut Duration,
-    ) -> Disposition
+        transport: &mut T,
+    ) -> AttemptOutcome
     where
         S: ServerBackend + ?Sized,
+        T: Transport + ?Sized,
     {
+        let req = SuffixRequest {
+            request_id: record.request_id,
+            p: record.p,
+            precision: record.precision,
+            upload_bytes: record.uploaded_bytes,
+            arrive: upload_end,
+        };
         let mut attempt = 0u32;
-        loop {
-            match backend.execute_suffix(&self.graph, req, &mut self.rng) {
+        let retry_after = loop {
+            match backend.execute_suffix(&self.graph, &req, &mut self.rng) {
                 // A rejection is the server telling us it is overloaded:
                 // never retried, counted toward the breaker.
                 Ok(SuffixOutcome::Rejected { retry_after, k }) => {
-                    break Disposition::Shed { retry_after, k };
+                    // Pre-seed the profile with the server's own load
+                    // factor so re-entry decisions are load-aware
+                    // immediately.
+                    self.endpoints[endpoint].profile.set_k(k);
+                    self.endpoints[endpoint].breaker.record_failure(breaker_at);
+                    self.remember_retry_after(endpoint, retry_after);
+                    record.rejected = true;
+                    self.emit_span(&record, SpanKind::Rejected, upload_end, retry_after, 0);
+                    break Some(retry_after);
                 }
-                Ok(outcome) => {
-                    self.endpoints[endpoint].breaker.record_success(at);
-                    break Disposition::Ran(outcome);
+                Ok(SuffixOutcome::Done { completion }) => {
+                    self.endpoints[endpoint].breaker.record_success(breaker_at);
+                    return AttemptOutcome::Complete(self.settle(
+                        endpoint,
+                        record,
+                        upload_end,
+                        completion,
+                        policy_decided,
+                        backend,
+                        transport,
+                    ));
+                }
+                Ok(SuffixOutcome::Pending { task }) => {
+                    self.endpoints[endpoint].breaker.record_success(breaker_at);
+                    return AttemptOutcome::Deferred(PendingRequest {
+                        task,
+                        arrive: upload_end,
+                        record,
+                        policy_decided,
+                        endpoint,
+                    });
                 }
                 Err(e) if e.is_transient() && attempt < self.config.max_retries => {
                     attempt += 1;
-                    *retries += 1;
-                    if !self.backoff_sleep(endpoint, attempt, spent) {
+                    record.retries += 1;
+                    if !self.backoff_sleep(endpoint, attempt, &mut spent) {
                         // Retry budget exhausted: same degradation as a
                         // non-transient failure.
-                        self.fault_endpoint(endpoint, at);
-                        break Disposition::Faulted;
+                        self.fault_endpoint(endpoint, breaker_at);
+                        record.fallback_local = true;
+                        break None;
                     }
                 }
                 Err(_) => {
-                    self.fault_endpoint(endpoint, at);
-                    break Disposition::Faulted;
+                    self.fault_endpoint(endpoint, breaker_at);
+                    record.fallback_local = true;
+                    break None;
                 }
             }
-        }
+        };
+        AttemptOutcome::Failed(FailedAttempt {
+            record,
+            resume_at: upload_end,
+            endpoint,
+            retry_after,
+            spent,
+        })
     }
 
     /// Re-issues the suffix of a failed attempt on another endpoint: the
@@ -1274,7 +1258,7 @@ impl OffloadEngine {
         let FailedAttempt {
             mut record,
             resume_at,
-            mut spent,
+            spent,
             ..
         } = failed;
         backend.advance(resume_at);
@@ -1312,60 +1296,9 @@ impl OffloadEngine {
             upload_end.since(resume_at),
             record.uploaded_bytes,
         );
-        let req = SuffixRequest {
-            request_id: record.request_id,
-            p: record.p,
-            precision: record.precision,
-            upload_bytes: record.uploaded_bytes,
-            arrive: upload_end,
-        };
-        let mut retries = record.retries;
-        let disposition =
-            self.suffix_disposition(endpoint, resume_at, &req, backend, &mut retries, &mut spent);
-        record.retries = retries;
-        match disposition {
-            Disposition::Faulted => {
-                record.fallback_local = true;
-                Ok(AttemptOutcome::Failed(FailedAttempt {
-                    record,
-                    resume_at: upload_end,
-                    endpoint,
-                    retry_after: None,
-                    spent,
-                }))
-            }
-            Disposition::Shed { retry_after, k } => {
-                self.endpoints[endpoint].profile.set_k(k);
-                self.endpoints[endpoint].breaker.record_failure(resume_at);
-                self.remember_retry_after(endpoint, retry_after);
-                record.rejected = true;
-                self.emit_span(&record, SpanKind::Rejected, upload_end, retry_after, 0);
-                Ok(AttemptOutcome::Failed(FailedAttempt {
-                    record,
-                    resume_at: upload_end,
-                    endpoint,
-                    retry_after: Some(retry_after),
-                    spent,
-                }))
-            }
-            Disposition::Ran(SuffixOutcome::Done { completion }) => {
-                Ok(AttemptOutcome::Complete(self.settle(
-                    endpoint, record, upload_end, completion, false, backend, transport,
-                )))
-            }
-            Disposition::Ran(SuffixOutcome::Pending { task }) => {
-                Ok(AttemptOutcome::Deferred(PendingRequest {
-                    task,
-                    arrive: upload_end,
-                    record,
-                    policy_decided: false,
-                    endpoint,
-                }))
-            }
-            Disposition::Ran(SuffixOutcome::Rejected { .. }) => {
-                unreachable!("rejections are routed to Disposition::Shed")
-            }
-        }
+        Ok(self.offload_suffix(
+            endpoint, record, resume_at, upload_end, false, spent, backend, transport,
+        ))
     }
 
     /// Gives up on the wire for a failed attempt: the device re-executes

@@ -21,8 +21,9 @@
 //!   composition over it, and all of them emit the one
 //!   [`engine::InferenceRecord`] telemetry type.
 //! * [`system`] — the end-to-end co-simulation: device execution, probe-
-//!   based bandwidth estimation, upload over the link, GPU queueing under
-//!   background load, the server-side `k` tracker and GPU watchdog.
+//!   based bandwidth estimation, upload over the link, and one
+//!   [`system::EdgeServer`] (GPU queueing under background load, the `k`
+//!   tracker, the GPU watchdog and admission control).
 //! * [`threaded`] — the engine over real OS threads and the wire
 //!   [`protocol`], with deadline-based I/O, bounded retries and local
 //!   fallback when the server misbehaves.
@@ -35,7 +36,7 @@
 //!   delay, corruption and duplication, models latency, jitter,
 //!   token-bucket rate limiting, periodic stalls and connection resets,
 //!   and goes dark while a shared outage switch is on.
-//! * [`multi_client`] — N engines sharing one GPU simulator.
+//! * [`multi_client`] — N engines sharing one edge server.
 //! * [`policy`] — the pluggable decision layer: the
 //!   [`policy::PartitionPolicy`] trait every decision site dispatches
 //!   through, the memoization wrapper, the online-learning bandit and the

@@ -3,10 +3,13 @@
 //! The paper motivates load awareness with "tasks offloaded from other
 //! user-end devices" (§II) but evaluates against synthetic background
 //! processes. This module closes the loop: N clients each run a full
-//! [`OffloadEngine`] against a *shared* [`GpuSim`], so each client's
-//! offloaded partitions are exactly the contention every other client
-//! experiences. The server-side load-factor tracker aggregates all
-//! observed partition executions, as a real deployment's monitor would.
+//! [`OffloadEngine`] against one shared [`EdgeServer`], client `i`'s
+//! suffixes in GPU context `i`, so each client's offloaded partitions are
+//! exactly the contention every other client experiences. The server's
+//! load-factor tracker aggregates all observed partition executions, as a
+//! real deployment's monitor would, and the report reads the run's
+//! figures (GPU utilization, final `k`, watchdog resets, rejections) from
+//! the server.
 //!
 //! The emergent behaviour reproduces the paper's story at system scale: as
 //! the client population grows, the measured `k` rises and every client
@@ -17,18 +20,19 @@
 //! settling each [`PendingRequest`] when the simulator reports its
 //! completion.
 
-use crate::admission::{AdmissionConfig, AdmissionController};
+use crate::admission::AdmissionConfig;
 use crate::baselines::Policy;
-use crate::cache::PartitionCache;
-use crate::engine::backends::{GpuBackend, LinkTransport, SimulatedDevice};
+use crate::engine::backends::{LinkTransport, SimulatedDevice};
 use crate::engine::{
-    ConfigError, EngineConfig, InferenceRecord, OffloadEngine, Outcome, PendingRequest,
+    check_bandwidth, ConfigError, EngineConfig, InferenceRecord, OffloadEngine, Outcome,
+    PendingRequest,
 };
+use crate::system::EdgeServer;
 use crate::telemetry::Telemetry;
 use lp_graph::ComputationGraph;
-use lp_hardware::{DeviceModel, GpuModel, GpuSim};
+use lp_hardware::{DeviceModel, NodeTimes};
 use lp_net::{BandwidthTrace, Link};
-use lp_profiler::{GpuUtilWatchdog, LoadFactorTracker, PredictionModels};
+use lp_profiler::PredictionModels;
 use lp_sim::{SimDuration, SimTime};
 
 /// Configuration of a multi-client run.
@@ -75,15 +79,14 @@ impl MultiClientConfig {
     /// # Errors
     ///
     /// * [`ConfigError::ZeroClients`] if `n_clients == 0`;
-    /// * [`ConfigError::NonPositiveBandwidth`] if `bandwidth_mbps <= 0`;
+    /// * [`ConfigError::NonPositiveBandwidth`] unless `bandwidth_mbps > 0`
+    ///   (NaN included);
     /// * [`ConfigError::ZeroDuration`] if `duration` is zero.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.n_clients == 0 {
             return Err(ConfigError::ZeroClients);
         }
-        if self.bandwidth_mbps <= 0.0 {
-            return Err(ConfigError::NonPositiveBandwidth);
-        }
+        check_bandwidth(self.bandwidth_mbps)?;
         if self.duration == SimDuration::ZERO {
             return Err(ConfigError::ZeroDuration);
         }
@@ -204,6 +207,22 @@ struct Client {
     pending: Option<PendingRequest>,
 }
 
+impl Client {
+    /// Settles the pending request, which completed on the GPU at `done`.
+    fn finish(
+        &mut self,
+        done: SimTime,
+        server: &mut EdgeServer,
+        kernel_times: &NodeTimes,
+        link: &Link,
+    ) -> InferenceRecord {
+        let pending = self.pending.take().expect("a pending request");
+        let mut backend = server.backend(kernel_times, self.ctx);
+        self.engine
+            .finish(pending, done, &mut backend, &mut LinkTransport { link })
+    }
+}
+
 /// Runs N full LoADPart clients against one shared GPU.
 ///
 /// # Errors
@@ -245,18 +264,16 @@ pub fn multi_client_run_with_telemetry(
     // Every request samples these tables; neither model is re-evaluated
     // per node after this point.
     let device_times = DeviceModel::default().node_times(graph);
-    let kernel_times = GpuModel::default().node_times(graph);
     let link = Link::symmetric(BandwidthTrace::constant(config.bandwidth_mbps));
-    let server_cache = PartitionCache::new();
-    let mut tracker = LoadFactorTracker::new(SimDuration::from_secs(5));
-    // One watchdog for the shared GPU, as §IV deploys it: without it a
-    // stale high `k` outlives the load that caused it and clients that went
-    // local never come back.
-    let mut watchdog = GpuUtilWatchdog::new();
-    let mut gpu = GpuSim::with_default_slice(config.seed);
-    // One admission controller for the shared GPU: all clients draw on the
-    // same pending-work budget.
-    let mut admission = config.admission.map(AdmissionController::new);
+    // One server for every client: its tracker aggregates all clients'
+    // suffixes, its watchdog keeps a stale high `k` from outliving the
+    // load that caused it (§IV), and all clients draw on one admission
+    // budget.
+    let mut server = EdgeServer::new(config.seed);
+    if let Some(admission) = config.admission {
+        server.set_admission(admission);
+    }
+    let kernel_times = server.kernel_times(graph);
 
     // One shared graph for the whole fleet: each engine holds an `Arc`
     // bump, not its own multi-node deep copy.
@@ -278,7 +295,7 @@ pub fn multi_client_run_with_telemetry(
         engine.set_telemetry(telemetry.clone());
         clients.push(Client {
             engine,
-            ctx: gpu.add_context(),
+            ctx: server.gpu.add_context(),
             // Stagger arrivals so clients do not lock-step.
             next_request: Some(SimTime::ZERO + SimDuration::from_millis(50 + 37 * i as u64)),
             pending: None,
@@ -294,24 +311,10 @@ pub fn multi_client_run_with_telemetry(
             let done = client
                 .pending
                 .as_ref()
-                .and_then(|p| gpu.completion(p.task))
+                .and_then(|p| server.gpu.completion(p.task))
                 .map(|(_, done)| done);
             if let Some(done) = done {
-                let pending = client.pending.take().expect("checked above");
-                let mut backend = GpuBackend {
-                    gpu: &mut gpu,
-                    kernel_times: &kernel_times,
-                    ctx: client.ctx,
-                    tracker: &mut tracker,
-                    watchdog: Some(&mut watchdog),
-                    server_cache: &server_cache,
-                    admission: admission.as_mut(),
-                };
-                let mut transport = LinkTransport { link: &link };
-                let record = client
-                    .engine
-                    .finish(pending, done, &mut backend, &mut transport);
-                records.push(record);
+                records.push(client.finish(done, &mut server, &kernel_times, &link));
                 client.next_request = Some(done + config.think_time);
             }
         }
@@ -337,7 +340,7 @@ pub fn multi_client_run_with_telemetry(
             if pending.is_empty() {
                 break; // nothing pending, nothing scheduled
             }
-            gpu.run_until_earliest_complete(&pending);
+            server.gpu.run_until_earliest_complete(&pending);
             continue;
         };
         if t >= end {
@@ -349,15 +352,7 @@ pub fn multi_client_run_with_telemetry(
         let mut device = SimulatedDevice {
             times: &device_times,
         };
-        let mut backend = GpuBackend {
-            gpu: &mut gpu,
-            kernel_times: &kernel_times,
-            ctx: client.ctx,
-            tracker: &mut tracker,
-            watchdog: Some(&mut watchdog),
-            server_cache: &server_cache,
-            admission: admission.as_mut(),
-        };
+        let mut backend = server.backend(&kernel_times, client.ctx);
         let mut transport = LinkTransport { link: &link };
         match client
             .engine
@@ -377,55 +372,32 @@ pub fn multi_client_run_with_telemetry(
     // consumed device time, uplink bytes and GPU queue slots — dropping
     // them would silently understate every per-client metric. Run each one
     // to completion and report it.
-    let mut drained = Vec::new();
     for client in &mut clients {
-        if let Some(pending) = client.pending.take() {
-            let done = gpu.run_until_complete(pending.task);
-            let mut backend = GpuBackend {
-                gpu: &mut gpu,
-                kernel_times: &kernel_times,
-                ctx: client.ctx,
-                tracker: &mut tracker,
-                watchdog: Some(&mut watchdog),
-                server_cache: &server_cache,
-                admission: admission.as_mut(),
-            };
-            let mut transport = LinkTransport { link: &link };
-            drained.push(
-                client
-                    .engine
-                    .finish(pending, done, &mut backend, &mut transport),
-            );
+        if let Some(task) = client.pending.as_ref().map(|p| p.task) {
+            let done = server.gpu.run_until_complete(task);
+            records.push(client.finish(done, &mut server, &kernel_times, &link));
         }
     }
-    records.extend(drained);
     // `MultiClientReport::records` documents completion order and
     // `settled_median_p` slices the second half of it, but the loop above
     // pushes local completions at issue order and drained GPU records at
     // the end. Sort by completion time (ties broken deterministically).
     records.sort_by_key(|r| (r.start + r.total, r.client, r.request_id));
 
-    let gpu_utilization = if gpu.now() > SimTime::ZERO {
-        gpu.busy_time().as_secs_f64() / gpu.now().as_secs_f64()
-    } else {
-        0.0
-    };
-    let final_k = tracker.k_at(gpu.now());
-    let rejections = admission.as_ref().map_or(0, AdmissionController::rejected);
     let report = MultiClientReport {
         records,
-        gpu_utilization,
-        final_k,
-        watchdog_resets: watchdog.resets(),
-        rejections,
+        gpu_utilization: server.utilization(),
+        final_k: server.tracker.k_at(server.gpu.now()),
+        watchdog_resets: server.watchdog.resets(),
+        rejections: server.rejections(),
     };
     if telemetry.is_enabled() {
         telemetry.incr("multi_client.completed_total", report.records.len() as u64);
-        telemetry.incr("multi_client.watchdog_resets_total", watchdog.resets());
-        telemetry.incr("server.rejected_total", rejections);
+        telemetry.incr("multi_client.watchdog_resets_total", report.watchdog_resets);
+        telemetry.incr("server.rejected_total", report.rejections);
         telemetry.set_gauge("multi_client.clients", config.n_clients as f64);
-        telemetry.set_gauge("multi_client.gpu_utilization", gpu_utilization);
-        telemetry.set_gauge("multi_client.final_k", final_k);
+        telemetry.set_gauge("multi_client.gpu_utilization", report.gpu_utilization);
+        telemetry.set_gauge("multi_client.final_k", report.final_k);
         telemetry.set_gauge("multi_client.shed_ratio", report.shed_ratio());
     }
     Ok(report)

@@ -200,11 +200,11 @@ pub fn load_timeline_with_telemetry(
         while next_phase < phases.len() && phases[next_phase].start_secs <= t.as_secs_f64() {
             // Load changes take effect at the GPU's current instant, so
             // advance it to the boundary first.
-            sys.testbed.gpu.advance_to(
+            sys.testbed.server.gpu.advance_to(
                 SimTime::ZERO + SimDuration::from_secs_f64(phases[next_phase].start_secs),
             );
             level = phases[next_phase].level;
-            sys.testbed.set_load(level);
+            sys.testbed.server.set_load(level);
             next_phase += 1;
         }
         let record = sys.infer(t);
@@ -230,7 +230,7 @@ pub fn latency_distribution(
     seed: u64,
 ) -> Vec<SimDuration> {
     let mut testbed = Testbed::with_constant_bandwidth(bandwidth_mbps, seed);
-    testbed.set_load(level);
+    testbed.server.set_load(level);
     let mut sys = OffloadingSystem::new(
         graph,
         policy,

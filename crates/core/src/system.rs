@@ -1,22 +1,27 @@
 //! The end-to-end offloading system co-simulation.
 //!
-//! [`Testbed`] bundles the simulated hardware — the link, the edge GPU with
-//! its background-load contexts, and the device/GPU latency models.
+//! [`EdgeServer`] is the co-simulated edge server of §IV as one unit: the
+//! GPU it shares with §II's background processes, the tracker that
+//! measures the load factor `k` (observed over predicted suffix time), the
+//! GPU-utilization watchdog that resets `k` when the GPU idles, and
+//! optional admission control. Every co-simulation driver builds exactly
+//! one; each client reaches it through a [`GpuBackend`] view over its own
+//! GPU context ([`EdgeServer::backend`]).
+//!
+//! [`Testbed`] holds one server next to the link and the device model.
 //! [`OffloadingSystem`] is the [`OffloadEngine`] composed with the
 //! co-simulated backends: a [`SimulatedDevice`] over the device's
-//! node-time table, a [`LinkTransport`] over the jittered link, and a
-//! [`GpuBackend`] over the GPU's kernel-time table and an exclusive GPU
-//! context with the §IV watchdog armed. Both tables are built once, when
-//! the system is assembled; the testbed's models are private, so nothing
-//! can change a model behind its table. The
-//! per-request pipeline itself — profiler refresh, Algorithm 1 decision,
-//! partition caches, prefix/upload/suffix, load-tracker feedback — lives in
-//! the engine; this module only owns the hardware and the server-side
-//! state.
+//! node-time table, a [`LinkTransport`] over the jittered link, and the
+//! testbed server's view over the GPU's kernel-time table and the
+//! foreground context. Both tables are built once, when the system is
+//! assembled; the models are private, so nothing can change a model
+//! behind its table. The per-request pipeline itself — profiler refresh,
+//! Algorithm 1 decision, the device partition cache,
+//! prefix/upload/suffix, load-tracker feedback — lives in the engine;
+//! this module only owns the hardware and the server.
 
 use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::baselines::Policy;
-use crate::cache::PartitionCache;
 use crate::engine::backends::{GpuBackend, LinkTransport, SimulatedDevice};
 use crate::engine::OffloadEngine;
 use lp_graph::ComputationGraph;
@@ -31,46 +36,62 @@ use std::sync::{Mutex, OnceLock};
 
 pub use crate::engine::{EngineConfig as SystemConfig, InferenceRecord};
 
-/// The simulated hardware: link + edge GPU (+ background load) + models.
+/// The co-simulated edge server: one GPU, its §II background load, the
+/// load-factor tracker, an always-armed GPU-utilization watchdog and
+/// optional admission control.
+///
+/// The GPU schedules its contexts round-robin in index order, so the
+/// order contexts are added in is part of the model: clients add theirs
+/// first, and the background contexts follow on the first
+/// [`EdgeServer::set_load`] away from idle.
 #[derive(Debug)]
-pub struct Testbed {
-    /// The device<->server link.
-    pub link: Link,
+pub struct EdgeServer {
     /// The edge GPU simulator.
     pub gpu: GpuSim,
     gpu_model: GpuModel,
-    device_model: DeviceModel,
-    /// The foreground context offloaded partitions run in.
-    pub fg_ctx: usize,
     bg_ctxs: Vec<usize>,
     load: LoadLevel,
+    pub(crate) tracker: LoadFactorTracker,
+    pub(crate) watchdog: GpuUtilWatchdog,
+    pub(crate) admission: Option<AdmissionController>,
 }
 
-impl Testbed {
-    /// Builds a testbed over the given link; background load starts idle.
+impl EdgeServer {
+    /// An idle server without contexts: the paper's 5 s tracker period,
+    /// the watchdog armed, admission control off.
     #[must_use]
-    pub fn new(link: Link, seed: u64) -> Self {
-        let mut gpu = GpuSim::with_default_slice(seed);
-        let fg_ctx = gpu.add_context();
+    pub fn new(seed: u64) -> Self {
         Self {
-            link,
-            gpu,
+            gpu: GpuSim::with_default_slice(seed),
             gpu_model: GpuModel::default(),
-            device_model: DeviceModel::default(),
-            fg_ctx,
             bg_ctxs: Vec::new(),
             load: LoadLevel::Idle,
+            tracker: LoadFactorTracker::new(SimDuration::from_secs(5)),
+            watchdog: GpuUtilWatchdog::new(),
+            admission: None,
         }
     }
 
-    /// Convenience: a testbed with a constant-bandwidth symmetric link.
-    #[must_use]
-    pub fn with_constant_bandwidth(mbps: f64, seed: u64) -> Self {
-        Self::new(Link::symmetric(BandwidthTrace::constant(mbps)), seed)
+    /// Replaces the load tracker with one monitoring `period`; samples
+    /// recorded so far are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is zero.
+    pub fn set_tracker_period(&mut self, period: SimDuration) {
+        self.tracker = LoadFactorTracker::new(period);
     }
 
-    /// Switches the background load level, effective from the current
-    /// simulation instant.
+    /// Arms admission control with the given budget; offload requests
+    /// past it are shed
+    /// ([`SuffixOutcome::Rejected`](crate::engine::SuffixOutcome::Rejected))
+    /// and complete locally.
+    pub fn set_admission(&mut self, config: AdmissionConfig) {
+        self.admission = Some(AdmissionController::new(config));
+    }
+
+    /// Switches the background load level, effective from the GPU's
+    /// current simulation instant.
     pub fn set_load(&mut self, level: LoadLevel) {
         for &ctx in &self.bg_ctxs {
             self.gpu.clear_generator(ctx);
@@ -104,6 +125,76 @@ impl Testbed {
         self.load
     }
 
+    /// The GPU's kernel-time table for `graph` (what a [`GpuBackend`]
+    /// samples).
+    #[must_use]
+    pub fn kernel_times(&self, graph: &ComputationGraph) -> NodeTimes {
+        self.gpu_model.node_times(graph)
+    }
+
+    /// The view a client offloads through: its suffixes run in GPU context
+    /// `ctx`, sampled from `kernel_times`, its graph's table.
+    pub fn backend<'a>(&'a mut self, kernel_times: &'a NodeTimes, ctx: usize) -> GpuBackend<'a> {
+        GpuBackend {
+            server: self,
+            kernel_times,
+            ctx,
+        }
+    }
+
+    /// GPU utilization from time zero to the GPU's current instant.
+    #[must_use]
+    pub fn utilization(&self) -> f64 {
+        if self.gpu.now() > SimTime::ZERO {
+            self.gpu.busy_time().as_secs_f64() / self.gpu.now().as_secs_f64()
+        } else {
+            0.0
+        }
+    }
+
+    /// Requests admission control has shed (0 while it is off).
+    #[must_use]
+    pub fn rejections(&self) -> u64 {
+        self.admission
+            .as_ref()
+            .map_or(0, AdmissionController::rejected)
+    }
+}
+
+/// The simulated hardware: the link, the edge server and the device
+/// model.
+#[derive(Debug)]
+pub struct Testbed {
+    /// The device<->server link.
+    pub link: Link,
+    /// The edge server.
+    pub server: EdgeServer,
+    device_model: DeviceModel,
+    fg_ctx: usize,
+}
+
+impl Testbed {
+    /// Builds a testbed over the given link; the server starts idle.
+    #[must_use]
+    pub fn new(link: Link, seed: u64) -> Self {
+        let mut server = EdgeServer::new(seed);
+        // The foreground context comes first, so background contexts
+        // follow it even when the load is set before a system is built.
+        let fg_ctx = server.gpu.add_context();
+        Self {
+            link,
+            server,
+            device_model: DeviceModel::default(),
+            fg_ctx,
+        }
+    }
+
+    /// Convenience: a testbed with a constant-bandwidth symmetric link.
+    #[must_use]
+    pub fn with_constant_bandwidth(mbps: f64, seed: u64) -> Self {
+        Self::new(Link::symmetric(BandwidthTrace::constant(mbps)), seed)
+    }
+
     /// The user-end device's node-time table for `graph` (what a
     /// [`SimulatedDevice`] samples).
     #[must_use]
@@ -111,11 +202,16 @@ impl Testbed {
         self.device_model.node_times(graph)
     }
 
-    /// The edge GPU's kernel-time table for `graph` (what a
-    /// [`GpuBackend`] samples).
-    #[must_use]
-    pub fn kernel_times(&self, graph: &ComputationGraph) -> NodeTimes {
-        self.gpu_model.node_times(graph)
+    /// The transport over the link and the server view the foreground
+    /// client offloads through (`kernel_times` is its graph's table).
+    pub fn backends<'a>(
+        &'a mut self,
+        kernel_times: &'a NodeTimes,
+    ) -> (LinkTransport<'a>, GpuBackend<'a>) {
+        (
+            LinkTransport { link: &self.link },
+            self.server.backend(kernel_times, self.fg_ctx),
+        )
     }
 }
 
@@ -128,10 +224,6 @@ pub struct OffloadingSystem {
     pub testbed: Testbed,
     device_times: NodeTimes,
     kernel_times: NodeTimes,
-    tracker: LoadFactorTracker,
-    watchdog: GpuUtilWatchdog,
-    server_cache: PartitionCache,
-    admission: Option<AdmissionController>,
 }
 
 impl OffloadingSystem {
@@ -181,28 +273,16 @@ impl OffloadingSystem {
     }
 
     fn from_engine(engine: OffloadEngine, testbed: Testbed) -> Self {
-        let tracker = LoadFactorTracker::new(engine.config().tracker_period);
         Self {
             device_times: testbed.device_times(engine.graph()),
-            kernel_times: testbed.kernel_times(engine.graph()),
+            kernel_times: testbed.server.kernel_times(engine.graph()),
             engine,
             testbed,
-            tracker,
-            watchdog: GpuUtilWatchdog::new(),
-            server_cache: PartitionCache::new(),
-            admission: None,
         }
     }
 
-    /// Arms server-side admission control with the given budget; offload
-    /// requests past it are shed
-    /// ([`SuffixOutcome::Rejected`](crate::engine::SuffixOutcome::Rejected))
-    /// and complete locally.
-    pub fn set_admission(&mut self, config: AdmissionConfig) {
-        self.admission = Some(AdmissionController::new(config));
-    }
-
-    /// The underlying engine (solver, profile, caches).
+    /// The underlying engine (solver, profile, caches, the `k` the device
+    /// believes).
     #[must_use]
     pub fn engine(&self) -> &OffloadEngine {
         &self.engine
@@ -214,24 +294,6 @@ impl OffloadingSystem {
         self.engine.set_telemetry(telemetry);
     }
 
-    /// The solver (for inspecting predictions).
-    #[must_use]
-    pub fn solver(&self) -> &crate::algorithm::PartitionSolver {
-        self.engine.solver()
-    }
-
-    /// The device-side partition cache.
-    #[must_use]
-    pub fn device_cache(&self) -> &PartitionCache {
-        self.engine.device_cache()
-    }
-
-    /// The load factor the device currently believes.
-    #[must_use]
-    pub fn current_k(&self) -> f64 {
-        self.engine.profile().k()
-    }
-
     /// Performs one inference request arriving at `at` and returns its
     /// record.
     ///
@@ -239,22 +301,10 @@ impl OffloadingSystem {
     ///
     /// Panics if `at` is before the testbed's current simulated time.
     pub fn infer(&mut self, at: SimTime) -> InferenceRecord {
-        let Testbed {
-            link, gpu, fg_ctx, ..
-        } = &mut self.testbed;
         let mut device = SimulatedDevice {
             times: &self.device_times,
         };
-        let mut transport = LinkTransport { link };
-        let mut backend = GpuBackend {
-            gpu,
-            kernel_times: &self.kernel_times,
-            ctx: *fg_ctx,
-            tracker: &mut self.tracker,
-            watchdog: Some(&mut self.watchdog),
-            server_cache: &self.server_cache,
-            admission: self.admission.as_mut(),
-        };
+        let (mut transport, mut backend) = self.testbed.backends(&self.kernel_times);
         self.engine
             .run(at, &mut device, &mut backend, &mut transport)
             .expect("co-simulated backends are infallible")
@@ -372,7 +422,7 @@ mod tests {
         let idle_p = sys.infer(secs(1)).p;
         // Saturate the GPU and keep inferring; after the next profiler
         // period the device sees k > 1.
-        sys.testbed.set_load(LoadLevel::Pct100High);
+        sys.testbed.server.set_load(LoadLevel::Pct100High);
         let mut last = None;
         for i in 0..30 {
             let r = sys.infer(secs(2) + SimDuration::from_millis(600 * i));
@@ -386,21 +436,21 @@ mod tests {
     #[test]
     fn watchdog_recovers_k_after_load_drops() {
         let mut sys = system(Policy::LoadPart, 8.0, lp_models::alexnet(1));
-        sys.testbed.set_load(LoadLevel::Pct100High);
+        sys.testbed.server.set_load(LoadLevel::Pct100High);
         for i in 0..30 {
             sys.infer(secs(1) + SimDuration::from_millis(600 * i));
         }
-        let k_busy = sys.current_k();
+        let k_busy = sys.engine().profile().k();
         assert!(k_busy > 2.0, "k={k_busy}");
         // Load vanishes; the device may have gone local, but the watchdog
         // resets the tracker and the next k fetch sees the idle baseline
         // again (~1.3-1.5: the NNLS models' systematic underprediction,
         // which `k` absorbs by design).
-        sys.testbed.set_load(LoadLevel::Idle);
+        sys.testbed.server.set_load(LoadLevel::Idle);
         for i in 0..8 {
             sys.infer(secs(30) + SimDuration::from_secs(5 * i));
         }
-        let k_recovered = sys.current_k();
+        let k_recovered = sys.engine().profile().k();
         assert!(
             k_recovered < 2.0 && k_recovered < k_busy / 2.0,
             "k should recover: busy {k_busy} -> {k_recovered}"
@@ -411,11 +461,30 @@ mod tests {
     fn neurosurgeon_ignores_load_in_decisions() {
         let mut sys = system(Policy::Neurosurgeon, 8.0, lp_models::alexnet(1));
         let p_idle = sys.infer(secs(1)).p;
-        sys.testbed.set_load(LoadLevel::Pct100High);
+        sys.testbed.server.set_load(LoadLevel::Pct100High);
         for i in 0..20 {
             let r = sys.infer(secs(2) + SimDuration::from_millis(700 * i));
             assert_eq!(r.p, p_idle, "baseline must keep its partition point");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "period must be positive")]
+    fn zero_tracker_period_is_refused() {
+        EdgeServer::new(1).set_tracker_period(SimDuration::ZERO);
+    }
+
+    /// The GPU's round-robin follows context indices: the foreground
+    /// context is 0 and the background ones follow, even when the load is
+    /// set before a system is assembled.
+    #[test]
+    fn background_contexts_follow_the_foreground_context() {
+        let mut testbed = Testbed::with_constant_bandwidth(8.0, 1);
+        assert!(testbed.server.bg_ctxs.is_empty(), "idle builds no load");
+        testbed.server.set_load(LoadLevel::Pct50);
+        assert_eq!(testbed.fg_ctx, 0);
+        let n = lp_hardware::load::BACKGROUND_PROCESSES;
+        assert_eq!(testbed.server.bg_ctxs, (1..=n).collect::<Vec<_>>());
     }
 
     #[test]

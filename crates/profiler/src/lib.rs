@@ -24,5 +24,5 @@ pub mod sampling;
 pub mod training;
 
 pub use dataset::{Dataset, NodeConfig};
-pub use runtime::{GpuUtilWatchdog, LoadFactorSource, LoadFactorTracker};
+pub use runtime::{GpuUtilWatchdog, LoadFactorTracker};
 pub use training::{train_all, ModelReport, PredictionModels};

@@ -97,23 +97,6 @@ impl LoadFactorTracker {
     }
 }
 
-/// A source the device-side runtime profiler can query for the current
-/// load influence factor.
-///
-/// [`LoadFactorTracker`] implements it directly (the co-simulated server
-/// answers from its own tracker); a wire runtime implements it by sending a
-/// load query to the remote server, whose handler consults *its* tracker.
-pub trait LoadFactorSource {
-    /// The load factor `k >= 1` as of `now`.
-    fn k_at(&mut self, now: SimTime) -> f64;
-}
-
-impl LoadFactorSource for LoadFactorTracker {
-    fn k_at(&mut self, now: SimTime) -> f64 {
-        LoadFactorTracker::k_at(self, now)
-    }
-}
-
 /// The GPU-utilization watchdog (§IV): checks utilization every
 /// `check_interval`; when it falls below `threshold` it resets the load
 /// tracker so a locally-inferring client can discover the idle server.

@@ -5,9 +5,10 @@
 
 use loadpart::system::trained_models;
 use loadpart::{
-    spawn_server, spawn_server_tuned, EngineConfig, InferenceRecord, LoadEnv, MemoPolicy,
-    OffloadingSystem, PartitionPolicy, PartitionSolver, Policy, PolicyContext, RingSink,
-    ServerFaultSpec, ServerTuning, SpanKind, SystemConfig, Telemetry, Testbed, ThreadedClient,
+    multi_client_run, spawn_server, spawn_server_tuned, AdmissionConfig, EngineConfig,
+    InferenceRecord, LoadEnv, MemoPolicy, MultiClientConfig, OffloadingSystem, PartitionPolicy,
+    PartitionSolver, Policy, PolicyContext, RingSink, ServerFaultSpec, ServerTuning, SpanKind,
+    SystemConfig, Telemetry, Testbed, ThreadedClient,
 };
 use lp_sim::{SimDuration, SimTime};
 use std::sync::{Arc, OnceLock};
@@ -56,6 +57,72 @@ fn cosim_and_threaded_pick_the_same_partition() {
     );
     assert_eq!(t.k_used, r.k_used);
     server.shutdown().expect("clean shutdown");
+}
+
+/// The two co-simulation drivers run one server: a one-client
+/// [`multi_client_run`] and an [`OffloadingSystem`] over the same graph,
+/// bandwidth, seed and policy, driven on the multi-client schedule (first
+/// request at 50 ms, each next one `think_time` after the previous
+/// completes, until `duration`), return identical records. The last case
+/// arms admission control with a zero budget, so every offload is shed
+/// and completes locally on both.
+#[test]
+fn one_client_multi_client_run_matches_offloading_system() {
+    let (user, edge) = models();
+    let shed_all = AdmissionConfig {
+        max_inflight: 0,
+        ..AdmissionConfig::default()
+    };
+    let cases = [
+        (lp_models::squeezenet(1), Policy::LoadPart, 8.0, None),
+        (lp_models::alexnet(1), Policy::LoadPart, 8.0, None),
+        (lp_models::alexnet(1), Policy::Full, 2.0, None),
+        (lp_models::inception_v3(1), Policy::LoadPart, 8.0, None),
+        (lp_models::alexnet(1), Policy::LoadPart, 8.0, Some(shed_all)),
+    ];
+    for (graph, policy, mbps, admission) in cases {
+        let config = MultiClientConfig {
+            n_clients: 1,
+            bandwidth_mbps: mbps,
+            policy,
+            admission,
+            ..MultiClientConfig::default()
+        };
+        let report = multi_client_run(&graph, user, edge, &config).expect("valid config");
+
+        let name = graph.name().to_string();
+        let mut testbed = Testbed::with_constant_bandwidth(mbps, config.seed);
+        if let Some(admission) = admission {
+            testbed.server.set_admission(admission);
+        }
+        let mut sys = OffloadingSystem::new(
+            graph,
+            policy,
+            testbed,
+            user,
+            edge.clone(),
+            SystemConfig {
+                profiler_period: config.profiler_period,
+                seed: config.seed,
+                ..SystemConfig::default()
+            },
+        );
+        let mut records = Vec::new();
+        let mut t = SimTime::ZERO + SimDuration::from_millis(50);
+        while t < SimTime::ZERO + config.duration {
+            let r = sys.infer(t);
+            t = r.start + r.total + config.think_time;
+            records.push(r);
+        }
+        assert!(records.len() > 10, "{name}: {} records", records.len());
+        assert_eq!(
+            report.records, records,
+            "{name} {policy:?} at {mbps} Mbps: the drivers diverged"
+        );
+        let shed = records.iter().filter(|r| r.rejected).count() as u64;
+        assert_eq!(report.rejections, shed);
+        assert_eq!(shed > 0, admission.is_some(), "{name}: {shed} shed");
+    }
 }
 
 /// Under load, the threaded client's fetched `k` matches what its server's
@@ -305,8 +372,7 @@ fn memo_enabled_cosim_replays_identically_to_memoless() {
 /// inputs, and `engine.decision_memo_hits_total` counts every hit.
 #[test]
 fn engine_memo_invalidates_on_quantized_key_change_and_telemetry_counts_hits() {
-    use loadpart::engine::backends::{GpuBackend, LinkTransport, SimulatedDevice};
-    use lp_profiler::{GpuUtilWatchdog, LoadFactorTracker};
+    use loadpart::engine::backends::SimulatedDevice;
 
     let (user, edge) = models();
     let graph = lp_models::alexnet(1);
@@ -323,10 +389,7 @@ fn engine_memo_invalidates_on_quantized_key_change_and_telemetry_counts_hits() {
     engine.set_telemetry(telemetry.clone());
     let mut testbed = Testbed::with_constant_bandwidth(8.0, 7);
     let device_times = testbed.device_times(engine.graph());
-    let kernel_times = testbed.kernel_times(engine.graph());
-    let mut tracker = LoadFactorTracker::new(engine.config().tracker_period);
-    let mut watchdog = GpuUtilWatchdog::new();
-    let server_cache = loadpart::PartitionCache::new();
+    let kernel_times = testbed.server.kernel_times(engine.graph());
 
     // (k override, injected bandwidth, expected memo hit). The whole
     // script fits inside one profiler period, so nothing but these two
@@ -350,27 +413,13 @@ fn engine_memo_invalidates_on_quantized_key_change_and_telemetry_counts_hits() {
         }
         engine.profile_mut().inject_bandwidth(bw);
         let before = engine.decision_memo_hits();
-        let record = {
-            let Testbed {
-                link, gpu, fg_ctx, ..
-            } = &mut testbed;
-            let mut device = SimulatedDevice {
-                times: &device_times,
-            };
-            let mut transport = LinkTransport { link };
-            let mut backend = GpuBackend {
-                gpu,
-                kernel_times: &kernel_times,
-                ctx: *fg_ctx,
-                tracker: &mut tracker,
-                watchdog: Some(&mut watchdog),
-                server_cache: &server_cache,
-                admission: None,
-            };
-            engine
-                .run(t, &mut device, &mut backend, &mut transport)
-                .expect("co-simulated backends are infallible")
+        let mut device = SimulatedDevice {
+            times: &device_times,
         };
+        let (mut transport, mut backend) = testbed.backends(&kernel_times);
+        let record = engine
+            .run(t, &mut device, &mut backend, &mut transport)
+            .expect("co-simulated backends are infallible");
         let was_hit = engine.decision_memo_hits() > before;
         assert_eq!(was_hit, expect_hit, "request {i}: {record:?}");
         hits_expected += u64::from(expect_hit);
@@ -476,8 +525,6 @@ fn parallel_server_replays_bit_identically_under_a_fixed_seed() {
 /// fallback.
 #[test]
 fn shed_requests_emit_the_same_span_sequence() {
-    use loadpart::{AdmissionConfig, EngineConfig, LoadEnv, ServerFaultSpec};
-
     let (user, edge) = models();
     let graph = lp_models::alexnet(1);
     // A zero in-flight budget sheds every offload — deterministically.
@@ -487,10 +534,12 @@ fn shed_requests_emit_the_same_span_sequence() {
     };
 
     let cosim_sink = RingSink::new(64);
+    let mut testbed = Testbed::with_constant_bandwidth(8.0, 5);
+    testbed.server.set_admission(admission);
     let mut sys = OffloadingSystem::new(
         graph.clone(),
         Policy::LoadPart,
-        Testbed::with_constant_bandwidth(8.0, 5),
+        testbed,
         user,
         edge.clone(),
         SystemConfig {
@@ -498,7 +547,6 @@ fn shed_requests_emit_the_same_span_sequence() {
             ..SystemConfig::default()
         },
     );
-    sys.set_admission(admission);
     sys.set_telemetry(Telemetry::enabled().with_sink(cosim_sink.clone()));
     let r = sys.infer(SimTime::ZERO + SimDuration::from_secs(1));
     assert!(r.rejected && !r.fallback_local, "{r:?}");

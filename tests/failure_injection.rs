@@ -88,7 +88,7 @@ fn load_flapping_is_survivable() {
     ];
     let mut worst: f64 = 0.0;
     for (i, &level) in levels.iter().cycle().take(24).enumerate() {
-        sys.testbed.set_load(level);
+        sys.testbed.server.set_load(level);
         let r = sys.infer(t);
         worst = worst.max(r.total.as_secs_f64());
         t = t + r.total + SimDuration::from_millis(500 + 37 * i as u64);
@@ -111,7 +111,7 @@ fn baseline_is_stable_under_duress() {
     );
     let mut t = SimTime::ZERO + SimDuration::from_millis(100);
     let first = sys.infer(t);
-    sys.testbed.set_load(LoadLevel::Pct100High);
+    sys.testbed.server.set_load(LoadLevel::Pct100High);
     for _ in 0..10 {
         t += SimDuration::from_millis(700);
         let r = sys.infer(t);
