@@ -8,7 +8,6 @@
 //!    that ignores;
 //! 4. probe-based vs passive-only bandwidth estimation.
 
-use loadpart::scenario::LoadPhase;
 use loadpart::{OffloadingSystem, PartitionSolver, Policy, SystemConfig, Testbed};
 use lp_bench::{standard_models, text_table};
 use lp_hardware::LoadLevel;
@@ -22,16 +21,6 @@ fn main() {
 
     // ---- 1 & 2: reaction-speed sweep on a load step ------------------
     println!("[1/2] profiler-period sweep (SqueezeNet, load step 0% -> 100%(h) at t=10s):");
-    let _phases = [
-        LoadPhase {
-            start_secs: 0.0,
-            level: LoadLevel::Idle,
-        },
-        LoadPhase {
-            start_secs: 10.0,
-            level: LoadLevel::Pct100High,
-        },
-    ];
     let mut rows = Vec::new();
     for period_s in [1u64, 2, 5, 10, 20] {
         let graph = lp_models::squeezenet(1);
@@ -44,7 +33,7 @@ fn main() {
             Policy::LoadPart,
             testbed,
             &user,
-            edge.clone(),
+            &edge,
             SystemConfig {
                 profiler_period: SimDuration::from_secs(period_s),
                 ..SystemConfig::default()

@@ -38,7 +38,7 @@ fn main() {
             Policy::Fixed(p),
             testbed,
             &user,
-            edge.clone(),
+            &edge,
             SystemConfig::default(),
         );
         let mut t = SimTime::ZERO + SimDuration::from_millis(100);

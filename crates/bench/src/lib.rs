@@ -110,7 +110,7 @@ pub fn speedup_figure(model: &str, user: &PredictionModels, edge: &PredictionMod
                 policy,
                 testbed,
                 user,
-                edge.clone(),
+                edge,
                 SystemConfig::default(),
             );
             let mut t = SimTime::ZERO + SimDuration::from_millis(100);

@@ -47,7 +47,7 @@ pub fn bandwidth_sweep(
         policy,
         testbed,
         user_models,
-        edge_models.clone(),
+        edge_models,
         SystemConfig {
             seed,
             ..SystemConfig::default()
@@ -184,7 +184,7 @@ pub fn load_timeline_with_telemetry(
         policy,
         testbed,
         user_models,
-        edge_models.clone(),
+        edge_models,
         SystemConfig {
             seed,
             ..SystemConfig::default()
@@ -236,7 +236,7 @@ pub fn latency_distribution(
         policy,
         testbed,
         user_models,
-        edge_models.clone(),
+        edge_models,
         SystemConfig {
             seed,
             ..SystemConfig::default()

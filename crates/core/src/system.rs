@@ -25,8 +25,7 @@ use crate::baselines::Policy;
 use crate::engine::backends::{GpuBackend, LinkTransport, SimulatedDevice};
 use crate::engine::OffloadEngine;
 use lp_graph::ComputationGraph;
-use lp_hardware::load::install_background;
-use lp_hardware::{DeviceModel, GpuModel, GpuSim, LoadLevel, NodeTimes};
+use lp_hardware::{background_generators, DeviceModel, GpuModel, GpuSim, LoadLevel, NodeTimes};
 use lp_net::{BandwidthTrace, Link};
 use lp_profiler::dataset::{DeviceSource, EdgeSource};
 use lp_profiler::{train_all, GpuUtilWatchdog, LoadFactorTracker, PredictionModels};
@@ -108,14 +107,13 @@ impl EdgeServer {
         if level == LoadLevel::Idle {
             return;
         }
-        let now = self.gpu.now();
+        let gens = background_generators(level, &self.gpu_model);
         if self.bg_ctxs.is_empty() {
-            self.bg_ctxs = install_background(&mut self.gpu, level, &self.gpu_model, now);
-        } else {
-            let gens = lp_hardware::background_generators(level, &self.gpu_model);
-            for (&ctx, g) in self.bg_ctxs.iter().zip(gens) {
-                self.gpu.set_generator(ctx, g, now);
-            }
+            self.bg_ctxs = gens.iter().map(|_| self.gpu.add_context()).collect();
+        }
+        let now = self.gpu.now();
+        for (&ctx, g) in self.bg_ctxs.iter().zip(gens) {
+            self.gpu.set_generator(ctx, g, now);
         }
     }
 
@@ -241,10 +239,10 @@ impl OffloadingSystem {
         policy: Policy,
         testbed: Testbed,
         user_models: &PredictionModels,
-        edge_models: PredictionModels,
+        edge_models: &PredictionModels,
         config: SystemConfig,
     ) -> Self {
-        let engine = OffloadEngine::new(graph, policy, user_models, &edge_models, 0, config)
+        let engine = OffloadEngine::new(graph, policy, user_models, edge_models, 0, config)
             .expect("valid system config");
         Self::from_engine(engine, testbed)
     }
@@ -263,12 +261,11 @@ impl OffloadingSystem {
         policy: Box<dyn crate::policy::PartitionPolicy>,
         testbed: Testbed,
         user_models: &PredictionModels,
-        edge_models: PredictionModels,
+        edge_models: &PredictionModels,
         config: SystemConfig,
     ) -> Self {
-        let engine =
-            OffloadEngine::with_policy(graph, policy, user_models, &edge_models, 0, config)
-                .expect("valid system config");
+        let engine = OffloadEngine::with_policy(graph, policy, user_models, edge_models, 0, config)
+            .expect("valid system config");
         Self::from_engine(engine, testbed)
     }
 
@@ -355,7 +352,7 @@ mod tests {
             policy,
             Testbed::with_constant_bandwidth(mbps, 5),
             user,
-            edge.clone(),
+            edge,
             SystemConfig::default(),
         )
     }

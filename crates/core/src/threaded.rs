@@ -15,7 +15,10 @@
 //!   thread: the in-process server thread serves the channel sessions
 //!   ([`ServerHandle`], [`ClientConn`]), and each socket shard of a
 //!   [`SocketServer`](crate::transport::SocketServer) serves the
-//!   connections it owns;
+//!   connections it owns. That logic is O(1) in the graph's size: the
+//!   predicted suffix times admission budgets are a table built once at
+//!   spawn ([`PredictionModels::suffix_times`]), and an offload's cut
+//!   indexes it;
 //! * an admitted suffix is answered by the same thread, outside the lock:
 //!   it fetches or builds the suffix partition from the shared cache and
 //!   frames the reply. The injected [`ServerTuning::suffix_cost`] is
@@ -433,9 +436,15 @@ pub(crate) struct Suffix {
 /// budget, the load-factor tracker, the served count and the `server.*`
 /// counters. One copy sits behind one lock in [`Server`], so every
 /// serving thread sees one frame order and one budget.
+///
+/// Serving a frame costs the same whatever the graph's size: the core
+/// holds no graph and no prediction models, only the predicted suffix
+/// times built at spawn, which an offload request's cut indexes.
 struct ServerCore {
-    graph: Arc<ComputationGraph>,
-    edge_models: PredictionModels,
+    /// `suffix_times[p]`: the edge models' predicted time of the nodes
+    /// after cut `p`, for `p` in `0..=n`
+    /// ([`PredictionModels::suffix_times`]).
+    suffix_times: Vec<SimDuration>,
     env: LoadEnv,
     faults: ServerFaultSpec,
     tuning: ServerTuning,
@@ -545,7 +554,7 @@ impl ServerCore {
         }
         // Predicted suffix time scaled by the environment's load factor:
         // the signal admission control budgets.
-        let predicted = predicted_suffix(&self.edge_models, &self.graph, p);
+        let predicted = self.suffix_time(p);
         let scaled = predicted.scale(self.env.k());
         // Batch-aware admission: a request falling into the open batch's
         // partition bucket rides its completion slot instead of growing
@@ -581,6 +590,16 @@ impl ServerCore {
                 })
             }
         }
+    }
+
+    /// The predicted time of the suffix after cut `p`: one lookup. The cut
+    /// comes off the wire unchecked; one at or past the graph's end
+    /// offloads nothing and predicts zero.
+    fn suffix_time(&self, p: usize) -> SimDuration {
+        self.suffix_times
+            .get(p)
+            .copied()
+            .unwrap_or(SimDuration::ZERO)
     }
 
     /// Ends service (the first ending sticks) and wakes the in-process
@@ -762,8 +781,7 @@ pub fn spawn_server_tuned(
     let (tx, server_rx) = channel::<ToServer>();
     let (reply_tx, rx) = channel::<Frame>();
     let core = ServerCore {
-        graph: Arc::clone(&graph),
-        edge_models,
+        suffix_times: edge_models.suffix_times(&graph),
         env,
         faults,
         tuning,
@@ -849,14 +867,6 @@ fn deliver(routes: &mut HashMap<usize, Sender<Frame>>, session: usize, reply: Fr
         .is_some_and(|tx| tx.send(reply).is_err())
     {
         routes.remove(&session);
-    }
-}
-
-fn predicted_suffix(models: &PredictionModels, graph: &ComputationGraph, p: usize) -> SimDuration {
-    if p >= graph.len() {
-        SimDuration::ZERO
-    } else {
-        models.predict_range(graph, p + 1, graph.len())
     }
 }
 
@@ -1117,6 +1127,32 @@ mod tests {
     /// The next reply to session 0, waiting at most `wait`.
     fn reply_within(server: &ServerHandle, wait: Duration) -> Result<Bytes, ProtocolError> {
         server.recv_deadline(Instant::now() + wait)
+    }
+
+    /// The core's lookup predicts every cut's suffix exactly as predicting
+    /// the whole graph node by node and summing the suffix does, for every
+    /// zoo model and every cut up to past the end.
+    #[test]
+    fn suffix_lookup_equals_summed_node_predictions() {
+        let (_, edge) = models();
+        for graph in lp_models::full_zoo(1) {
+            let name = graph.name().to_string();
+            let per_node = edge.predict_graph(&graph);
+            let n = graph.len();
+            let handle = spawn_server(graph, edge.clone(), 1.0);
+            let server = handle.server();
+            let core = server.core();
+            for p in (0..=n + 1).chain([u32::MAX as usize]) {
+                let expected = if p < n {
+                    per_node[p..].iter().copied().sum()
+                } else {
+                    SimDuration::ZERO
+                };
+                assert_eq!(core.suffix_time(p), expected, "{name}, cut {p}");
+            }
+            drop(core);
+            handle.shutdown().expect("clean shutdown");
+        }
     }
 
     #[test]

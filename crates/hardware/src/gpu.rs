@@ -655,12 +655,10 @@ mod tests {
         // completion map grows without bound over a long load timeline.
         let model = crate::GpuModel::default();
         let mut gpu = GpuSim::with_default_slice(12);
-        crate::load::install_background(
-            &mut gpu,
-            crate::LoadLevel::Pct100Low,
-            &model,
-            SimTime::ZERO,
-        );
+        for g in crate::background_generators(crate::LoadLevel::Pct100Low, &model) {
+            let ctx = gpu.add_context();
+            gpu.set_generator(ctx, g, SimTime::ZERO);
+        }
         let fg = gpu.add_context();
         gpu.advance_to(SimTime::ZERO + SimDuration::from_secs(30));
         let t0 = gpu.now();

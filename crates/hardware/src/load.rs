@@ -7,9 +7,9 @@
 //! back-to-back). 100%(l) and 100%(h) share the same utilization but differ
 //! in queueing — the contrast Figure 2 highlights.
 
-use crate::gpu::{Generator, GpuSim};
+use crate::gpu::Generator;
 use crate::kernel::GpuModel;
-use lp_sim::{SimDuration, SimTime};
+use lp_sim::SimDuration;
 use std::fmt;
 
 /// Number of background processes in the paper's methodology.
@@ -150,32 +150,19 @@ pub fn background_generators(level: LoadLevel, gpu_model: &GpuModel) -> Vec<Gene
     }
 }
 
-/// Installs the generators for `level` on fresh contexts of `gpu`, starting
-/// at `start`, and returns the context indices.
-pub fn install_background(
-    gpu: &mut GpuSim,
-    level: LoadLevel,
-    gpu_model: &GpuModel,
-    start: SimTime,
-) -> Vec<usize> {
-    background_generators(level, gpu_model)
-        .into_iter()
-        .map(|g| {
-            let ctx = gpu.add_context();
-            gpu.set_generator(ctx, g, start);
-            ctx
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gpu::GpuSim;
+    use lp_sim::SimTime;
 
     fn measured_utilization(level: LoadLevel, horizon_ms: u64) -> f64 {
         let model = GpuModel::default();
         let mut gpu = GpuSim::with_default_slice(99);
-        install_background(&mut gpu, level, &model, SimTime::ZERO);
+        for g in background_generators(level, &model) {
+            let ctx = gpu.add_context();
+            gpu.set_generator(ctx, g, SimTime::ZERO);
+        }
         gpu.advance_to(SimTime::ZERO + SimDuration::from_millis(horizon_ms));
         gpu.busy_time().as_secs_f64() / gpu.now().as_secs_f64()
     }

@@ -67,17 +67,19 @@ impl PredictionModels {
             .collect()
     }
 
-    /// Total predicted time of a contiguous range `[start, end]` (1-based
-    /// inclusive) of the topological order.
+    /// The predicted suffix times of a graph: entry `p` is the predicted
+    /// time of the nodes after cut `p`, `Σ_{i≥p}` of
+    /// [`PredictionModels::predict_graph`], for `p` in `0..=n`; entry `n`
+    /// is zero. Built once per graph, it answers every cut's suffix
+    /// prediction with a lookup.
     #[must_use]
-    pub fn predict_range(&self, graph: &ComputationGraph, start: usize, end: usize) -> SimDuration {
-        if start > end {
-            return SimDuration::ZERO;
+    pub fn suffix_times(&self, graph: &ComputationGraph) -> Vec<SimDuration> {
+        let mut table = self.predict_graph(graph);
+        table.push(SimDuration::ZERO);
+        for p in (0..graph.len()).rev() {
+            table[p] = table[p] + table[p + 1];
         }
-        self.predict_graph(graph)[start - 1..end]
-            .iter()
-            .copied()
-            .sum()
+        table
     }
 
     /// The trained model for a kind, if present.
@@ -250,7 +252,7 @@ mod tests {
         let (models, _) = device_models(250);
         let g = alexnet(1);
         let dev = DeviceModel::default();
-        let predicted: SimDuration = models.predict_range(&g, 1, g.len());
+        let predicted = models.suffix_times(&g)[0];
         let actual = dev.graph_time(&g);
         let ratio = predicted.as_secs_f64() / actual.as_secs_f64();
         assert!(
@@ -277,15 +279,19 @@ mod tests {
     }
 
     #[test]
-    fn predict_range_sums_nodes() {
+    fn suffix_times_sum_nodes() {
         let (models, _) = edge_models(60);
         let g = alexnet(1);
         let per_node = models.predict_graph(&g);
+        let suffix = models.suffix_times(&g);
+        assert_eq!(suffix.len(), g.len() + 1);
         let total: SimDuration = per_node.iter().copied().sum();
-        assert_eq!(models.predict_range(&g, 1, g.len()), total);
-        let head = models.predict_range(&g, 1, 8);
-        let tail = models.predict_range(&g, 9, g.len());
-        assert_eq!(head + tail, total);
-        assert_eq!(models.predict_range(&g, 5, 4), SimDuration::ZERO);
+        assert_eq!(suffix[0], total);
+        let head: SimDuration = per_node[..8].iter().copied().sum();
+        assert_eq!(head + suffix[8], total);
+        for p in 0..g.len() {
+            assert_eq!(suffix[p], per_node[p] + suffix[p + 1], "cut {p}");
+        }
+        assert_eq!(suffix[g.len()], SimDuration::ZERO);
     }
 }

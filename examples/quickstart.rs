@@ -68,7 +68,7 @@ fn main() {
         Policy::LoadPart,
         testbed,
         &user_models,
-        edge_models,
+        &edge_models,
         SystemConfig::default(),
     );
     let record = system.infer(SimTime::ZERO + SimDuration::from_millis(100));

@@ -21,7 +21,7 @@ fn run_policy(model: &str, policy: Policy, mbps: f64, runs: usize) -> f64 {
         policy,
         Testbed::with_constant_bandwidth(mbps, 17),
         user,
-        edge.clone(),
+        edge,
         SystemConfig::default(),
     );
     let mut t = SimTime::ZERO + SimDuration::from_millis(100);
@@ -100,7 +100,7 @@ fn predictions_track_measurements_on_idle_server() {
             Policy::LoadPart,
             Testbed::with_constant_bandwidth(8.0, 3),
             user,
-            edge.clone(),
+            edge,
             SystemConfig::default(),
         );
         let mut t = SimTime::ZERO + SimDuration::from_millis(100);
@@ -145,7 +145,7 @@ fn full_stack_determinism() {
             Policy::LoadPart,
             Testbed::with_constant_bandwidth(8.0, seed),
             user,
-            edge.clone(),
+            edge,
             SystemConfig {
                 seed,
                 ..SystemConfig::default()

@@ -32,7 +32,7 @@ fn cosim_and_threaded_pick_the_same_partition() {
         Policy::LoadPart,
         Testbed::with_constant_bandwidth(8.0, 5),
         user,
-        edge.clone(),
+        edge,
         SystemConfig {
             seed: 5,
             ..SystemConfig::default()
@@ -100,7 +100,7 @@ fn one_client_multi_client_run_matches_offloading_system() {
             policy,
             testbed,
             user,
-            edge.clone(),
+            edge,
             SystemConfig {
                 profiler_period: config.profiler_period,
                 seed: config.seed,
@@ -171,7 +171,7 @@ fn cosim_and_threaded_emit_the_same_span_sequence() {
         Policy::LoadPart,
         Testbed::with_constant_bandwidth(8.0, 5),
         user,
-        edge.clone(),
+        edge,
         SystemConfig {
             seed: 5,
             ..SystemConfig::default()
@@ -234,7 +234,7 @@ fn local_decisions_emit_the_same_abbreviated_span_sequence() {
         Policy::Local,
         Testbed::with_constant_bandwidth(8.0, 5),
         user,
-        edge.clone(),
+        edge,
         SystemConfig::default(),
     );
     sys.set_telemetry(Telemetry::enabled().with_sink(cosim_sink.clone()));
@@ -324,21 +324,14 @@ fn memo_enabled_cosim_replays_identically_to_memoless() {
             ..SystemConfig::default()
         };
         let mut sys = if memo {
-            OffloadingSystem::new(
-                graph.clone(),
-                Policy::LoadPart,
-                testbed,
-                user,
-                edge.clone(),
-                config,
-            )
+            OffloadingSystem::new(graph.clone(), Policy::LoadPart, testbed, user, edge, config)
         } else {
             OffloadingSystem::with_policy(
                 graph.clone(),
                 Policy::LoadPart.build(),
                 testbed,
                 user,
-                edge.clone(),
+                edge,
                 config,
             )
         };
@@ -541,7 +534,7 @@ fn shed_requests_emit_the_same_span_sequence() {
         Policy::LoadPart,
         testbed,
         user,
-        edge.clone(),
+        edge,
         SystemConfig {
             seed: 5,
             ..SystemConfig::default()

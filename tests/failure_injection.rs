@@ -20,7 +20,7 @@ fn system_with_link(link: Link, policy: Policy) -> OffloadingSystem {
         policy,
         Testbed::new(link, 77),
         user,
-        edge.clone(),
+        edge,
         SystemConfig::default(),
     )
 }
@@ -74,7 +74,7 @@ fn load_flapping_is_survivable() {
         Policy::LoadPart,
         Testbed::with_constant_bandwidth(8.0, 3),
         user,
-        edge.clone(),
+        edge,
         SystemConfig::default(),
     );
     let mut t = SimTime::ZERO + SimDuration::from_millis(100);
@@ -106,7 +106,7 @@ fn baseline_is_stable_under_duress() {
         Policy::Neurosurgeon,
         Testbed::with_constant_bandwidth(8.0, 5),
         user,
-        edge.clone(),
+        edge,
         SystemConfig::default(),
     );
     let mut t = SimTime::ZERO + SimDuration::from_millis(100);
@@ -130,7 +130,7 @@ fn burst_arrivals_all_complete() {
         Policy::Full,
         Testbed::with_constant_bandwidth(64.0, 9),
         user,
-        edge.clone(),
+        edge,
         SystemConfig::default(),
     );
     // The co-simulation is closed-loop per request, but nothing stops a

@@ -26,7 +26,7 @@ fn mean_latency(model: &str, policy: Policy, mbps: f64, runs: usize) -> f64 {
         policy,
         Testbed::with_constant_bandwidth(mbps, 23),
         user,
-        edge.clone(),
+        edge,
         SystemConfig::default(),
     );
     let mut t = SimTime::ZERO + SimDuration::from_millis(100);

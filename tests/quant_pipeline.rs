@@ -250,7 +250,7 @@ fn cosim(policy: Box<dyn PartitionPolicy>, mbps: f64) -> Vec<InferenceRecord> {
         policy,
         Testbed::with_constant_bandwidth(mbps, COSIM_SEED),
         user,
-        edge.clone(),
+        edge,
         SystemConfig {
             seed: COSIM_SEED,
             ..SystemConfig::default()

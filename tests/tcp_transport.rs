@@ -828,3 +828,66 @@ fn a_shard_batches_costed_suffixes_without_reordering() {
     );
     assert_eq!(sock.shutdown(), Ok(rounds * 4 + 5));
 }
+
+/// Sends offload requests cut at `N`, `N + 1` and `u32::MAX` — the cut
+/// comes off the wire unchecked — to a server whose environment stretches
+/// executions 6×. Each is served as the empty suffix: admitted with a
+/// zero predicted time (no server time, and no load-factor sample, so the
+/// next load query still reads `k = 1`) and answered with the model's
+/// output tensor.
+fn cuts_past_the_end_are_empty_suffixes(chan: &impl FrameChannel) {
+    let wait = Duration::from_secs(5);
+    let out_bytes = lp_models::alexnet(1).output().size_bytes() as usize;
+    for (request_id, p) in [(0, N as u32), (1, N as u32 + 1), (2, u32::MAX)] {
+        chan.send_split(offload(request_id, p).to_frame().expect("encodes"))
+            .expect("sent");
+        let reply = chan
+            .recv_split_deadline(Instant::now() + wait)
+            .expect("answered");
+        match Message::decode_frame(reply).expect("decodes") {
+            Message::OffloadResponse {
+                request_id: echoed,
+                server_time_us,
+                payload,
+            } => {
+                assert_eq!(echoed, request_id, "cut {p}");
+                assert_eq!(server_time_us, 0, "cut {p}: nothing predicted");
+                assert_eq!(payload.len(), out_bytes, "cut {p}: the model output");
+            }
+            other => panic!("cut {p}: expected an offload response, got {other:?}"),
+        }
+    }
+    chan.send_split(Message::LoadQuery.to_frame().expect("encodes"))
+        .expect("sent");
+    let reply = chan
+        .recv_split_deadline(Instant::now() + wait)
+        .expect("answered");
+    match Message::decode_frame(reply).expect("decodes") {
+        Message::LoadReply { k_micro } => {
+            assert_eq!(Message::micro_to_k(k_micro), 1.0, "no sample recorded");
+        }
+        other => panic!("expected a load reply, got {other:?}"),
+    }
+}
+
+#[test]
+fn cuts_past_the_end_are_empty_suffixes_over_channels() {
+    let (_, edge) = models();
+    let server = spawn_server(lp_models::alexnet(1), edge.clone(), 6.0);
+    cuts_past_the_end_are_empty_suffixes(&server);
+    assert_eq!(server.shutdown(), Ok(3), "all three admitted");
+}
+
+#[test]
+fn cuts_past_the_end_are_empty_suffixes_over_tcp() {
+    let (_, edge) = models();
+    let server = spawn_server(lp_models::alexnet(1), edge.clone(), 6.0);
+    let sock = SocketServer::bind_tcp_sharded("127.0.0.1:0", server, 2).expect("bind loopback");
+    let chan = TcpFrameChannel::connect(sock.local_addr()).expect("connect");
+    cuts_past_the_end_are_empty_suffixes(&chan);
+    assert_eq!(
+        sock.shutdown(),
+        Ok(3),
+        "all three admitted, no shard panicked"
+    );
+}
