@@ -11,10 +11,11 @@
 //! solver stores prefix sums of `f`, suffix sums of `M_edge` and the
 //! transmission series once per graph; each [`decide`](PartitionSolver::decide)
 //! is then a single O(n) scan that multiplies the most recent `k` onto the
-//! suffix sums — exactly the implementation the paper describes. Each
-//! candidate's `t_p` is summed in `f64` and rounded once to nanoseconds for
-//! the comparison, and the winner's [`Decision`] is built once, after the
-//! scan. Following
+//! suffix sums — exactly the implementation the paper describes. The scan
+//! compares candidates at nanosecond granularity but rounds once per
+//! decision: each candidate's `t_p` is summed in `f64` and scaled to
+//! unrounded nanoseconds, only the minimum is rounded, and the winner's
+//! [`Decision`] is built once, after the scan. Following
 //! §IV the result-download term `s_n/B_d` is ignored by default (the output
 //! tensor is tiny); [`decide_with_download`](PartitionSolver::decide_with_download)
 //! keeps it for completeness.
@@ -53,11 +54,77 @@ pub(crate) struct ScanInputs {
     k: f64,
 }
 
-/// `t_p` from its terms, summed in `f64` and rounded once to whole
-/// nanoseconds: the granularity at which Algorithm 1's `<=` compares
-/// candidates.
-fn rounded_sum([device, upload, server, download]: [f64; 4]) -> SimDuration {
-    SimDuration::from_secs_f64(device + upload + server + download)
+impl ScanInputs {
+    /// `t_p`'s four terms in seconds — device, upload, k-scaled server,
+    /// download — for an offloading cut (`p < n`) that has spent `device`
+    /// seconds on the device, uploads `upload_bytes` and leaves
+    /// `suffix_edge` seconds of unscaled server work: the one formula
+    /// behind every scan and every [`Decision`].
+    fn offload_terms(&self, device: f64, upload_bytes: u64, suffix_edge: f64) -> [f64; 4] {
+        [
+            device,
+            upload_bytes as f64 / self.up_bytes_per_sec,
+            self.k * suffix_edge,
+            self.download,
+        ]
+    }
+}
+
+/// `t_p` from its terms, summed left to right in `f64` and scaled to
+/// nanoseconds: [`SimDuration::from_secs_f64`]'s value before it rounds.
+fn unrounded_ns([device, upload, server, download]: [f64; 4]) -> f64 {
+    (device + upload + server + download).max(0.0) * 1e9
+}
+
+/// Rounds an [`unrounded_ns`] value to whole nanoseconds, as
+/// [`SimDuration::from_secs_f64`] does: half away from zero, saturating.
+fn round_ns(y: f64) -> SimDuration {
+    SimDuration::from_nanos(y.round() as u64)
+}
+
+/// Below this many unrounded nanoseconds the minimum rounds to some
+/// `T < 2^52`, so the tie bound `T + 0.5` is an exact `f64`.
+const ONE_ROUNDING_BELOW_NS: f64 = 4_503_599_627_370_496.0 - 0.5;
+
+/// Algorithm 1's `<=` update at nanosecond granularity over
+/// `(candidate, y)` pairs in scan order, `y` being a candidate's `t_p` in
+/// unrounded nanoseconds ([`PartitionSolver::y_p`]): the last candidate
+/// whose `y` rounds to the smallest rounded value `T`, with `T`; `None`
+/// if there is no candidate.
+///
+/// It rounds once per decision, not once per candidate. Rounding is
+/// monotone, so `T` is the rounded minimum `y`, and a candidate rounds to
+/// `T` exactly when its `y < T + 0.5`. A candidate at or past the running
+/// minimum plus 1 ns cannot tie (`T + 0.5` is at most the minimum plus
+/// 1 ns), so only a near-tie rounds the running minimum to test the bound.
+/// From `T = 2^52` ns up the bound is not an `f64`, and the scan is
+/// repeated rounding every candidate.
+pub(crate) fn argmin_ns<C: Copy>(
+    candidates: impl Iterator<Item = (C, f64)> + Clone,
+) -> Option<(C, SimDuration)> {
+    let (mut min, mut near, mut best) = (f64::INFINITY, f64::INFINITY, None);
+    candidates.clone().for_each(|(c, y)| {
+        if y < near {
+            if y < min {
+                (min, near) = (y, y + 1.0);
+                best = Some(c);
+            } else if y < min.round() + 0.5 {
+                best = Some(c);
+            }
+        }
+    });
+    if min < ONE_ROUNDING_BELOW_NS {
+        return best.map(|c| (c, round_ns(min)));
+    }
+    let mut best = None;
+    let mut best_t = SimDuration::from_nanos(u64::MAX);
+    candidates.for_each(|(c, y)| {
+        let t = round_ns(y);
+        if t <= best_t {
+            (best, best_t) = (Some(c), t);
+        }
+    });
+    best.map(|c| (c, best_t))
 }
 
 /// Precomputed per-graph state for Algorithm 1.
@@ -187,30 +254,25 @@ impl PartitionSolver {
         }
     }
 
-    /// `t_p`'s four terms in seconds — device, upload, server, download —
-    /// for a cut at `p` that uploads `upload_bytes`: the one formula
-    /// behind every scan and every [`Decision`].
+    /// `t_p`'s four terms in seconds for a cut at `p` that uploads
+    /// `upload_bytes` ([`ScanInputs::offload_terms`]); local inference
+    /// (`p = n`) is its device time alone.
     fn terms(&self, p: usize, upload_bytes: u64, scan: &ScanInputs) -> [f64; 4] {
         let device = self.prefix_device[p];
         if p == self.len() {
             return [device, 0.0, 0.0, 0.0];
         }
-        [
-            device,
-            upload_bytes as f64 / scan.up_bytes_per_sec,
-            scan.k * self.suffix_edge[p],
-            scan.download,
-        ]
+        scan.offload_terms(device, upload_bytes, self.suffix_edge[p])
     }
 
-    /// `t_p` for a cut at `p` that uploads `upload_bytes`, rounded as
-    /// [`rounded_sum`] does.
-    pub(crate) fn t_p(&self, p: usize, upload_bytes: u64, scan: &ScanInputs) -> SimDuration {
-        rounded_sum(self.terms(p, upload_bytes, scan))
+    /// `t_p` for a cut at `p` that uploads `upload_bytes`, in unrounded
+    /// nanoseconds: the value every scan compares with [`argmin_ns`].
+    pub(crate) fn y_p(&self, p: usize, upload_bytes: u64, scan: &ScanInputs) -> f64 {
+        unrounded_ns(self.terms(p, upload_bytes, scan))
     }
 
     /// The full [`Decision`] for a cut at `p` uploading `upload_bytes` at
-    /// `precision`; its `predicted` is [`t_p`](Self::t_p).
+    /// `precision`; its `predicted` is `t_p` rounded to nanoseconds.
     pub(crate) fn decision_at(
         &self,
         p: usize,
@@ -223,7 +285,7 @@ impl PartitionSolver {
         Decision {
             p,
             precision,
-            predicted: rounded_sum(terms),
+            predicted: round_ns(unrounded_ns(terms)),
             device: SimDuration::from_secs_f64(device),
             upload: SimDuration::from_secs_f64(upload),
             server: SimDuration::from_secs_f64(server),
@@ -231,17 +293,23 @@ impl PartitionSolver {
         }
     }
 
-    /// Algorithm 1's update over ascending `points` at fp32: the `<=`
-    /// hands ties (at nanosecond granularity) to the larger `p`.
-    fn argmin(&self, points: impl Iterator<Item = usize>, scan: &ScanInputs) -> usize {
-        let mut best = (SimDuration::from_nanos(u64::MAX), 0);
-        for p in points {
-            let t = self.t_p(p, self.transmission[p], scan);
-            if t <= best.0 {
-                best = (t, p);
-            }
-        }
-        best.1
+    /// Every cut's `(p, y_p)` at fp32, `p` ascending: the full scan, which
+    /// walks the sums and the transmission series side by side instead of
+    /// indexing each per candidate.
+    fn every_cut<'a>(
+        &'a self,
+        scan: &'a ScanInputs,
+    ) -> impl Iterator<Item = (usize, f64)> + Clone + 'a {
+        let n = self.len();
+        let offload = self.prefix_device[..n]
+            .iter()
+            .zip(&self.transmission[..n])
+            .zip(&self.suffix_edge[..n])
+            .map(|((&device, &bytes), &suffix)| {
+                unrounded_ns(scan.offload_terms(device, bytes, suffix))
+            });
+        let local = std::iter::once((n, self.y_p(n, 0, scan)));
+        offload.enumerate().chain(local)
     }
 
     /// Algorithm 1: the optimal partition point for the current upload
@@ -279,7 +347,7 @@ impl PartitionSolver {
 
     fn decide_inner(&self, bu: f64, bd: Option<f64>, k: f64) -> Decision {
         let scan = self.scan_inputs(bu, bd, k);
-        let p = self.argmin(0..=self.len(), &scan);
+        let p = argmin_ns(self.every_cut(&scan)).map_or(0, |(p, _)| p);
         self.decision_at(p, Precision::Fp32, self.transmission[p], &scan)
     }
 
@@ -295,7 +363,7 @@ impl PartitionSolver {
         self.candidates().collect()
     }
 
-    fn candidates(&self) -> impl Iterator<Item = usize> + '_ {
+    fn candidates(&self) -> impl Iterator<Item = usize> + Clone + '_ {
         let n = self.len();
         let input = self.transmission[0];
         (0..=n).filter(move |&p| p == 0 || p == n || self.transmission[p] < input)
@@ -310,7 +378,10 @@ impl PartitionSolver {
     #[must_use]
     pub fn decide_pruned(&self, bandwidth_up_mbps: f64, k: f64) -> Decision {
         let scan = self.scan_inputs(bandwidth_up_mbps, None, k);
-        let p = self.argmin(self.candidates(), &scan);
+        let candidates = self
+            .candidates()
+            .map(|p| (p, self.y_p(p, self.transmission[p], &scan)));
+        let p = argmin_ns(candidates).map_or(0, |(p, _)| p);
         self.decision_at(p, Precision::Fp32, self.transmission[p], &scan)
     }
 

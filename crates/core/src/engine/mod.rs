@@ -379,7 +379,9 @@ impl Endpoint {
 #[derive(Debug)]
 pub struct OffloadEngine {
     graph: Arc<ComputationGraph>,
-    solver: PartitionSolver,
+    /// Shared by every engine a driver builds for one graph and one pair
+    /// of model bundles.
+    solver: Arc<PartitionSolver>,
     policy: Box<dyn PartitionPolicy>,
     config: EngineConfig,
     endpoints: Vec<Endpoint>,
@@ -418,8 +420,22 @@ impl OffloadEngine {
         client: usize,
         config: EngineConfig,
     ) -> Result<Self, ConfigError> {
+        let graph: Arc<ComputationGraph> = graph.into();
+        let solver = Arc::new(PartitionSolver::new(&graph, user_models, edge_models));
+        Self::with_solver(graph, policy, solver, client, config)
+    }
+
+    /// [`OffloadEngine::new`] around a solver already built for `graph`,
+    /// so a driver running many clients of one graph builds it once.
+    pub(crate) fn with_solver(
+        graph: Arc<ComputationGraph>,
+        policy: Policy,
+        solver: Arc<PartitionSolver>,
+        client: usize,
+        config: EngineConfig,
+    ) -> Result<Self, ConfigError> {
         let memo = Box::new(MemoPolicy::new(policy.build()));
-        Self::with_policy(graph, memo, user_models, edge_models, client, config)
+        Self::assemble(graph, memo, solver, client, config)
     }
 
     /// Assembles an engine around an externally supplied
@@ -441,9 +457,20 @@ impl OffloadEngine {
         client: usize,
         config: EngineConfig,
     ) -> Result<Self, ConfigError> {
-        config.validate()?;
         let graph: Arc<ComputationGraph> = graph.into();
-        let solver = PartitionSolver::new(&graph, user_models, edge_models);
+        let solver = Arc::new(PartitionSolver::new(&graph, user_models, edge_models));
+        Self::assemble(graph, policy, solver, client, config)
+    }
+
+    fn assemble(
+        graph: Arc<ComputationGraph>,
+        policy: Box<dyn PartitionPolicy>,
+        solver: Arc<PartitionSolver>,
+        client: usize,
+        config: EngineConfig,
+    ) -> Result<Self, ConfigError> {
+        config.validate()?;
+        assert_eq!(solver.len(), graph.len(), "solver of another graph");
         let rng = StdRng::seed_from_u64(config.seed);
         let endpoints = vec![Endpoint::new(&config)];
         let backoff_state = config.seed ^ 0xB0FF_B0FF_B0FF_B0FF;

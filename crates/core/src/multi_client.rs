@@ -21,6 +21,7 @@
 //! completion.
 
 use crate::admission::AdmissionConfig;
+use crate::algorithm::PartitionSolver;
 use crate::baselines::Policy;
 use crate::engine::backends::{LinkTransport, SimulatedDevice};
 use crate::engine::{
@@ -34,6 +35,7 @@ use lp_hardware::{DeviceModel, NodeTimes};
 use lp_net::{BandwidthTrace, Link};
 use lp_profiler::PredictionModels;
 use lp_sim::{SimDuration, SimTime};
+use std::sync::Arc;
 
 /// Configuration of a multi-client run.
 #[derive(Debug, Clone, PartialEq)]
@@ -275,16 +277,17 @@ pub fn multi_client_run_with_telemetry(
     }
     let kernel_times = server.kernel_times(graph);
 
-    // One shared graph for the whole fleet: each engine holds an `Arc`
-    // bump, not its own multi-node deep copy.
-    let shared_graph = std::sync::Arc::new(graph.clone());
+    // One shared graph and one solver for the whole fleet: each engine
+    // holds `Arc` bumps, not its own multi-node deep copy and its own
+    // evaluation of both model bundles over every node.
+    let shared_graph = Arc::new(graph.clone());
+    let solver = Arc::new(PartitionSolver::new(graph, user_models, edge_models));
     let mut clients = Vec::with_capacity(config.n_clients);
     for i in 0..config.n_clients {
-        let mut engine = OffloadEngine::new(
-            std::sync::Arc::clone(&shared_graph),
+        let mut engine = OffloadEngine::with_solver(
+            Arc::clone(&shared_graph),
             config.policy,
-            user_models,
-            edge_models,
+            Arc::clone(&solver),
             i,
             EngineConfig {
                 profiler_period: config.profiler_period,

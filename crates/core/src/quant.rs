@@ -23,7 +23,7 @@
 //! The graph-side size/accuracy models come from [`lp_graph::quant`] and
 //! are re-exported by the crate root.
 
-use crate::algorithm::{Decision, PartitionSolver};
+use crate::algorithm::{argmin_ns, Decision, PartitionSolver};
 use crate::policy::{PartitionPolicy, PolicyContext};
 use lp_graph::quant::{base_degradation, SCALE_HEADER_BYTES};
 use lp_graph::{quantized_transmission_series, AccuracyModel, ComputationGraph, Precision};
@@ -357,23 +357,22 @@ impl PartitionPolicy for QuantPolicy {
         // candidate must beat (or tie, taking the bytes savings).
         let fp32 = solver.decide(ctx.bandwidth_mbps, ctx.k);
         let scan = solver.scan_inputs(ctx.bandwidth_mbps, None, ctx.k);
-        let mut best = fp32.predicted;
-        let mut narrow = None;
-        for (i, prec) in Precision::NARROW.into_iter().enumerate() {
-            for p in 0..n {
-                if tables.degradation[i][p] > self.budget {
-                    continue;
-                }
-                let t = solver.t_p(p, tables.series[i][p], &scan);
-                if t <= best {
-                    best = t;
-                    narrow = Some((p, prec, tables.series[i][p]));
-                }
+        let budget = self.budget;
+        let narrow = Precision::NARROW
+            .into_iter()
+            .zip(&tables.series)
+            .zip(&tables.degradation)
+            .flat_map(|((prec, series), degradation)| {
+                (0..n)
+                    .filter(move |&p| degradation[p] <= budget)
+                    .map(move |p| ((p, prec, series[p]), solver.y_p(p, series[p], &scan)))
+            });
+        match argmin_ns(narrow) {
+            Some(((p, prec, bytes), t)) if t <= fp32.predicted => {
+                solver.decision_at(p, prec, bytes, &scan)
             }
+            _ => fp32,
         }
-        narrow.map_or(fp32, |(p, prec, bytes)| {
-            solver.decision_at(p, prec, bytes, &scan)
-        })
     }
 }
 

@@ -20,12 +20,11 @@
 //!   spawn ([`PredictionModels::suffix_times`]), and an offload's cut
 //!   indexes it;
 //! * an admitted suffix is answered by the same thread, outside the lock:
-//!   it fetches or builds the suffix partition from the shared cache and
-//!   frames the reply. The injected [`ServerTuning::suffix_cost`] is
-//!   charged there too, once per same-bucket batch of at most
-//!   [`ServerTuning::max_batch`] suffixes admitted in one pass — for the
-//!   server thread, the frames already queued; for a shard, one sweep
-//!   over its readable connections;
+//!   it frames the reply, whose payload is the graph's output tensor. The
+//!   injected [`ServerTuning::suffix_cost`] is charged there too, once per
+//!   same-bucket batch of at most [`ServerTuning::max_batch`] suffixes
+//!   admitted in one pass — for the server thread, the frames already
+//!   queued; for a shard, one sweep over its readable connections;
 //! * per-session FIFO holds by construction: one thread serves each
 //!   session, a session contributes at most one suffix per pass, and it is
 //!   not read again until that suffix's reply is queued;
@@ -56,7 +55,6 @@
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
 use crate::baselines::Policy;
-use crate::cache::PartitionCache;
 use crate::engine::backends::{NullDevice, WireBackend, WireTransport};
 use crate::engine::{ConfigError, EngineConfig, InferenceRecord, OffloadEngine};
 use crate::pool::zero_payload;
@@ -614,13 +612,13 @@ impl ServerCore {
 
 /// A running server, shared by every thread that serves it: the
 /// in-process server thread and each socket shard. The per-frame logic is
-/// the locked [`ServerCore`]; answering an admitted suffix — the cache
-/// lookup, the charged cost, the reply's framing — runs outside the lock
-/// on the serving thread.
+/// the locked [`ServerCore`]; answering an admitted suffix — the charged
+/// cost and the reply's framing — runs outside the lock on the serving
+/// thread.
 pub(crate) struct Server {
     core: Mutex<ServerCore>,
-    graph: Arc<ComputationGraph>,
-    cache: PartitionCache,
+    /// The graph's output tensor size: every suffix reply's payload.
+    output_bytes: usize,
     tuning: ServerTuning,
     /// `server.batched_suffixes_total` and `server.suffix_batches_total`
     /// (`None` when telemetry is disabled).
@@ -656,9 +654,7 @@ impl Server {
 
     /// Answers the suffixes one pass admitted, each tagged with where its
     /// reply goes: in same-bucket batches of at most `max_batch`, each
-    /// batch charged one `suffix_cost`. Every reply is built from its own
-    /// cache entry — bucketed batchmates may differ by a few layers.
-    /// Leaves `admitted` empty.
+    /// batch charged one `suffix_cost`. Leaves `admitted` empty.
     pub(crate) fn answer_suffixes(
         &self,
         admitted: &mut Vec<(usize, Suffix)>,
@@ -701,16 +697,10 @@ impl Server {
 
     /// Builds the reply frame for one admitted suffix.
     fn suffix_reply(&self, suffix: &Suffix) -> Frame {
-        // Build or fetch the suffix graph (Figure 5).
-        let _ = self
-            .cache
-            .get_or_partition(&self.graph, suffix.p.min(self.graph.len()))
-            .expect("p in range");
-        let out_bytes = self.graph.output().size_bytes() as usize;
         reply_frame(&Message::OffloadResponse {
             request_id: suffix.request_id,
             server_time_us: suffix.server_time_us,
-            payload: zero_payload(out_bytes),
+            payload: zero_payload(self.output_bytes),
         })
     }
 
@@ -726,11 +716,6 @@ impl Server {
             Some(Ending::Panicked) => Err(ProtocolError::ServerPanicked),
             _ => Ok(core.served),
         }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn cache(&self) -> &PartitionCache {
-        &self.cache
     }
 }
 
@@ -796,8 +781,7 @@ pub fn spawn_server_tuned(
     };
     let server = Arc::new(Server {
         core: Mutex::new(core),
-        graph,
-        cache: PartitionCache::new(),
+        output_bytes: graph.output().size_bytes() as usize,
         tuning,
         batch_counters,
     });

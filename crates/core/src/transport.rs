@@ -1467,16 +1467,15 @@ mod tests {
         std::fs::remove_file(&notes).expect("clean up");
     }
 
-    /// Shards hammer the shared partition cache at once: every lookup is
-    /// classified (hits + misses == lookups), each cut point misses at
-    /// most once, and each connection's replies arrive in request order.
+    /// Four shards serve eight connections' offloads at once, at every cut
+    /// point: each connection's replies arrive in request order, and the
+    /// server counts every offload served.
     #[test]
-    fn shards_hammer_the_shared_partition_cache_consistently() {
+    fn shards_serve_concurrent_offloads_in_per_connection_order() {
         let (_, edge) = models();
         let graph = lp_models::alexnet(1);
         let points = graph.len() + 1;
         let handle = spawn_server(graph, edge.clone(), 1.0);
-        let server = handle.server();
         let sock = SocketServer::bind_tcp_sharded("127.0.0.1:0", handle, 4).expect("bind loopback");
         let (sessions, per_session) = (8usize, 50usize);
         let clients: Vec<_> = (0..sessions)
@@ -1512,15 +1511,7 @@ mod tests {
         for client in clients {
             client.join().expect("client thread");
         }
-        let lookups = (sessions * per_session) as u64;
-        assert_eq!(sock.shutdown(), Ok(lookups));
-        let stats = server.cache().stats();
-        assert_eq!(stats.hits + stats.misses, lookups, "every lookup counted");
-        assert!(
-            stats.misses <= points as u64,
-            "at most one miss per cut point: {stats:?}"
-        );
-        assert_eq!(server.cache().len() as u64, stats.misses);
+        assert_eq!(sock.shutdown(), Ok((sessions * per_session) as u64));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use lp_sim::{lognormal_factor, EventQueue, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Identifier of a submitted task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,7 +80,9 @@ pub struct GpuSim {
     rr_next: usize,
     arrivals: EventQueue<Arrival>,
     busy_ns: u64,
-    completions: HashMap<u64, (SimTime, SimTime)>,
+    /// `(arrival, completion)` of each submitted task, indexed by task id
+    /// (ids are dense from 0); `None` until the task finishes.
+    completions: Vec<Option<(SimTime, SimTime)>>,
     next_id: u64,
     kernel_tax: SimDuration,
     rng: StdRng,
@@ -97,7 +99,7 @@ impl GpuSim {
             rr_next: 0,
             arrivals: EventQueue::new(),
             busy_ns: 0,
-            completions: HashMap::new(),
+            completions: Vec::new(),
             next_id: 0,
             kernel_tax: SimDuration::ZERO,
             rng: StdRng::seed_from_u64(seed),
@@ -193,6 +195,7 @@ impl GpuSim {
         assert!(at >= self.now, "cannot submit in the past");
         let id = self.next_id;
         self.next_id += 1;
+        self.completions.push(None);
         self.arrivals.push(at, Arrival::Task(ctx, id, kernels));
         TaskId(id)
     }
@@ -200,7 +203,7 @@ impl GpuSim {
     /// Completion record of a task: `(arrival, completion)` once finished.
     #[must_use]
     pub fn completion(&self, id: TaskId) -> Option<(SimTime, SimTime)> {
-        self.completions.get(&id.0).copied()
+        self.completions.get(id.0 as usize).copied().flatten()
     }
 
     /// Advances the simulation until the task completes and returns its
@@ -214,10 +217,12 @@ impl GpuSim {
     #[allow(clippy::missing_panics_doc)]
     pub fn run_until_complete(&mut self, id: TaskId) -> SimTime {
         assert!(id.0 < self.next_id, "unknown task");
-        while !self.completions.contains_key(&id.0) {
+        loop {
+            if let Some((_, done)) = self.completion(id) {
+                return done;
+            }
             self.step(None);
         }
-        self.completions[&id.0].1
     }
 
     /// Advances the simulation just far enough for one of `ids` to
@@ -241,7 +246,7 @@ impl GpuSim {
         loop {
             let done = ids
                 .iter()
-                .filter_map(|&id| self.completions.get(&id.0).map(|&(_, c)| (id, c)))
+                .filter_map(|&id| self.completion(id).map(|(_, c)| (id, c)))
                 .min_by_key(|&(_, c)| c);
             if let Some(hit) = done {
                 return hit;
@@ -342,20 +347,45 @@ impl GpuSim {
         None
     }
 
+    /// Serves context `ci` for one slice: kernels run back to back, each
+    /// to completion, until the slice is used up or the queue empties.
+    ///
+    /// Arrivals land at kernel boundaries. Between two events — the slice
+    /// running out, the next arrival falling due, the front task finishing
+    /// — a kernel only moves the clock and the busy time, so the arrival
+    /// heap is read, and the front task fetched again, only when a kernel
+    /// ends at or past `min(slice end, next arrival)` or finishes its task.
     fn serve_slice(&mut self, ci: usize) {
         let slice_end = self.now + self.slice;
+        let tax = self.kernel_tax.as_nanos();
         while let Some(task) = self.contexts[ci].queue.front_mut() {
-            // Run one kernel to completion (non-preemptive), paying the
+            let stop = self
+                .arrivals
+                .peek_time()
+                .map_or(slice_end, |t| t.min(slice_end))
+                .as_nanos();
+            let mut now = self.now.as_nanos();
+            let mut busy = self.busy_ns;
+            // Run kernels to completion (non-preemptive), each paying the
             // launch-congestion tax if one is in force.
-            let k = task.kernels[task.next] + self.kernel_tax;
-            task.next += 1;
-            self.now += k;
-            self.busy_ns += k.as_nanos();
-            let finished = task.next == task.kernels.len();
+            let finished = loop {
+                let k = task.kernels[task.next].as_nanos() + tax;
+                task.next += 1;
+                now += k;
+                busy += k;
+                if task.next == task.kernels.len() {
+                    break true;
+                }
+                if now >= stop {
+                    break false;
+                }
+            };
+            self.now = SimTime::from_nanos(now);
+            self.busy_ns = busy;
             if finished {
                 let task = self.contexts[ci].queue.pop_front().expect("front");
                 if let Some(id) = task.id {
-                    self.completions.insert(id, (task.arrival, self.now));
+                    self.completions[id as usize] = Some((task.arrival, self.now));
                 }
                 // Closed-loop generator re-arming.
                 let ctx = &mut self.contexts[ci];
@@ -368,7 +398,6 @@ impl GpuSim {
                     }
                 }
             }
-            // New arrivals land at kernel boundaries.
             self.fire_arrivals();
             if self.now >= slice_end {
                 break;
@@ -677,5 +706,225 @@ mod tests {
             gpu.completion(id),
             Some((t0, SimTime::from_nanos(30_055_537_851)))
         );
+    }
+
+    /// The per-kernel slice loop slice stepping replaces: it reads the
+    /// arrival heap after every kernel.
+    fn serve_slice_per_kernel(gpu: &mut GpuSim, ci: usize) {
+        let slice_end = gpu.now + gpu.slice;
+        while let Some(task) = gpu.contexts[ci].queue.front_mut() {
+            let k = task.kernels[task.next] + gpu.kernel_tax;
+            task.next += 1;
+            gpu.now += k;
+            gpu.busy_ns += k.as_nanos();
+            if task.next == task.kernels.len() {
+                let task = gpu.contexts[ci].queue.pop_front().expect("front");
+                if let Some(id) = task.id {
+                    gpu.completions[id as usize] = Some((task.arrival, gpu.now));
+                }
+                let ctx = &mut gpu.contexts[ci];
+                if ctx.gen_waiting {
+                    if let Some(generator) = ctx.generator.as_ref() {
+                        ctx.gen_waiting = false;
+                        let next = (ctx.last_fire + generator.period).max(gpu.now);
+                        let epoch = ctx.gen_epoch;
+                        gpu.arrivals.push(next, Arrival::GeneratorFire(ci, epoch));
+                    }
+                }
+            }
+            gpu.fire_arrivals();
+            if gpu.now >= slice_end {
+                break;
+            }
+        }
+        gpu.rr_next = (ci + 1) % gpu.contexts.len().max(1);
+    }
+
+    /// [`GpuSim::step`] over the per-kernel loop.
+    fn step_per_kernel(gpu: &mut GpuSim, idle_target: Option<SimTime>) {
+        gpu.fire_arrivals();
+        if let Some(ci) = gpu.pick_context() {
+            serve_slice_per_kernel(gpu, ci);
+            return;
+        }
+        match (gpu.arrivals.peek_time(), idle_target) {
+            (Some(t), Some(target)) => gpu.now = gpu.now.max(t.min(target)),
+            (Some(t), None) => gpu.now = gpu.now.max(t),
+            (None, Some(target)) => gpu.now = target,
+            (None, None) => panic!("reference deadlock"),
+        }
+        gpu.fire_arrivals();
+    }
+
+    /// One operation on both simulators.
+    enum Op {
+        Submit(usize, SimTime, Vec<SimDuration>),
+        Advance(SimTime),
+        RunUntil(TaskId),
+        RunUntilEarliest(Vec<TaskId>),
+        Generator(usize, Option<Generator>),
+    }
+
+    fn apply(gpu: &mut GpuSim, op: &Op, per_kernel: bool) {
+        match op {
+            Op::Submit(ctx, at, kernels) => {
+                gpu.submit(*ctx, *at, kernels.clone());
+            }
+            Op::Advance(target) if per_kernel => {
+                while gpu.now < *target {
+                    step_per_kernel(gpu, Some(*target));
+                }
+            }
+            Op::Advance(target) => gpu.advance_to(*target),
+            Op::RunUntil(id) if per_kernel => {
+                while gpu.completion(*id).is_none() {
+                    step_per_kernel(gpu, None);
+                }
+            }
+            Op::RunUntil(id) => {
+                gpu.run_until_complete(*id);
+            }
+            Op::RunUntilEarliest(ids) if per_kernel => {
+                while ids.iter().all(|&id| gpu.completion(id).is_none()) {
+                    step_per_kernel(gpu, None);
+                }
+            }
+            Op::RunUntilEarliest(ids) => {
+                gpu.run_until_earliest_complete(ids);
+            }
+            Op::Generator(ctx, Some(generator)) => {
+                let now = gpu.now;
+                gpu.set_generator(*ctx, generator.clone(), now);
+            }
+            Op::Generator(ctx, None) => gpu.clear_generator(*ctx),
+        }
+    }
+
+    #[test]
+    fn slice_stepping_equals_the_per_kernel_loop() {
+        use rand::Rng;
+        // Durations are whole multiples of 10 µs, so arrivals, kernel ends
+        // and slice ends often coincide to the nanosecond.
+        const QUANTUM: u64 = 10_000;
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for scenario in 0..150u64 {
+            let quanta = |rng: &mut StdRng, lo: u64, hi: u64| {
+                SimDuration::from_nanos(QUANTUM * rng.gen_range(lo..=hi))
+            };
+            let kernels = |rng: &mut StdRng, max: usize| -> Vec<SimDuration> {
+                (0..rng.gen_range(1..=max))
+                    .map(|_| quanta(rng, 0, 40))
+                    .collect()
+            };
+            let contexts = rng.gen_range(1..=9usize);
+            let noise_sigma = if scenario % 3 == 0 { 0.2 } else { 0.0 };
+            let mut fast = GpuSim::new(quanta(&mut rng, 1, 300), scenario);
+            let mut reference = GpuSim::new(fast.slice, scenario);
+            let tax = if scenario % 2 == 0 {
+                SimDuration::ZERO
+            } else {
+                quanta(&mut rng, 0, 3)
+            };
+            for gpu in [&mut fast, &mut reference] {
+                gpu.set_kernel_tax(tax);
+                for _ in 0..contexts {
+                    gpu.add_context();
+                }
+            }
+            let mut ops = Vec::new();
+            for ctx in 0..contexts {
+                if rng.gen_range(0..3u32) == 0 {
+                    ops.push(Op::Generator(
+                        ctx,
+                        Some(Generator {
+                            kernels: kernels(&mut rng, 6),
+                            period: quanta(&mut rng, 1, 500),
+                            max_outstanding: rng.gen_range(1..=3),
+                            noise_sigma,
+                        }),
+                    ));
+                }
+            }
+            let mut submitted = Vec::new();
+            for _ in 0..60 {
+                // Operations are drawn against the fast simulator's state;
+                // both see the same sequence.
+                let now = fast.now();
+                let op = match rng.gen_range(0..10u32) {
+                    0..=3 => {
+                        // Land on the served context's next kernel boundary
+                        // half the time, else anywhere in the next slices.
+                        let ctx = rng.gen_range(0..contexts);
+                        let at = match fast.contexts[fast.rr_next % contexts].queue.front() {
+                            Some(task) if rng.gen_range(0..2u32) == 0 => {
+                                let ahead = rng.gen_range(1..=task.kernels.len() - task.next);
+                                now + task.kernels[task.next..task.next + ahead]
+                                    .iter()
+                                    .map(|&k| k + tax)
+                                    .sum()
+                            }
+                            _ => now + quanta(&mut rng, 0, 400),
+                        };
+                        Op::Submit(ctx, at, kernels(&mut rng, 30))
+                    }
+                    4..=5 => Op::Advance(now + quanta(&mut rng, 0, 800)),
+                    6 if !submitted.is_empty() => {
+                        Op::RunUntil(submitted[rng.gen_range(0..submitted.len())])
+                    }
+                    7 if !submitted.is_empty() => {
+                        let n = rng.gen_range(1..=submitted.len().min(4));
+                        Op::RunUntilEarliest(
+                            (0..n)
+                                .map(|_| submitted[rng.gen_range(0..submitted.len())])
+                                .collect(),
+                        )
+                    }
+                    8 => {
+                        let ctx = rng.gen_range(0..contexts);
+                        let generator = (rng.gen_range(0..2u32) == 0).then(|| Generator {
+                            kernels: kernels(&mut rng, 6),
+                            period: quanta(&mut rng, 1, 500),
+                            max_outstanding: rng.gen_range(1..=3),
+                            noise_sigma,
+                        });
+                        Op::Generator(ctx, generator)
+                    }
+                    _ => Op::Advance(now),
+                };
+                ops.push(op);
+                let op = ops.last().expect("pushed");
+                if let Op::Submit(..) = op {
+                    submitted.push(TaskId(fast.next_id));
+                }
+                apply(&mut fast, op, false);
+                apply(&mut reference, op, true);
+                assert_eq!(fast.now(), reference.now(), "scenario {scenario}");
+                assert_eq!(
+                    fast.busy_time(),
+                    reference.busy_time(),
+                    "scenario {scenario}"
+                );
+                assert_eq!(
+                    fast.completions, reference.completions,
+                    "scenario {scenario}"
+                );
+            }
+            // Drain every submitted task on both.
+            for &id in &submitted {
+                apply(&mut fast, &Op::RunUntil(id), false);
+                apply(&mut reference, &Op::RunUntil(id), true);
+            }
+            assert_eq!(fast.now(), reference.now(), "scenario {scenario}");
+            assert_eq!(
+                fast.busy_time(),
+                reference.busy_time(),
+                "scenario {scenario}"
+            );
+            assert_eq!(
+                fast.completions, reference.completions,
+                "scenario {scenario}"
+            );
+            assert!(fast.completions.iter().all(Option::is_some));
+        }
     }
 }

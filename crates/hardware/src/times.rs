@@ -8,7 +8,9 @@
 //! [`NodeTimes`] table, and each request draws only the noise. Node `i`'s
 //! draw is `expected[i].scale(lognormal_factor(rng, sigma))` — the model's
 //! `sample` for that node, from the same single draw — so a table-driven
-//! run consumes the RNG exactly like a model-driven one.
+//! run consumes the RNG exactly like a model-driven one. The table also
+//! keeps each time in seconds, so a draw multiplies instead of converting
+//! nanoseconds to seconds per node.
 
 use lp_graph::{ComputationGraph, NodeKind};
 use lp_sim::{lognormal_factor, SimDuration};
@@ -21,6 +23,8 @@ use std::ops::Range;
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeTimes {
     expected: Vec<SimDuration>,
+    /// `expected[i].as_secs_f64()`: [`SimDuration::scale`]'s operand.
+    secs: Vec<f64>,
     noise_sigma: f64,
 }
 
@@ -32,12 +36,14 @@ impl NodeTimes {
         noise_sigma: f64,
         expected: impl Fn(&NodeKind, &TensorDesc, &TensorDesc) -> SimDuration,
     ) -> Self {
+        let expected: Vec<SimDuration> = graph
+            .nodes()
+            .iter()
+            .map(|n| expected(&n.kind, graph.value_desc(n.inputs[0]), &n.output))
+            .collect();
         Self {
-            expected: graph
-                .nodes()
-                .iter()
-                .map(|n| expected(&n.kind, graph.value_desc(n.inputs[0]), &n.output))
-                .collect(),
+            secs: expected.iter().map(|t| t.as_secs_f64()).collect(),
+            expected,
             noise_sigma,
         }
     }
@@ -61,7 +67,8 @@ impl NodeTimes {
     }
 
     /// One noisy draw for each node in `nodes` (0-based topological
-    /// indices), in order, one [`lognormal_factor`] per node.
+    /// indices), in order, one [`lognormal_factor`] per node: the
+    /// duration [`SimDuration::scale`] gives, from the stored seconds.
     ///
     /// # Panics
     ///
@@ -72,8 +79,8 @@ impl NodeTimes {
         rng: &'a mut R,
     ) -> impl Iterator<Item = SimDuration> + 'a {
         let sigma = self.noise_sigma;
-        self.expected[nodes]
-            .iter()
-            .map(move |t| t.scale(lognormal_factor(rng, sigma)))
+        self.secs[nodes].iter().map(move |&secs| {
+            SimDuration::from_secs_f64(secs * lognormal_factor(rng, sigma).max(0.0))
+        })
     }
 }
