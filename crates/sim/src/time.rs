@@ -84,7 +84,7 @@ impl SimDuration {
     /// saturating below zero.
     #[must_use]
     pub fn from_secs_f64(s: f64) -> Self {
-        Self((s.max(0.0) * 1e9).round() as u64)
+        Self(round_to_u64(s.max(0.0) * 1e9))
     }
 
     /// Constructs from float microseconds.
@@ -140,6 +140,23 @@ impl SimDuration {
     #[must_use]
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
+    }
+}
+
+/// `y.round() as u64` for every `f64`, without the libm call `f64::round`
+/// compiles to on the default x86-64 target. Below 2^52 an `f64` can
+/// carry a fraction: the truncating cast takes the integer part, and
+/// `y - t` is exact there, so comparing it with one half rounds half away
+/// from zero as `round` does (negative `y` and `-0.0` give 0 either way).
+/// From 2^52 up every `f64` is an integer, so the saturating cast alone
+/// agrees, as it does on NaN (0) and infinities.
+fn round_to_u64(y: f64) -> u64 {
+    const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+    if y < TWO_POW_52 {
+        let t = y as u64;
+        t + u64::from(y - t as f64 >= 0.5)
+    } else {
+        y as u64
     }
 }
 
@@ -210,6 +227,68 @@ mod tests {
     #[test]
     fn negative_float_saturates() {
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
+    }
+
+    /// Edge inputs, every x.5 half-way point below 2^16 and next to each
+    /// power of two up to 2^53 with the floats on either side, the powers
+    /// 2^52, 2^53 and 2^64 with theirs, random bit patterns and random
+    /// magnitudes up to 2^70.
+    fn rounding_inputs() -> Vec<f64> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        let mut ys = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            -0.5,
+            -1.5,
+            0.5f64.next_down(),
+            u64::MAX as f64,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        let halves = (0..1u64 << 16)
+            .map(|n| n as f64 + 0.5)
+            .chain((0..53).map(|e| (1u64 << e) as f64 + 0.5))
+            .chain((1..54).map(|e| (1u64 << e) as f64 - 0.5));
+        let powers = [2f64.powi(52), 2f64.powi(53), 2f64.powi(64)];
+        for y in halves.chain(powers) {
+            ys.extend([y.next_down(), y, y.next_up()]);
+        }
+        let mut rng = StdRng::seed_from_u64(52);
+        for _ in 0..200_000 {
+            ys.push(f64::from_bits(rng.next_u64()));
+            let magnitude = 2f64.powi(rng.gen_range(0u32..70) as i32);
+            ys.push(rng.gen_range(0.0..magnitude));
+        }
+        ys
+    }
+
+    #[test]
+    fn rounding_equals_f64_round_on_every_input() {
+        for y in rounding_inputs() {
+            assert_eq!(
+                round_to_u64(y),
+                y.round() as u64,
+                "y = {y:e} (bits {:#018x})",
+                y.to_bits()
+            );
+            for s in [y, y / 1e9] {
+                assert_eq!(
+                    SimDuration::from_secs_f64(s).as_nanos(),
+                    (s.max(0.0) * 1e9).round() as u64,
+                    "s = {s:e} (bits {:#018x})",
+                    s.to_bits()
+                );
+            }
+        }
     }
 
     #[test]
