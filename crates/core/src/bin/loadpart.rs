@@ -9,9 +9,9 @@
 //! loadpart report    [--model squeezenet] [--clients 4] [--duration 30] [--trace spans.jsonl]
 //! loadpart chaos     [--model alexnet] [--clients 8] [--rounds 13] [--spike-k 40] [--transport tcp]
 //! loadpart chaos     --cluster [--clients 4] [--rounds 65] [--transport tcp | --connect A,B,C] [--no-failover] [--policy loadpart]
-//! loadpart bench     [--quick] [--out BENCH_serving.json] [--requests 40] [--suffix-cost-ms 2] [--transport tcp | --connect HOST:PORT]
-//! loadpart bench     --sessions-sweep [--quick] [--sessions 64,128,256] [--threads 0] [--batch 16] [--shards 2] [--out BENCH_fleet.json]
-//! loadpart compare   [--quick] [--out BENCH_policies.json] [--requests 320] [--windows 8]
+//! loadpart bench     [--quick] [--out report.json] [--requests 40] [--suffix-cost-ms 2] [--transport tcp | --connect HOST:PORT]
+//! loadpart bench     --sessions-sweep [--quick] [--sessions 64,128,256] [--threads 0] [--batch 16] [--shards 2] [--out report.json]
+//! loadpart compare   [--quick] [--out report.json] [--requests 320] [--windows 8]
 //! loadpart serve     [--model alexnet] [--listen 127.0.0.1:0 | --uds /tmp/lp.sock] [--k 1.0] [--shards 2] [--batch 16] [--no-admission]
 //! loadpart smoke     --connect HOST:PORT | --uds PATH [--requests 5] [--latency-ms 20] [--rate-mbps 8] [--shutdown-server]
 //! ```
@@ -35,16 +35,17 @@
 //! first server instead);
 //! `bench` runs the serving-throughput benchmark — the batching zero-copy
 //! serving path at 1/4/8/16 concurrent wire clients under an injected
-//! per-suffix cost — and writes `BENCH_serving.json`;
+//! per-suffix cost;
 //! with `--sessions-sweep` it instead runs the fleet benchmark — 64→1024
 //! persistent sessions over loopback TCP against the event-driven shards
 //! with continuous suffix batching, driven by a bounded client-thread
-//! pool — and writes `BENCH_fleet.json`;
+//! pool;
 //! `compare` races every registered partition policy (plus the bandit
 //! online learner and the oracle) through the nonstationary-load,
 //! miscalibrated-device-model and drifting-bandwidth scenarios, reporting
-//! per-policy latency and regret-vs-oracle, and writes
-//! `BENCH_policies.json`; `serve` exposes the threaded server over a real
+//! per-policy latency and regret-vs-oracle (`bench` and `compare` print
+//! their table, and write its JSON report only to the file `--out` names);
+//! `serve` exposes the threaded server over a real
 //! TCP (or Unix-domain) socket and blocks until a client shuts it down over
 //! the wire; `smoke` connects to a running `serve` from a separate process,
 //! measures wall-clock bandwidth, runs a handful of inferences — optionally
@@ -768,19 +769,10 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<String, String> {
             Some(other) => return Err(format!("unknown transport {other:?} (channel|tcp)")),
         }
     };
-    let out_path = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_serving.json".to_string());
-    if out_path.is_empty() {
-        return Err("--out needs a file path".to_string());
-    }
-    let report = serving_bench(&config);
-    std::fs::write(&out_path, report.to_json().to_string_pretty())
-        .map_err(|e| format!("cannot write {out_path:?}: {e}"))?;
-    let mut out = report.render_table();
-    out.push_str(&format!("report written to {out_path}"));
-    Ok(out)
+    report(flags, || {
+        let report = serving_bench(&config);
+        (report.render_table(), report.to_json())
+    })
 }
 
 /// `bench --sessions-sweep`: the fleet benchmark over loopback TCP.
@@ -816,19 +808,10 @@ fn cmd_bench_fleet(flags: &HashMap<String, String>) -> Result<String, String> {
         return Err("--suffix-cost-ms must be non-negative".to_string());
     }
     config.suffix_cost = Duration::from_secs_f64(suffix_ms / 1e3);
-    let out_path = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_fleet.json".to_string());
-    if out_path.is_empty() {
-        return Err("--out needs a file path".to_string());
-    }
-    let report = fleet_bench(&config);
-    std::fs::write(&out_path, report.to_json().to_string_pretty())
-        .map_err(|e| format!("cannot write {out_path:?}: {e}"))?;
-    let mut out = report.render_table();
-    out.push_str(&format!("report written to {out_path}"));
-    Ok(out)
+    report(flags, || {
+        let report = fleet_bench(&config);
+        (report.render_table(), report.to_json())
+    })
 }
 
 fn cmd_compare(flags: &HashMap<String, String>) -> Result<String, String> {
@@ -847,19 +830,33 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<String, String> {
     if config.windows == 0 || config.windows > config.requests {
         return Err("--windows must be in 1..=requests".to_string());
     }
-    let out_path = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_policies.json".to_string());
-    if out_path.is_empty() {
+    report(flags, || {
+        let report = compare_policies(&config);
+        (report.render_table(), report.to_json())
+    })
+}
+
+/// Runs a report command's benchmark and returns its table. The JSON
+/// report is written only to the file `--out` names; an empty `--out` is
+/// refused before the benchmark starts.
+fn report(
+    flags: &HashMap<String, String>,
+    run: impl FnOnce() -> (String, lp_json::Json),
+) -> Result<String, String> {
+    let path = flags.get("out");
+    if path.is_some_and(String::is_empty) {
         return Err("--out needs a file path".to_string());
     }
-    let report = compare_policies(&config);
-    std::fs::write(&out_path, report.to_json().to_string_pretty())
-        .map_err(|e| format!("cannot write {out_path:?}: {e}"))?;
-    let mut out = report.render_table();
-    out.push_str(&format!("report written to {out_path}"));
-    Ok(out)
+    let (mut table, json) = run();
+    match path {
+        Some(path) => {
+            std::fs::write(path, json.to_string_pretty())
+                .map_err(|e| format!("cannot write {path:?}: {e}"))?;
+            table.push_str(&format!("report written to {path}"));
+        }
+        None => table.truncate(table.trim_end().len()),
+    }
+    Ok(table)
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<String, String> {
@@ -1337,6 +1334,25 @@ mod tests {
             .get("scenarios")
             .and_then(lp_json::Json::as_arr)
             .is_some_and(|s| s.len() == 3));
+    }
+
+    /// Without `--out`, `compare` prints its table and writes no report,
+    /// in particular not the `BENCH_policies.json` it once wrote into the
+    /// working directory by default.
+    #[test]
+    fn compare_without_out_writes_no_file() {
+        let default = std::path::Path::new("BENCH_policies.json");
+        assert!(
+            !default.exists(),
+            "stale {default:?} in the working directory"
+        );
+        let out = run(&argv(
+            "compare --quick --requests 12 --windows 2 --samples 60",
+        ))
+        .expect("ok");
+        assert!(out.contains("oracle"), "{out}");
+        assert!(!out.contains("report written"), "{out}");
+        assert!(!default.exists(), "compare wrote {default:?} without --out");
     }
 
     /// Each subcommand accepts exactly the flags `USAGE` lists for it.

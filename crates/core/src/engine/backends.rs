@@ -32,6 +32,7 @@ use lp_hardware::{NodeTimes, TaskId};
 use lp_net::{Link, ProbeProfiler};
 use lp_sim::{SimDuration, SimTime};
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
 /// Device execution by sampling the graph's device node-time table
@@ -147,13 +148,16 @@ impl ServerBackend for GpuBackend<'_> {
         &mut self,
         graph: &ComputationGraph,
         req: &SuffixRequest,
-        rng: &mut StdRng,
     ) -> Result<SuffixOutcome, ProtocolError> {
         let server = &mut *self.server;
         server.gpu.advance_to(req.arrive);
         let n = graph.len();
         assert_eq!(self.kernel_times.len(), n, "table of another graph");
-        let kernels: Vec<SimDuration> = self.kernel_times.sample(req.p..n, rng).collect();
+        // The kernels' noise comes from the request's own stream, not the
+        // client engine's: what a server draws for a suffix depends only
+        // on which request it is.
+        let mut noise = StdRng::seed_from_u64(req.noise_seed);
+        let kernels: Vec<SimDuration> = self.kernel_times.sample(req.p..n, &mut noise).collect();
         // advance_to can overshoot a slice boundary; the request becomes
         // visible to the scheduler at the GPU's current instant (the gap
         // is genuine queueing behind the in-flight kernel).
@@ -252,7 +256,6 @@ impl<C: FrameChannel + ?Sized> ServerBackend for WireBackend<'_, C> {
         &mut self,
         graph: &ComputationGraph,
         req: &SuffixRequest,
-        _rng: &mut StdRng,
     ) -> Result<SuffixOutcome, ProtocolError> {
         // The simulated tensor payload comes from the shared zero pool and
         // rides the frame as an `Arc` reference — no per-request

@@ -132,6 +132,20 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The seed of one offloaded request's suffix-noise stream
+/// ([`SuffixRequest::noise_seed`](crate::engine::SuffixRequest::noise_seed)):
+/// [`splitmix64`] steps over the engine's seed with the client index and
+/// then the request id folded in. Pure in the triple, so any server that
+/// knows it draws the same suffix kernels.
+#[must_use]
+pub fn suffix_noise_seed(seed: u64, client: usize, request_id: u64) -> u64 {
+    let mut state = seed;
+    for word in [client as u64, request_id] {
+        state = splitmix64(&mut state) ^ word;
+    }
+    splitmix64(&mut state)
+}
+
 /// Jitters a backoff `base` to `[0.5, 1.5)x` using one [`splitmix64`]
 /// draw. Deterministic: the same state sequence yields the same sleeps,
 /// which keeps retry counts (and thus records) replayable even when the

@@ -52,7 +52,7 @@ mod record;
 
 pub use breaker::{BreakerState, CircuitBreaker, WireGate};
 pub(crate) use config::check_bandwidth;
-pub use config::{seeded_jitter, splitmix64, ConfigError, EngineConfig};
+pub use config::{seeded_jitter, splitmix64, suffix_noise_seed, ConfigError, EngineConfig};
 pub use profile::RuntimeProfile;
 pub use record::InferenceRecord;
 
@@ -113,6 +113,12 @@ pub struct SuffixRequest {
     /// When the upload finished — the suffix cannot start earlier, and
     /// server time is measured from here.
     pub arrive: SimTime,
+    /// Seed of the suffix's own kernel-noise stream, a pure function of
+    /// (engine seed, client, request id) ([`suffix_noise_seed`]). A
+    /// co-simulated server draws the suffix's kernel times from it, so
+    /// they never advance the engine's device/link stream, and a failover
+    /// re-issues the same draws.
+    pub noise_seed: u64,
 }
 
 /// What a [`ServerBackend`] did with a suffix.
@@ -176,7 +182,6 @@ pub trait ServerBackend {
         &mut self,
         graph: &ComputationGraph,
         req: &SuffixRequest,
-        rng: &mut StdRng,
     ) -> Result<SuffixOutcome, ProtocolError>;
 
     /// Blocks until a [`SuffixOutcome::Pending`] task completes and
@@ -1188,10 +1193,11 @@ impl OffloadEngine {
             precision: record.precision,
             upload_bytes: record.uploaded_bytes,
             arrive: upload_end,
+            noise_seed: suffix_noise_seed(self.config.seed, self.client, record.request_id),
         };
         let mut attempt = 0u32;
         let retry_after = loop {
-            match backend.execute_suffix(&self.graph, &req, &mut self.rng) {
+            match backend.execute_suffix(&self.graph, &req) {
                 // A rejection is the server telling us it is overloaded:
                 // never retried, counted toward the breaker.
                 Ok(SuffixOutcome::Rejected { retry_after, k }) => {

@@ -209,7 +209,6 @@ mod tests {
             &mut self,
             _graph: &ComputationGraph,
             _req: &SuffixRequest,
-            _rng: &mut StdRng,
         ) -> Result<SuffixOutcome, ProtocolError> {
             unreachable!("profile tests never offload")
         }
@@ -331,7 +330,6 @@ mod tests {
                 &mut self,
                 _graph: &ComputationGraph,
                 _req: &SuffixRequest,
-                _rng: &mut StdRng,
             ) -> Result<SuffixOutcome, ProtocolError> {
                 unreachable!("profile tests never offload")
             }

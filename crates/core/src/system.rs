@@ -484,6 +484,109 @@ mod tests {
         assert_eq!(testbed.server.bg_ctxs, (1..=n).collect::<Vec<_>>());
     }
 
+    /// When a SqueezeNet suffix handed to an idle server with `noise_seed`
+    /// completes: one draw of its 91 kernels.
+    fn suffix_completion(noise_seed: u64) -> SimTime {
+        use crate::engine::{ServerBackend, SuffixOutcome, SuffixRequest};
+        let graph = lp_models::squeezenet(1);
+        let mut server = EdgeServer::new(3);
+        let ctx = server.gpu.add_context();
+        let times = server.kernel_times(&graph);
+        let mut backend = server.backend(&times, ctx);
+        let req = SuffixRequest {
+            request_id: 0,
+            p: 0,
+            precision: lp_graph::Precision::Fp32,
+            upload_bytes: 0,
+            arrive: secs(1),
+            noise_seed,
+        };
+        match backend.execute_suffix(&graph, &req) {
+            Ok(SuffixOutcome::Pending { task }) => backend.wait(task),
+            other => panic!("an idle server without admission queues: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn suffix_kernels_are_a_pure_function_of_seed_client_and_request() {
+        use crate::engine::suffix_noise_seed;
+        let at = |seed, client, id| suffix_completion(suffix_noise_seed(seed, client, id));
+        let base = at(42, 3, 17);
+        assert_eq!(
+            at(42, 3, 17),
+            base,
+            "the same triple draws the same kernels"
+        );
+        for (seed, client, id) in [(42, 3, 18), (42, 4, 17), (43, 3, 17)] {
+            assert_ne!(at(seed, client, id), base, "({seed}, {client}, {id})");
+        }
+    }
+
+    /// The engine's own stream feeds the device prefix, the link's jitter
+    /// and the profiler's probes; a co-simulated suffix draws from its
+    /// request's stream instead. So the same requests through a server
+    /// that draws 55 kernels each and through one that draws nothing see
+    /// the same device, upload and download times.
+    #[test]
+    fn suffix_draws_do_not_advance_the_engine_stream() {
+        use crate::engine::backends::SimulatedDevice;
+        use crate::engine::{ServerBackend, SuffixOutcome, SuffixRequest};
+        use crate::protocol::ProtocolError;
+
+        /// A server that answers every suffix at once and draws nothing.
+        struct Instant;
+        impl ServerBackend for Instant {
+            fn query_k(&mut self, _now: SimTime) -> Result<f64, ProtocolError> {
+                Ok(1.0)
+            }
+            fn execute_suffix(
+                &mut self,
+                _graph: &ComputationGraph,
+                req: &SuffixRequest,
+            ) -> Result<SuffixOutcome, ProtocolError> {
+                Ok(SuffixOutcome::Done {
+                    completion: req.arrive,
+                })
+            }
+            fn complete(&mut self, _: SimTime, _: SimDuration, _: SimDuration) {}
+        }
+
+        let (user, edge) = models();
+        let graph = lp_models::squeezenet(1);
+        let run = |gpu: bool| {
+            let mut engine = OffloadEngine::new(
+                graph.clone(),
+                Policy::Fixed(36),
+                user,
+                edge,
+                0,
+                SystemConfig::default(),
+            )
+            .expect("valid config");
+            let mut testbed = Testbed::with_constant_bandwidth(8.0, 5);
+            let device_times = testbed.device_times(&graph);
+            let kernel_times = testbed.server.kernel_times(&graph);
+            let mut device = SimulatedDevice {
+                times: &device_times,
+            };
+            let (mut transport, mut server) = testbed.backends(&kernel_times);
+            (0..12)
+                .map(|i| {
+                    let at = secs(1 + i);
+                    let r = if gpu {
+                        engine.run(at, &mut device, &mut server, &mut transport)
+                    } else {
+                        engine.run(at, &mut device, &mut Instant, &mut transport)
+                    }
+                    .expect("co-simulated backends are infallible");
+                    assert_eq!(r.p, 36);
+                    (r.device, r.upload, r.download)
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(true), run(false));
+    }
+
     #[test]
     fn records_are_internally_consistent() {
         let mut sys = system(Policy::LoadPart, 8.0, lp_models::alexnet(1));

@@ -701,10 +701,10 @@ mod tests {
         assert_eq!(gpu.completions.len(), 1);
         // What is recorded must not move the schedule: the foreground
         // task's completion instant is pinned.
-        assert_eq!(t0, SimTime::from_nanos(30_002_229_695));
+        assert_eq!(t0, SimTime::from_nanos(30_002_600_176));
         assert_eq!(
             gpu.completion(id),
-            Some((t0, SimTime::from_nanos(30_055_537_851)))
+            Some((t0, SimTime::from_nanos(30_056_801_495)))
         );
     }
 

@@ -11,6 +11,12 @@
 //! run consumes the RNG exactly like a model-driven one. The table also
 //! keeps each time in seconds, so a draw multiplies instead of converting
 //! nanoseconds to seconds per node.
+//!
+//! A draw is one ziggurat N(0, 1) and one `exp` (lp-sim's
+//! [`lognormal_factor`]) plus the rounding to nanoseconds. The caller
+//! chooses the stream: the co-simulated device draws its prefix from the
+//! client engine's RNG, the co-simulated server a suffix from an RNG
+//! seeded by the request alone.
 
 use lp_graph::{ComputationGraph, NodeKind};
 use lp_sim::{lognormal_factor, SimDuration};
