@@ -138,7 +138,7 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 /// then the request id folded in. Pure in the triple, so any server that
 /// knows it draws the same suffix kernels.
 #[must_use]
-pub fn suffix_noise_seed(seed: u64, client: usize, request_id: u64) -> u64 {
+pub(crate) fn suffix_noise_seed(seed: u64, client: usize, request_id: u64) -> u64 {
     let mut state = seed;
     for word in [client as u64, request_id] {
         state = splitmix64(&mut state) ^ word;

@@ -51,8 +51,8 @@ mod profile;
 mod record;
 
 pub use breaker::{BreakerState, CircuitBreaker, WireGate};
-pub(crate) use config::check_bandwidth;
-pub use config::{seeded_jitter, splitmix64, suffix_noise_seed, ConfigError, EngineConfig};
+pub(crate) use config::{check_bandwidth, suffix_noise_seed};
+pub use config::{seeded_jitter, splitmix64, ConfigError, EngineConfig};
 pub use profile::RuntimeProfile;
 pub use record::InferenceRecord;
 
@@ -113,8 +113,8 @@ pub struct SuffixRequest {
     /// When the upload finished — the suffix cannot start earlier, and
     /// server time is measured from here.
     pub arrive: SimTime,
-    /// Seed of the suffix's own kernel-noise stream, a pure function of
-    /// (engine seed, client, request id) ([`suffix_noise_seed`]). A
+    /// Seed of the suffix's own kernel-noise stream, a `splitmix64` mix
+    /// of (engine seed, client, request id) and nothing else. A
     /// co-simulated server draws the suffix's kernel times from it, so
     /// they never advance the engine's device/link stream, and a failover
     /// re-issues the same draws.
@@ -173,7 +173,9 @@ pub trait ServerBackend {
     /// Wire backends propagate [`ProtocolError`] on malformed replies.
     fn query_k(&mut self, now: SimTime) -> Result<f64, ProtocolError>;
 
-    /// Executes (or enqueues) the suffix `L_{p+1}..L_n`.
+    /// Executes (or enqueues) the suffix `L_{p+1}..L_n`. A backend that
+    /// samples kernel times draws them from the stream seeded by
+    /// `req.noise_seed`; the engine's own RNG stays on the device side.
     ///
     /// # Errors
     ///
