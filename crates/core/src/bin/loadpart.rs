@@ -9,10 +9,8 @@
 //! loadpart report    [--model squeezenet] [--clients 4] [--duration 30] [--trace spans.jsonl]
 //! loadpart chaos     [--model alexnet] [--clients 8] [--rounds 13] [--spike-k 40] [--transport tcp]
 //! loadpart chaos     --cluster [--clients 4] [--rounds 65] [--transport tcp | --connect A,B,C] [--no-failover] [--policy loadpart]
-//! loadpart bench     [--quick] [--out report.json] [--requests 40] [--suffix-cost-ms 2] [--transport tcp | --connect HOST:PORT]
-//! loadpart bench     --sessions-sweep [--quick] [--sessions 64,128,256] [--threads 0] [--batch 16] [--shards 2] [--out report.json]
 //! loadpart compare   [--quick] [--out report.json] [--requests 320] [--windows 8]
-//! loadpart serve     [--model alexnet] [--listen 127.0.0.1:0 | --uds /tmp/lp.sock] [--k 1.0] [--shards 2] [--batch 16] [--no-admission]
+//! loadpart serve     [--model alexnet] [--listen 127.0.0.1:0 | --uds /tmp/lp.sock] [--k 1.0] [--shards 2] [--no-admission]
 //! loadpart smoke     --connect HOST:PORT | --uds PATH [--requests 5] [--latency-ms 20] [--rate-mbps 8] [--shutdown-server]
 //! ```
 //!
@@ -33,18 +31,11 @@
 //! other servers, nothing is lost, the run replays bit-identically and the
 //! recovered server is readmitted (`--no-failover` pins every client to the
 //! first server instead);
-//! `bench` runs the serving-throughput benchmark — the batching zero-copy
-//! serving path at 1/4/8/16 concurrent wire clients under an injected
-//! per-suffix cost;
-//! with `--sessions-sweep` it instead runs the fleet benchmark — 64→1024
-//! persistent sessions over loopback TCP against the event-driven shards
-//! with continuous suffix batching, driven by a bounded client-thread
-//! pool;
 //! `compare` races every registered partition policy (plus the bandit
 //! online learner and the oracle) through the nonstationary-load,
 //! miscalibrated-device-model and drifting-bandwidth scenarios, reporting
-//! per-policy latency and regret-vs-oracle (`bench` and `compare` print
-//! their table, and write its JSON report only to the file `--out` names);
+//! per-policy latency and regret-vs-oracle (it prints its table, and
+//! writes its JSON report only to the file `--out` names);
 //! `serve` exposes the threaded server over a real
 //! TCP (or Unix-domain) socket and blocks until a client shuts it down over
 //! the wire; `smoke` connects to a running `serve` from a separate process,
@@ -56,13 +47,12 @@ use loadpart::policy::build_named;
 #[cfg(unix)]
 use loadpart::UdsFrameChannel;
 use loadpart::{
-    chaos_run, cluster_chaos_run, compare_policies, fleet_bench, measure_bandwidth,
-    multi_client_run_with_telemetry, serving_bench, spawn_server, spawn_server_tuned,
-    AdmissionConfig, BenchConfig, BenchTransport, ChaosConfig, ChaosTransport, ClusterChaosConfig,
-    ClusterTransport, CompareConfig, EmulatedLink, EngineConfig, FleetConfig, FrameChannel,
-    InferenceRecord, JsonlSink, LinkSpec, LoadEnv, Message, MultiClientConfig, PartitionSolver,
-    PolicyContext, Precision, ServerFaultSpec, ServerTuning, SocketServer, TcpFrameChannel,
-    Telemetry, ThreadedClient,
+    chaos_run, cluster_chaos_run, compare_policies, measure_bandwidth,
+    multi_client_run_with_telemetry, spawn_server, spawn_server_tuned, AdmissionConfig,
+    ChaosConfig, ChaosTransport, ClusterChaosConfig, ClusterTransport, CompareConfig, EmulatedLink,
+    EngineConfig, FrameChannel, InferenceRecord, JsonlSink, LinkSpec, LoadEnv, Message,
+    MultiClientConfig, PartitionSolver, PolicyContext, Precision, ServerFaultSpec, ServerTuning,
+    SocketServer, TcpFrameChannel, Telemetry, ThreadedClient,
 };
 use lp_sim::{SimDuration, SimTime};
 use std::collections::HashMap;
@@ -97,11 +87,8 @@ const USAGE: &str = "usage:
   loadpart chaos     [--model <name>] [--clients <n>] [--rounds <n>] [--spike-k <factor>] [--bandwidth <Mbps>] [--samples <n>] [--seed <n>] [--transport channel|tcp]
   loadpart chaos     --cluster [--model <name>] [--clients <n>] [--rounds <n>] [--outage-start <round>] [--outage-rounds <n>]
                      [--samples <n>] [--seed <n>] [--policy <name>] [--no-failover] [--transport channel|tcp | --connect <a:p1,b:p2,c:p3>]
-  loadpart bench     [--quick] [--out <file.json>] [--requests <n>] [--suffix-cost-ms <ms>] [--seed <n>] [--transport channel|tcp | --connect <host:port>]
-  loadpart bench     --sessions-sweep [--quick] [--sessions <a,b,c>] [--threads <n|0=auto>] [--batch <n>] [--shards <n>]
-                     [--requests <n>] [--suffix-cost-ms <ms>] [--seed <n>] [--out <file.json>]
   loadpart compare   [--quick] [--out <file.json>] [--requests <n>] [--windows <n>] [--samples <n>] [--seed <n>]
-  loadpart serve     [--model <name>] [--listen <host:port> | --uds <path>] [--k <factor>] [--shards <n>] [--batch <n>] [--no-admission] [--samples <n>] [--seed <n>]
+  loadpart serve     [--model <name>] [--listen <host:port> | --uds <path>] [--k <factor>] [--shards <n>] [--no-admission] [--samples <n>] [--seed <n>]
   loadpart smoke     --connect <host:port> | --uds <path> [--model <name>] [--requests <n>] [--samples <n>] [--seed <n>]
                      [--latency-ms <ms>] [--jitter-ms <ms>] [--rate-mbps <Mbps>] [--stall-every <n>] [--stall-ms <ms>] [--reset-after <frames>] [--link-seed <n>]
                      [--shutdown-server]";
@@ -110,9 +97,8 @@ const USAGE: &str = "usage:
 type Handler = fn(&HashMap<String, String>) -> Result<String, String>;
 
 /// Every subcommand: its name, the mode flag that selects it (`chaos
-/// --cluster`, `bench --sessions-sweep`), the other flags it accepts, as
-/// listed in [`USAGE`], and its handler. A mode's entry comes before its
-/// subcommand's plain entry.
+/// --cluster`), the other flags it accepts, as listed in [`USAGE`], and
+/// its handler. A mode's entry comes before its subcommand's plain entry.
 const COMMANDS: &[(&str, Option<&str>, &str, Handler)] = &[
     ("models", None, "", |_| Ok(cmd_models())),
     (
@@ -154,18 +140,6 @@ const COMMANDS: &[(&str, Option<&str>, &str, Handler)] = &[
         cmd_chaos,
     ),
     (
-        "bench",
-        Some("sessions-sweep"),
-        "quick sessions threads batch shards requests suffix-cost-ms seed out",
-        cmd_bench_fleet,
-    ),
-    (
-        "bench",
-        None,
-        "quick out requests suffix-cost-ms seed transport connect",
-        cmd_bench,
-    ),
-    (
         "compare",
         None,
         "quick out requests windows samples seed",
@@ -174,7 +148,7 @@ const COMMANDS: &[(&str, Option<&str>, &str, Handler)] = &[
     (
         "serve",
         None,
-        "model listen uds k shards batch no-admission samples seed",
+        "model listen uds k shards no-admission samples seed",
         cmd_serve,
     ),
     (
@@ -420,7 +394,7 @@ fn cmd_faults(flags: &HashMap<String, String>) -> Result<String, String> {
         },
         None,
         &Telemetry::disabled(),
-        ServerTuning::default(),
+        ServerTuning,
     );
     for _ in 0..3 {
         let r = client
@@ -737,83 +711,6 @@ fn cmd_chaos_cluster(flags: &HashMap<String, String>) -> Result<String, String> 
     Ok(out)
 }
 
-fn cmd_bench(flags: &HashMap<String, String>) -> Result<String, String> {
-    let mut config = if flags.contains_key("quick") {
-        BenchConfig::quick()
-    } else {
-        BenchConfig::default()
-    };
-    config.requests_per_client = get_parsed(flags, "requests", Some(config.requests_per_client))?;
-    let suffix_ms: f64 = get_parsed(
-        flags,
-        "suffix-cost-ms",
-        Some(config.suffix_cost.as_secs_f64() * 1e3),
-    )?;
-    if suffix_ms < 0.0 {
-        return Err("--suffix-cost-ms must be non-negative".to_string());
-    }
-    if config.requests_per_client == 0 {
-        return Err("--requests must be positive".to_string());
-    }
-    config.suffix_cost = Duration::from_secs_f64(suffix_ms / 1e3);
-    config.seed = get_parsed(flags, "seed", Some(config.seed))?;
-    config.transport = if let Some(addr) = flags.get("connect") {
-        if addr.is_empty() {
-            return Err("--connect needs host:port".to_string());
-        }
-        BenchTransport::Remote(addr.clone())
-    } else {
-        match flags.get("transport").map(String::as_str) {
-            None | Some("channel") => BenchTransport::Channel,
-            Some("tcp") => BenchTransport::Tcp,
-            Some(other) => return Err(format!("unknown transport {other:?} (channel|tcp)")),
-        }
-    };
-    report(flags, || {
-        let report = serving_bench(&config);
-        (report.render_table(), report.to_json())
-    })
-}
-
-/// `bench --sessions-sweep`: the fleet benchmark over loopback TCP.
-fn cmd_bench_fleet(flags: &HashMap<String, String>) -> Result<String, String> {
-    let mut config = if flags.contains_key("quick") {
-        FleetConfig::quick()
-    } else {
-        FleetConfig::default()
-    };
-    if let Some(list) = flags.get("sessions") {
-        let counts: Result<Vec<usize>, _> =
-            list.split(',').map(|s| s.trim().parse::<usize>()).collect();
-        config.session_counts =
-            counts.map_err(|_| format!("invalid value for --sessions: {list:?}"))?;
-        if config.session_counts.is_empty() || config.session_counts.contains(&0) {
-            return Err("--sessions needs positive counts like 64,128,256".to_string());
-        }
-    }
-    config.driver_threads = get_parsed(flags, "threads", Some(config.driver_threads))?;
-    config.max_batch = get_parsed(flags, "batch", Some(config.max_batch))?;
-    config.shards = get_parsed(flags, "shards", Some(config.shards))?;
-    config.requests_per_session = get_parsed(flags, "requests", Some(config.requests_per_session))?;
-    config.seed = get_parsed(flags, "seed", Some(config.seed))?;
-    if config.max_batch == 0 || config.shards == 0 || config.requests_per_session == 0 {
-        return Err("--batch, --shards and --requests must be positive".to_string());
-    }
-    let suffix_ms: f64 = get_parsed(
-        flags,
-        "suffix-cost-ms",
-        Some(config.suffix_cost.as_secs_f64() * 1e3),
-    )?;
-    if suffix_ms < 0.0 {
-        return Err("--suffix-cost-ms must be non-negative".to_string());
-    }
-    config.suffix_cost = Duration::from_secs_f64(suffix_ms / 1e3);
-    report(flags, || {
-        let report = fleet_bench(&config);
-        (report.render_table(), report.to_json())
-    })
-}
-
 fn cmd_compare(flags: &HashMap<String, String>) -> Result<String, String> {
     let mut config = if flags.contains_key("quick") {
         CompareConfig::quick()
@@ -830,27 +727,17 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<String, String> {
     if config.windows == 0 || config.windows > config.requests {
         return Err("--windows must be in 1..=requests".to_string());
     }
-    report(flags, || {
-        let report = compare_policies(&config);
-        (report.render_table(), report.to_json())
-    })
-}
-
-/// Runs a report command's benchmark and returns its table. The JSON
-/// report is written only to the file `--out` names; an empty `--out` is
-/// refused before the benchmark starts.
-fn report(
-    flags: &HashMap<String, String>,
-    run: impl FnOnce() -> (String, lp_json::Json),
-) -> Result<String, String> {
+    // The JSON report is written only to the file `--out` names; an empty
+    // `--out` is refused before the comparison starts.
     let path = flags.get("out");
     if path.is_some_and(String::is_empty) {
         return Err("--out needs a file path".to_string());
     }
-    let (mut table, json) = run();
+    let report = compare_policies(&config);
+    let mut table = report.render_table();
     match path {
         Some(path) => {
-            std::fs::write(path, json.to_string_pretty())
+            std::fs::write(path, report.to_json().to_string_pretty())
                 .map_err(|e| format!("cannot write {path:?}: {e}"))?;
             table.push_str(&format!("report written to {path}"));
         }
@@ -869,10 +756,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<String, String> {
     if k < 1.0 {
         return Err("--k must be >= 1 (constraint (1c))".to_string());
     }
-    let batch: usize = get_parsed(flags, "batch", Some(ServerTuning::default().max_batch))?;
     let shards: usize = get_parsed(flags, "shards", Some(loadpart::default_shards()))?;
-    if batch == 0 || shards == 0 {
-        return Err("--batch and --shards must be positive".to_string());
+    if shards == 0 {
+        return Err("--shards must be positive".to_string());
     }
     let admission = if flags.contains_key("no-admission") {
         None
@@ -887,10 +773,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<String, String> {
         ServerFaultSpec::default(),
         admission,
         &Telemetry::disabled(),
-        ServerTuning {
-            max_batch: batch,
-            ..ServerTuning::default()
-        },
+        ServerTuning,
     );
     let sock = if let Some(path) = flags.get("uds") {
         if path.is_empty() {
@@ -914,8 +797,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<String, String> {
     // The clients are separate processes polling for this line: it must
     // reach them before we block in wait().
     println!(
-        "{} listening on {} (k = {k}, {shards} shard(s), batch {batch}, \
-         admission {})",
+        "{} listening on {} (k = {k}, {shards} shard(s), admission {})",
         graph.name(),
         sock.local_addr(),
         if admission.is_some() { "on" } else { "off" },
@@ -1155,51 +1037,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_writes_a_parseable_report() {
-        let dir = std::env::temp_dir().join("loadpart-bench-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("BENCH_serving.json");
-        let path = path.to_str().expect("utf-8 temp path");
-        let out = run(&argv(&format!(
-            "bench --quick --requests 3 --suffix-cost-ms 0.2 --out {path}"
-        )))
-        .expect("ok");
-        assert!(out.contains("req/s"), "{out}");
-        let text = std::fs::read_to_string(path).expect("report file");
-        let json = lp_json::Json::parse(&text).expect("valid json");
-        assert_eq!(
-            json.get("benchmark").and_then(lp_json::Json::as_str),
-            Some("serving")
-        );
-        assert!(json.get("points").and_then(lp_json::Json::as_arr).is_some());
-    }
-
-    #[test]
-    fn bench_sessions_sweep_writes_a_parseable_fleet_report() {
-        let dir = std::env::temp_dir().join("loadpart-fleet-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("BENCH_fleet.json");
-        let path = path.to_str().expect("utf-8 temp path");
-        let out = run(&argv(&format!(
-            "bench --sessions-sweep --sessions 4,8 --threads 2 --requests 2 \
-             --suffix-cost-ms 0.5 --out {path}"
-        )))
-        .expect("ok");
-        assert!(out.contains("sessions"), "{out}");
-        assert!(out.contains("req/s"), "{out}");
-        let text = std::fs::read_to_string(path).expect("report file");
-        let json = lp_json::Json::parse(&text).expect("valid json");
-        assert_eq!(
-            json.get("benchmark").and_then(lp_json::Json::as_str),
-            Some("fleet")
-        );
-        assert!(json
-            .get("points")
-            .and_then(lp_json::Json::as_arr)
-            .is_some_and(|p| p.len() == 2));
-    }
-
-    #[test]
     fn chaos_cluster_migrates_and_loses_nothing() {
         let out = run(&argv(
             "chaos --cluster --clients 2 --rounds 12 --outage-start 2 --outage-rounds 4 \
@@ -1246,29 +1083,6 @@ mod tests {
         .expect("ok");
         assert!(out.contains("link:"), "{out}");
         sock.shutdown().expect("clean");
-    }
-
-    #[test]
-    fn bench_connects_to_a_remote_server() {
-        let sock = socket_server();
-        let addr = sock.local_addr().to_string();
-        let dir = std::env::temp_dir().join("loadpart-bench-remote-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("BENCH_tcp.json");
-        let path = path.to_str().expect("utf-8 temp path");
-        let out = run(&argv(&format!(
-            "bench --quick --requests 2 --connect {addr} --out {path}"
-        )))
-        .expect("ok");
-        assert!(out.contains("req/s"), "{out}");
-        let text = std::fs::read_to_string(path).expect("report file");
-        let json = lp_json::Json::parse(&text).expect("valid json");
-        assert_eq!(
-            json.get("transport").and_then(lp_json::Json::as_str),
-            Some("tcp-remote")
-        );
-        // Remote mode leaves the server running: it still answers.
-        sock.shutdown().expect("still alive");
     }
 
     #[test]
@@ -1409,15 +1223,9 @@ mod tests {
         assert!(run(&argv("chaos --transport carrier-pigeon"))
             .unwrap_err()
             .contains("unknown transport"));
-        assert!(run(&argv("bench --quick --transport carrier-pigeon"))
+        assert!(run(&argv("bench --quick"))
             .unwrap_err()
-            .contains("unknown transport"));
-        assert!(run(&argv("bench --sessions-sweep --sessions 0,8"))
-            .unwrap_err()
-            .contains("positive counts"));
-        assert!(run(&argv("bench --sessions-sweep --sessions eleventy"))
-            .unwrap_err()
-            .contains("--sessions"));
+            .contains("unknown subcommand"));
         assert!(run(&argv("serve --shards 0"))
             .unwrap_err()
             .contains("positive"));
@@ -1432,9 +1240,6 @@ mod tests {
             "chaos --spike-k inf",
             "report --bandwidth nan",
             "serve --k nan",
-            "bench --quick --suffix-cost-ms nan",
-            "bench --quick --suffix-cost-ms inf",
-            "bench --sessions-sweep --suffix-cost-ms -inf",
             "smoke --connect 127.0.0.1:9 --latency-ms nan",
             "smoke --connect 127.0.0.1:9 --stall-ms inf",
         ] {
@@ -1444,10 +1249,6 @@ mod tests {
         // Every subcommand, and each mode of one, rejects a flag it does
         // not know before doing any work.
         for args in [
-            "bench --bogus",
-            "bench --sessions-sweep --quick --frobnicate",
-            "bench --sessions-sweep --transport tcp",
-            "bench --quick --sessions 4,8",
             "decide --model alexnet --bandwidth 8 --bogus-flag 3",
             "curve --model alexnet --bandwidth 8 --dot",
             "partition --model alexnet --p 8 --k 2",
@@ -1458,6 +1259,7 @@ mod tests {
             "chaos --cluster --spike-k 40",
             "compare --transport tcp",
             "serve --workers 4",
+            "serve --batch 16",
             "smoke --connect 127.0.0.1:9 --workers 4",
         ] {
             let err = run(&argv(args)).unwrap_err();

@@ -276,7 +276,7 @@ pub fn chaos_run(
         ServerFaultSpec::default(),
         Some(config.admission),
         telemetry,
-        ServerTuning::default(),
+        ServerTuning,
     );
     let (server, conns): (ChaosServer, Vec<Box<dyn FrameChannel>>) = match config.transport {
         ChaosTransport::Channel => {

@@ -60,7 +60,7 @@ use std::sync::Arc;
 const MAX_SUSPENSION_SECS: f64 = 1.0;
 
 /// One server of a spawned cluster: its name, background-load script,
-/// link bandwidth and serving knobs. Heterogeneity across specs is what
+/// link bandwidth and admission budget. Heterogeneity across specs is what
 /// makes the joint (server, p) decision non-trivial.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerSpec {
@@ -70,22 +70,18 @@ pub struct ServerSpec {
     pub base_k: f64,
     /// Client<->server link bandwidth (Mbps).
     pub bandwidth_mbps: f64,
-    /// Wall-clock cost per admitted suffix ([`ServerTuning::suffix_cost`]).
-    pub suffix_cost: std::time::Duration,
     /// Admission budget; `None` runs the server unbounded.
     pub admission: Option<AdmissionConfig>,
 }
 
 impl ServerSpec {
-    /// A named server with the default admission budget and no wall-clock
-    /// suffix cost.
+    /// A named server with the default admission budget.
     #[must_use]
     pub fn named(name: &str, base_k: f64, bandwidth_mbps: f64) -> Self {
         Self {
             name: name.to_string(),
             base_k,
             bandwidth_mbps,
-            suffix_cost: std::time::Duration::ZERO,
             admission: Some(AdmissionConfig::default()),
         }
     }
@@ -834,10 +830,7 @@ pub fn cluster_chaos_run(
                 ServerFaultSpec::default(),
                 spec.admission,
                 telemetry,
-                ServerTuning {
-                    suffix_cost: spec.suffix_cost,
-                    ..ServerTuning::default()
-                },
+                ServerTuning,
             );
             envs.push(env);
             ends.push(match config.transport {
@@ -1125,7 +1118,7 @@ mod tests {
                     ServerFaultSpec::default(),
                     None,
                     &Telemetry::disabled(),
-                    ServerTuning::default(),
+                    ServerTuning,
                 )
             })
             .collect();

@@ -25,8 +25,9 @@
 //!   [`system::EdgeServer`] (GPU queueing under background load, the `k`
 //!   tracker, the GPU watchdog and admission control).
 //! * [`threaded`] — the engine over real OS threads and the wire
-//!   [`protocol`], with deadline-based I/O, bounded retries and local
-//!   fallback when the server misbehaves.
+//!   [`protocol`]: a server that answers each offload as soon as it
+//!   admits it, and clients with deadline-based I/O, bounded retries and
+//!   local fallback when the server misbehaves.
 //! * [`transport`] — the real-socket transport: TCP / Unix-domain-socket
 //!   implementations of [`threaded::FrameChannel`] with length-prefixed
 //!   framing, and the [`transport::SocketServer`] behind `loadpart serve`
@@ -56,8 +57,6 @@
 //!   spans through pluggable sinks, zero-cost when disabled.
 //! * [`pool`] — the shared zero-payload buffer pool backing the wire
 //!   runtime's zero-copy framing.
-//! * [`mod@serving_bench`] — the serving and fleet throughput benchmarks
-//!   behind `loadpart bench`, over the tuned serving path.
 //! * [`scenario`] — drivers that reproduce the paper's experiments
 //!   (bandwidth sweeps for Figures 6–8, load timelines for Figures 2/9).
 //! * [`compare`] — the policy-comparison subsystem behind
@@ -100,7 +99,6 @@ pub mod pool;
 pub mod protocol;
 pub mod quant;
 pub mod scenario;
-pub mod serving_bench;
 pub mod system;
 pub mod telemetry;
 pub mod threaded;
@@ -134,7 +132,6 @@ pub use quant::{dequantize_into, quantize_into, QuantPolicy, DEFAULT_ACCURACY_BU
 pub use scenario::{
     bandwidth_sweep, load_timeline, load_timeline_with_telemetry, LoadPhase, TimelinePoint,
 };
-pub use serving_bench::{fleet_bench, serving_bench, BenchConfig, BenchTransport, FleetConfig};
 pub use system::{OffloadingSystem, SystemConfig, Testbed};
 pub use telemetry::{JsonlSink, MetricsSnapshot, RingSink, SpanKind, Telemetry};
 pub use threaded::{

@@ -646,7 +646,6 @@ mod tests {
                 admission: Some(AdmissionConfig {
                     max_inflight: 1,
                     max_queue_delay: SimDuration::from_millis(5),
-                    max_batch: 1,
                 }),
                 ..MultiClientConfig::default()
             },
@@ -687,7 +686,6 @@ mod tests {
                 admission: Some(AdmissionConfig {
                     max_inflight: 1,
                     max_queue_delay: SimDuration::from_millis(5),
-                    max_batch: 1,
                 }),
                 ..MultiClientConfig::default()
             },

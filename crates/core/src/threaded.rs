@@ -19,15 +19,12 @@
 //!   predicted suffix times admission budgets are a table built once at
 //!   spawn ([`PredictionModels::suffix_times`]), and an offload's cut
 //!   indexes it;
-//! * an admitted suffix is answered by the same thread, outside the lock:
-//!   it frames the reply, whose payload is the graph's output tensor. The
-//!   injected [`ServerTuning::suffix_cost`] is charged there too, once per
-//!   same-bucket batch of at most [`ServerTuning::max_batch`] suffixes
-//!   admitted in one pass — for the server thread, the frames already
-//!   queued; for a shard, one sweep over its readable connections;
+//! * an admitted suffix is answered by the same thread as soon as the
+//!   core admits it: the thread frames the reply outside the lock, and
+//!   its payload is the graph's output tensor;
 //! * per-session FIFO holds by construction: one thread serves each
-//!   session, a session contributes at most one suffix per pass, and it is
-//!   not read again until that suffix's reply is queued;
+//!   session, one frame at a time, and queues each reply before it serves
+//!   the session's next frame;
 //! * the **client** is the [`OffloadEngine`] composed with the wire
 //!   backends ([`WireBackend`]/[`WireTransport`]): Algorithm 1 per request,
 //!   [`Message::OffloadRequest`]-framed uploads, and on the profiler
@@ -69,7 +66,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The logical time the server charges for receiving any frame (the
 /// inter-request spacing the runtime has always modelled).
@@ -309,7 +306,7 @@ pub fn spawn_server(
         ServerFaultSpec::default(),
         None,
         &Telemetry::disabled(),
-        ServerTuning::default(),
+        ServerTuning,
     )
 }
 
@@ -346,48 +343,10 @@ impl ServerMetrics {
     }
 }
 
-/// Tuning knobs for the serving hot path, consumed by
-/// [`spawn_server_tuned`]. [`spawn_server`] uses the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerTuning {
-    /// Wall-clock cost charged per suffix execution on the thread that
-    /// serves it, modelling the suffix's GPU/CPU occupancy.
-    /// [`Duration::ZERO`] (the default everywhere outside the benchmark
-    /// harnesses) keeps execution purely simulated.
-    pub suffix_cost: Duration,
-    /// Maximum suffixes one serving pass answers under a single
-    /// `suffix_cost` charge (continuous batching): suffixes admitted in the
-    /// same pass whose partition points fall in the same
-    /// [`ServerTuning::batch_bucket`]-wide bucket share one charge. `1`
-    /// (or `0`) disables coalescing — one execution per request.
-    pub max_batch: usize,
-    /// Width of the partition-point bucket for batch compatibility:
-    /// suffixes batch together when `p / batch_bucket` matches (a real GPU
-    /// batches suffixes starting at near-identical layers; an exact-`p`
-    /// rule would fragment batches whenever clients' bandwidth estimates
-    /// wobble by a layer). Also the bucket the batch-aware admission
-    /// controller keys its open batch on.
-    pub batch_bucket: usize,
-}
-
-impl Default for ServerTuning {
-    fn default() -> Self {
-        Self {
-            suffix_cost: Duration::ZERO,
-            max_batch: 16,
-            batch_bucket: 4,
-        }
-    }
-}
-
-impl ServerTuning {
-    /// The bucket a partition point batches under (shared by suffix
-    /// coalescing and batch-aware admission).
-    #[must_use]
-    fn bucket(&self, p: usize) -> u64 {
-        (p / self.batch_bucket.max(1)) as u64
-    }
-}
+/// An argument of [`spawn_server_tuned`] with no fields: the spawn ignores
+/// it. It stays only while the benchmark crate still passes it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServerTuning;
 
 /// Frames a server reply. Replies carry at most one model-output tensor,
 /// far under the protocol's payload cap, so encoding cannot fail here.
@@ -406,13 +365,14 @@ enum Ending {
     Panicked,
 }
 
-/// What the core made of one frame.
-pub(crate) enum Served {
+/// What serving one frame produced. The core hands back an admitted
+/// suffix's [`Suffix`]; [`Server::serve`] frames its reply once the lock
+/// is released.
+pub(crate) enum Served<S = Frame> {
     /// Send this reply now (control replies and rejections).
     Reply(Frame),
-    /// An admitted suffix: the serving thread answers it through
-    /// [`Server::answer_suffixes`] once its pass is over.
-    Suffix(Suffix),
+    /// Send this reply now: the response to an admitted suffix.
+    Suffix(S),
     /// Nothing goes back: a stalled or malformed frame, or one only a
     /// server sends.
     Nothing,
@@ -421,12 +381,10 @@ pub(crate) enum Served {
     Ended,
 }
 
-/// A suffix the core admitted; the serving thread builds and sends its
-/// reply.
+/// A suffix the core admitted: what its reply says.
 pub(crate) struct Suffix {
     request_id: u64,
     server_time_us: u64,
-    p: usize,
 }
 
 /// The server's per-frame logic and every piece of serving state: the
@@ -445,7 +403,6 @@ struct ServerCore {
     suffix_times: Vec<SimDuration>,
     env: LoadEnv,
     faults: ServerFaultSpec,
-    tuning: ServerTuning,
     metrics: Option<ServerMetrics>,
     admission: AdmissionController,
     tracker: LoadFactorTracker,
@@ -463,7 +420,7 @@ struct ServerCore {
 impl ServerCore {
     /// Serves one received frame: fault script, clock tick, decode, then
     /// the reply, the admitted suffix, or nothing.
-    fn serve(&mut self, frame: Frame) -> Served {
+    fn serve(&mut self, frame: Frame) -> Served<Suffix> {
         if self.ended.is_some() {
             return Served::Ended;
         }
@@ -542,7 +499,7 @@ impl ServerCore {
 
     /// Admission, tracker accounting and the serve counter for one
     /// offload request, in the order the core serves frames.
-    fn admit(&mut self, request_id: u64, p: usize, precision: Precision) -> Served {
+    fn admit(&mut self, request_id: u64, p: usize, precision: Precision) -> Served<Suffix> {
         if precision != Precision::Fp32 {
             // Counted, never read: the payload is zeros of the packed
             // length, and the modelled suffix cost ignores precision.
@@ -554,14 +511,7 @@ impl ServerCore {
         // the signal admission control budgets.
         let predicted = self.suffix_time(p);
         let scaled = predicted.scale(self.env.k());
-        // Batch-aware admission: a request falling into the open batch's
-        // partition bucket rides its completion slot instead of growing
-        // the backlog (with the caller's `AdmissionConfig::max_batch` —
-        // default 1 — this is exactly the per-request budget).
-        match self
-            .admission
-            .assess_batched(self.now, scaled, self.tuning.bucket(p))
-        {
+        match self.admission.assess(self.now, scaled) {
             AdmissionDecision::Reject { retry_after } => {
                 if let Some(m) = &self.metrics {
                     m.rejected.incr(1);
@@ -584,7 +534,6 @@ impl ServerCore {
                 Served::Suffix(Suffix {
                     request_id,
                     server_time_us: completion.since(self.now).as_micros_f64().round() as u64,
-                    p,
                 })
             }
         }
@@ -612,23 +561,18 @@ impl ServerCore {
 
 /// A running server, shared by every thread that serves it: the
 /// in-process server thread and each socket shard. The per-frame logic is
-/// the locked [`ServerCore`]; answering an admitted suffix — the charged
-/// cost and the reply's framing — runs outside the lock on the serving
-/// thread.
+/// the locked [`ServerCore`]; framing an admitted suffix's reply runs
+/// outside the lock on the serving thread.
 pub(crate) struct Server {
     core: Mutex<ServerCore>,
     /// The graph's output tensor size: every suffix reply's payload.
     output_bytes: usize,
-    tuning: ServerTuning,
-    /// `server.batched_suffixes_total` and `server.suffix_batches_total`
-    /// (`None` when telemetry is disabled).
-    batch_counters: Option<(Counter, Counter)>,
 }
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
-            .field("tuning", &self.tuning)
+            .field("output_bytes", &self.output_bytes)
             .finish_non_exhaustive()
     }
 }
@@ -642,66 +586,26 @@ impl Server {
         self.core.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Serves one received frame through the core.
+    /// Serves one received frame through the core, then frames an
+    /// admitted suffix's reply outside the lock.
     pub(crate) fn serve(&self, frame: Frame) -> Served {
-        self.core().serve(frame)
+        // Bound first, so the lock is released before the reply is framed.
+        let served = self.core().serve(frame);
+        match served {
+            Served::Reply(reply) => Served::Reply(reply),
+            Served::Suffix(suffix) => Served::Suffix(reply_frame(&Message::OffloadResponse {
+                request_id: suffix.request_id,
+                server_time_us: suffix.server_time_us,
+                payload: zero_payload(self.output_bytes),
+            })),
+            Served::Nothing => Served::Nothing,
+            Served::Ended => Served::Ended,
+        }
     }
 
     /// Whether service has ended, on whichever thread.
     pub(crate) fn has_ended(&self) -> bool {
         self.core().ended.is_some()
-    }
-
-    /// Answers the suffixes one pass admitted, each tagged with where its
-    /// reply goes: in same-bucket batches of at most `max_batch`, each
-    /// batch charged one `suffix_cost`. Leaves `admitted` empty.
-    pub(crate) fn answer_suffixes(
-        &self,
-        admitted: &mut Vec<(usize, Suffix)>,
-        mut deliver: impl FnMut(usize, Frame),
-    ) {
-        let tuning = &self.tuning;
-        // Stable: admission order survives within a bucket.
-        admitted.sort_by_key(|(_, suffix)| tuning.bucket(suffix.p));
-        let mut rest = &admitted[..];
-        while let Some((_, head)) = rest.first() {
-            let bucket = tuning.bucket(head.p);
-            let len = rest
-                .iter()
-                .take(tuning.max_batch.max(1))
-                .take_while(|(_, suffix)| tuning.bucket(suffix.p) == bucket)
-                .count();
-            let (batch, tail) = rest.split_at(len);
-            self.charge(batch.len());
-            for (to, suffix) in batch {
-                deliver(*to, self.suffix_reply(suffix));
-            }
-            rest = tail;
-        }
-        admitted.clear();
-    }
-
-    /// Models one execution of `suffixes` batched suffixes occupying this
-    /// serving thread, and counts real coalescing (batches of ≥ 2).
-    fn charge(&self, suffixes: usize) {
-        if suffixes >= 2 {
-            if let Some((batched, batches)) = &self.batch_counters {
-                batched.incr(suffixes as u64);
-                batches.incr(1);
-            }
-        }
-        if !self.tuning.suffix_cost.is_zero() {
-            std::thread::sleep(self.tuning.suffix_cost);
-        }
-    }
-
-    /// Builds the reply frame for one admitted suffix.
-    fn suffix_reply(&self, suffix: &Suffix) -> Frame {
-        reply_frame(&Message::OffloadResponse {
-            request_id: suffix.request_id,
-            server_time_us: suffix.server_time_us,
-            payload: zero_payload(self.output_bytes),
-        })
     }
 
     /// Marks the calling thread as one that serves: see [`ServingGuard`].
@@ -734,12 +638,12 @@ impl Drop for ServingGuard<'_> {
 }
 
 /// The fully-general server spawn: a scriptable [`LoadEnv`], a
-/// deterministic fault script, optional [admission control](crate::admission),
-/// telemetry and [`ServerTuning`]. `None` for `admission` means the
-/// unbounded budget — the pre-admission-control behaviour. With telemetry
-/// enabled the server counts its frame traffic under `server.*` in its
-/// registry (shared with whatever client-side engine observes the same
-/// run).
+/// deterministic fault script, optional [admission control](crate::admission)
+/// and telemetry; the fieldless [`ServerTuning`] is ignored. `None` for
+/// `admission` means the unbounded budget — the pre-admission-control
+/// behaviour. With telemetry enabled the server counts its frame traffic
+/// under `server.*` in its registry (shared with whatever client-side
+/// engine observes the same run).
 ///
 /// The server's logical clock advances `RECV_TICK` (100 ms) per received
 /// frame; execution time accumulates only in the admission controller's
@@ -753,23 +657,16 @@ pub fn spawn_server_tuned(
     faults: ServerFaultSpec,
     admission: Option<AdmissionConfig>,
     telemetry: &Telemetry,
-    tuning: ServerTuning,
+    _tuning: ServerTuning,
 ) -> ServerHandle {
     let graph: Arc<ComputationGraph> = graph.into();
     let metrics = ServerMetrics::register(telemetry);
-    let batch_counters = telemetry.registry().map(|reg| {
-        (
-            reg.counter("server.batched_suffixes_total"),
-            reg.counter("server.suffix_batches_total"),
-        )
-    });
     let (tx, server_rx) = channel::<ToServer>();
     let (reply_tx, rx) = channel::<Frame>();
     let core = ServerCore {
         suffix_times: edge_models.suffix_times(&graph),
         env,
         faults,
-        tuning,
         metrics,
         admission: AdmissionController::new(admission.unwrap_or_else(AdmissionConfig::unbounded)),
         tracker: LoadFactorTracker::new(SimDuration::from_secs(5)),
@@ -782,8 +679,6 @@ pub fn spawn_server_tuned(
     let server = Arc::new(Server {
         core: Mutex::new(core),
         output_bytes: graph.output().size_bytes() as usize,
-        tuning,
-        batch_counters,
     });
     let serving = Arc::clone(&server);
     let join = std::thread::spawn(move || serve_channels(&serving, &server_rx, reply_tx));
@@ -797,13 +692,9 @@ pub fn spawn_server_tuned(
 }
 
 /// The in-process server thread: serves the channel sessions' frames
-/// through the core, in passes, until service ends.
-///
-/// A pass takes the frames already queued. It closes early at a frame
-/// from a session that already has a suffix admitted in the pass; that
-/// frame leads the next pass, after the suffix's reply went out. So the
-/// core sees the frames in queue order, each session contributes at most
-/// one suffix per pass, and every session's replies stay FIFO.
+/// through the core, one at a time and in queue order, until service
+/// ends. Each reply goes out before the next frame is served, so every
+/// session's replies stay FIFO.
 fn serve_channels(
     server: &Server,
     rx: &Receiver<ToServer>,
@@ -811,33 +702,17 @@ fn serve_channels(
 ) -> Result<u64, ProtocolError> {
     let _guard = server.guard();
     let mut routes = HashMap::from([(0, handle)]);
-    let mut admitted = Vec::new();
-    let mut carry = None;
-    while let Some(first) = carry.take().or_else(|| rx.recv().ok()) {
-        for msg in std::iter::once(first).chain(rx.try_iter()) {
-            match msg {
-                ToServer::Connect(id, reply) => {
-                    routes.insert(id, reply);
-                }
-                ToServer::Ended => {}
-                ToServer::Frame(id, frame) => {
-                    if admitted.iter().any(|&(session, _)| session == id) {
-                        carry = Some(ToServer::Frame(id, frame));
-                        break;
-                    }
-                    match server.serve(frame) {
-                        Served::Reply(reply) => deliver(&mut routes, id, reply),
-                        Served::Suffix(suffix) => admitted.push((id, suffix)),
-                        Served::Nothing => {}
-                        Served::Ended => break,
-                    }
-                }
+    while let Ok(msg) = rx.recv() {
+        match msg {
+            ToServer::Connect(id, reply) => {
+                routes.insert(id, reply);
             }
-        }
-        // Suffixes admitted before a shutdown are still answered.
-        server.answer_suffixes(&mut admitted, |id, reply| deliver(&mut routes, id, reply));
-        if server.has_ended() {
-            break;
+            ToServer::Frame(id, frame) => match server.serve(frame) {
+                Served::Reply(reply) | Served::Suffix(reply) => deliver(&mut routes, id, reply),
+                Served::Nothing => {}
+                Served::Ended => break,
+            },
+            ToServer::Ended => break,
         }
     }
     server.outcome()
@@ -1104,7 +979,7 @@ mod tests {
             faults,
             None,
             &Telemetry::disabled(),
-            ServerTuning::default(),
+            ServerTuning,
         )
     }
 
@@ -1435,10 +1310,9 @@ mod tests {
             Some(AdmissionConfig {
                 max_inflight: 0,
                 max_queue_delay: SimDuration::from_secs(1000),
-                max_batch: 1,
             }),
             &Telemetry::disabled(),
-            ServerTuning::default(),
+            ServerTuning,
         );
         server
             .send(
@@ -1478,7 +1352,7 @@ mod tests {
             ServerFaultSpec::default(),
             None,
             &Telemetry::disabled(),
-            ServerTuning::default(),
+            ServerTuning,
         );
         let mut client = ThreadedClient::new(graph, user, edge);
         client.infer(&server, 8.0).expect("ok");
@@ -1490,43 +1364,5 @@ mod tests {
         }
         assert!(client.refresh_k(&server).expect("ok") > 4.0);
         server.shutdown().expect("clean shutdown");
-    }
-
-    /// The tuning knobs change scheduling, not behaviour: a session
-    /// against the default tuning under an injected suffix cost produces
-    /// the same records as one against an unbatched tuning.
-    #[test]
-    fn tuned_server_with_suffix_cost_still_serves_identically() {
-        let (user, edge) = models();
-        let graph = Arc::new(lp_models::alexnet(1));
-        let mut runs = Vec::new();
-        for tuning in [
-            ServerTuning {
-                max_batch: 1,
-                batch_bucket: 1,
-                ..ServerTuning::default()
-            },
-            ServerTuning {
-                suffix_cost: Duration::from_micros(100),
-                ..ServerTuning::default()
-            },
-        ] {
-            let server = spawn_server_tuned(
-                Arc::clone(&graph),
-                edge.clone(),
-                LoadEnv::new(1.0),
-                ServerFaultSpec::default(),
-                None,
-                &Telemetry::disabled(),
-                tuning,
-            );
-            let mut client = ThreadedClient::new(Arc::clone(&graph), user, edge);
-            let records: Vec<InferenceRecord> = (0..4)
-                .map(|_| client.infer(&server, 8.0).expect("ok"))
-                .collect();
-            assert_eq!(server.shutdown().expect("clean shutdown"), 4);
-            runs.push(records);
-        }
-        assert_eq!(runs[0], runs[1], "tuning must not change records");
     }
 }

@@ -60,19 +60,19 @@
 //! A shard serves what it reads to completion, in service rounds. One
 //! round sweeps the readable connections: each frame goes through the
 //! server core shared with the in-process server thread (one lock: fault
-//! script, clock, admission, tracker, counters), and its reply lands
-//! straight in that connection's outbox. A connection that hands the core
-//! an admitted suffix stops being read for the round. After the sweep the
-//! shard answers the round's suffixes — charging the injected suffix cost
-//! once per same-bucket batch — queues their replies and flushes. A
-//! connection with whole frames left in its read-ahead is served again
-//! at once, without waiting for `poll`. So each connection's replies
-//! leave in request order, and no frame crosses another thread. There are
-//! no per-connection threads to leak: shutdown joins every shard.
+//! script, clock, admission, tracker, counters), and its reply — an
+//! admitted suffix's included — lands straight in that connection's
+//! outbox. A connection that sent an offload stops being read for the
+//! rest of the round: after a long upload body the next `read` would
+//! only return `EAGAIN`. A connection with whole frames left in its
+//! read-ahead is served again at once, without waiting for `poll`. So
+//! each connection's replies leave in request order, and no frame
+//! crosses another thread. There are no per-connection threads to leak:
+//! shutdown joins every shard.
 
 use crate::pool::zero_payload;
 use crate::protocol::{Frame, Message, ProtocolError, MAX_PAYLOAD_BYTES};
-use crate::threaded::{FrameChannel, Served, Server, ServerHandle, Suffix};
+use crate::threaded::{FrameChannel, Served, Server, ServerHandle};
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -857,22 +857,17 @@ impl<S: NetStream> ShardConn<S> {
     }
 
     /// Serves the frames this connection has ready through the core,
-    /// replying into its outbox, until none is left or it hands
-    /// `admitted` a suffix: the connection is not read again until that
-    /// suffix's reply is queued. Then flushes what it replied. Returns
-    /// `true` once service has ended.
-    fn serve_ready(
-        &mut self,
-        server: &Server,
-        index: usize,
-        admitted: &mut Vec<(usize, Suffix)>,
-    ) -> bool {
+    /// replying into its outbox, until none is left or one was an admitted
+    /// suffix: after its upload body the next `read` would only return
+    /// `EAGAIN`, so the connection is not read again this round. Then
+    /// flushes what it replied. Returns `true` once service has ended.
+    fn serve_ready(&mut self, server: &Server) -> bool {
         while !self.dead {
             match self.reader.poll_frame() {
                 Ok(Some(bytes)) => match server.serve(Frame::from_contiguous(bytes)) {
                     Served::Reply(reply) => self.enqueue(&reply),
-                    Served::Suffix(suffix) => {
-                        admitted.push((index, suffix));
+                    Served::Suffix(reply) => {
+                        self.enqueue(&reply);
                         break;
                     }
                     Served::Nothing => {}
@@ -1017,8 +1012,6 @@ struct Shard<L: FrameListener> {
     intake: Receiver<ShardConn<L::Stream>>,
     conns: Vec<ShardConn<L::Stream>>,
     acceptor: Option<AcceptRole<L>>,
-    /// The suffixes admitted in the current round, by connection index.
-    admitted: Vec<(usize, Suffix)>,
     /// Service has ended: read nothing more, deliver what is queued, close.
     ended: bool,
     /// The readiness wait saw (or presumes) wake bytes pending.
@@ -1071,26 +1064,19 @@ impl<L: FrameListener> Shard<L> {
         }
     }
 
-    /// One service round: serve every readable connection, answer the
-    /// suffixes they handed over, flush. Returns whether a connection has
-    /// a whole frame left in its read-ahead, so the next round must not
-    /// wait for `poll` — its socket may hold nothing to wake it.
+    /// One service round: serve every readable connection, flush.
+    /// Returns whether a connection has a whole frame left in its
+    /// read-ahead, so the next round must not wait for `poll` — its socket
+    /// may hold nothing to wake it.
     fn serve_round(&mut self) -> bool {
         if !self.ended {
             let server = &*self.server;
-            for (index, conn) in self.conns.iter_mut().enumerate() {
-                if std::mem::take(&mut conn.readable)
-                    && conn.serve_ready(server, index, &mut self.admitted)
-                {
+            for conn in &mut self.conns {
+                if std::mem::take(&mut conn.readable) && conn.serve_ready(server) {
                     self.ended = true;
                     break;
                 }
             }
-            // Suffixes admitted before service ended are still answered.
-            let conns = &mut self.conns;
-            server.answer_suffixes(&mut self.admitted, |index, reply| {
-                conns[index].enqueue(&reply);
-            });
             self.ended |= server.has_ended();
         }
         let mut again = false;
@@ -1292,7 +1278,6 @@ impl SocketServer {
                 intake,
                 conns: Vec::new(),
                 acceptor,
-                admitted: Vec::new(),
                 ended: false,
                 wake_ready: true,
                 listen_ready: true,

@@ -64,7 +64,7 @@ fn spawn(
         faults,
         admission,
         &Telemetry::disabled(),
-        ServerTuning::default(),
+        ServerTuning,
     )
 }
 

@@ -434,25 +434,13 @@ fn engine_memo_invalidates_on_quantized_key_change_and_telemetry_counts_hits() {
     );
 }
 
-/// Runs `clients` engine sessions against one server with the given
-/// tuning, strict round-robin turns, and returns each session's records in
-/// the order that session received them.
-fn run_tuned_session(
-    tuning: ServerTuning,
-    clients: usize,
-    rounds: usize,
-) -> Vec<Vec<InferenceRecord>> {
+/// Runs `clients` engine sessions against one server, strict round-robin
+/// turns, and returns each session's records in the order that session
+/// received them.
+fn run_sessions(clients: usize, rounds: usize) -> Vec<Vec<InferenceRecord>> {
     let (user, edge) = models();
     let graph = Arc::new(lp_models::alexnet(1));
-    let server = spawn_server_tuned(
-        Arc::clone(&graph),
-        edge.clone(),
-        LoadEnv::new(1.0),
-        ServerFaultSpec::default(),
-        None,
-        &Telemetry::disabled(),
-        tuning,
-    );
+    let server = spawn_server(Arc::clone(&graph), edge.clone(), 1.0);
     let conns: Vec<_> = (0..clients).map(|_| server.connect()).collect();
     let mut engines: Vec<ThreadedClient> = (0..clients)
         .map(|i| {
@@ -478,36 +466,12 @@ fn run_tuned_session(
     records
 }
 
-/// The tuned server (continuous batching) is an equivalence-preserving
-/// refactor of an unbatched one: same decisions, same per-session record
-/// order, down to every simulated timing field — the tuning changes *how*
-/// suffixes are scheduled, never *what* the client observes. (Reply
-/// framing is one encoder for every tuning; `protocol.rs` pins that it
-/// flattens to the contiguous encoding.)
-#[test]
-fn tuned_server_matches_the_legacy_server() {
-    let unbatched = run_tuned_session(
-        ServerTuning {
-            max_batch: 1,
-            batch_bucket: 1,
-            ..ServerTuning::default()
-        },
-        3,
-        5,
-    );
-    let tuned = run_tuned_session(ServerTuning::default(), 3, 5);
-    assert_eq!(
-        unbatched, tuned,
-        "batching must be record-for-record identical"
-    );
-}
-
-/// Replay determinism: two identically-seeded runs against the tuned
-/// server produce bit-identical records.
+/// Replay determinism: two identically-seeded runs of four sessions
+/// against one server produce bit-identical records.
 #[test]
 fn parallel_server_replays_bit_identically_under_a_fixed_seed() {
-    let a = run_tuned_session(ServerTuning::default(), 4, 4);
-    let b = run_tuned_session(ServerTuning::default(), 4, 4);
+    let a = run_sessions(4, 4);
+    let b = run_sessions(4, 4);
     assert_eq!(a, b, "fixed seed must replay bit-identically");
 }
 
@@ -553,7 +517,7 @@ fn shed_requests_emit_the_same_span_sequence() {
         ServerFaultSpec::default(),
         Some(admission),
         &Telemetry::disabled(),
-        ServerTuning::default(),
+        ServerTuning,
     );
     let mut client = ThreadedClient::new(graph.clone(), user, edge);
     client.set_telemetry(Telemetry::enabled().with_sink(wire_sink.clone()));
@@ -584,7 +548,7 @@ fn shed_requests_emit_the_same_span_sequence() {
         ServerFaultSpec::default(),
         Some(admission),
         &Telemetry::disabled(),
-        ServerTuning::default(),
+        ServerTuning,
     );
     let mut client = ThreadedClient::with_config(
         graph,

@@ -68,7 +68,7 @@ fn faulty_server(graph: lp_graph::ComputationGraph, faults: ServerFaultSpec) -> 
         faults,
         None,
         &Telemetry::disabled(),
-        ServerTuning::default(),
+        ServerTuning,
     )
 }
 

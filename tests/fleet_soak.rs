@@ -1,24 +1,19 @@
 //! Fleet-scale soak of the event-driven socket transport: hundreds of
-//! persistent sessions over real loopback TCP against the sharded mux
-//! with continuous suffix batching enabled.
+//! persistent sessions over real loopback TCP against the sharded server.
 //!
-//! Three properties the fleet rewrite must not lose:
+//! Two properties the fleet must not lose:
 //!
-//! * **Per-session FIFO under batching.** The worker pool coalesces
-//!   compatible suffixes across sessions, but within one session every
-//!   reply must still answer the request that is actually outstanding.
-//!   The engine enforces reply/request id matching on the wire, so a run
-//!   with zero retries and zero fallbacks *is* the FIFO proof.
-//! * **Batched/unbatched equivalence.** Coalescing changes when suffixes
-//!   execute, never what they compute: the decision-level record fields
-//!   are identical with batching on and off.
-//! * **Thread hygiene.** Shutdown joins every mux shard and worker; the
-//!   process thread count returns to its pre-server baseline (the old
-//!   transport leaked two detached bridge threads per connection).
+//! * **Per-session FIFO.** Two shards serve the sessions' frames through
+//!   one core, but within one session every reply must still answer the
+//!   request that is actually outstanding. The engine enforces
+//!   reply/request id matching on the wire, so a run with zero retries
+//!   and zero fallbacks *is* the FIFO proof.
+//! * **Thread hygiene.** Shutdown joins every shard; the process thread
+//!   count returns to its pre-server baseline (the old transport leaked
+//!   two detached bridge threads per connection).
 
 use loadpart::{
-    spawn_server_tuned, AdmissionConfig, EngineConfig, InferenceRecord, LoadEnv, ServerFaultSpec,
-    ServerTuning, SocketServer, TcpFrameChannel, Telemetry, ThreadedClient,
+    spawn_server, EngineConfig, InferenceRecord, SocketServer, TcpFrameChannel, ThreadedClient,
 };
 use lp_profiler::PredictionModels;
 use std::sync::{Arc, Barrier, OnceLock};
@@ -40,32 +35,13 @@ fn thread_count() -> usize {
         .expect("Threads: line")
 }
 
-/// Spawns a batching server behind loopback TCP and drives
-/// `sessions x rounds` requests from a bounded pool of `drivers` threads.
-/// Returns the per-session record sequences plus the final batching
-/// counters.
-fn drive_fleet(
-    sessions: usize,
-    rounds: usize,
-    drivers: usize,
-    max_batch: usize,
-) -> (Vec<Vec<InferenceRecord>>, u64, u64) {
+/// Spawns a server behind loopback TCP and drives `sessions x rounds`
+/// requests from a bounded pool of `drivers` threads. Returns the
+/// per-session record sequences.
+fn drive_fleet(sessions: usize, rounds: usize, drivers: usize) -> Vec<Vec<InferenceRecord>> {
     let (user, edge) = models();
     let graph = Arc::new(lp_models::alexnet(1));
-    let telemetry = Telemetry::enabled();
-    let server = spawn_server_tuned(
-        Arc::clone(&graph),
-        edge.clone(),
-        LoadEnv::new(1.0),
-        ServerFaultSpec::default(),
-        Some(AdmissionConfig::unbounded().with_max_batch(max_batch)),
-        &telemetry,
-        ServerTuning {
-            suffix_cost: Duration::from_millis(1),
-            max_batch,
-            ..ServerTuning::default()
-        },
-    );
+    let server = spawn_server(Arc::clone(&graph), edge.clone(), 1.0);
     let sock = SocketServer::bind_tcp_sharded("127.0.0.1:0", server, 2).expect("bind loopback");
     let addr = sock.local_addr().to_string();
     let start = Arc::new(Barrier::new(drivers));
@@ -112,39 +88,17 @@ fn drive_fleet(
         }
     }
     sock.shutdown().expect("clean shutdown");
-    let snapshot = telemetry.snapshot().expect("telemetry enabled");
-    (
-        per_session,
-        snapshot.counter("server.batched_suffixes_total"),
-        snapshot.counter("server.suffix_batches_total"),
-    )
-}
-
-/// The decision-level projection of a record: everything the offload
-/// *computed*, nothing about when it ran. Queueing order across sessions
-/// is scheduler-dependent, so admission-completion timing legitimately
-/// differs run to run; these fields may not.
-fn decision_fields(r: &InferenceRecord) -> (u64, usize, u64, bool, bool, bool, u32, u64) {
-    (
-        r.request_id,
-        r.p,
-        r.uploaded_bytes,
-        r.offloaded(),
-        r.rejected,
-        r.fallback_local,
-        r.retries,
-        (r.k_used * 1e6).round() as u64,
-    )
+    per_session
 }
 
 /// The headline soak: 256 concurrent sessions, every request served in
-/// order with zero retries, at least one genuinely coalesced batch, and
-/// the thread count back to baseline after shutdown.
+/// order with zero retries, and the thread count back to baseline after
+/// shutdown.
 #[test]
-fn fleet_of_256_sessions_preserves_fifo_and_batches() {
+fn fleet_of_256_sessions_preserves_fifo() {
     #[cfg(target_os = "linux")]
     let baseline = thread_count();
-    let (per_session, batched, batches) = drive_fleet(256, 2, 16, 16);
+    let per_session = drive_fleet(256, 2, 16);
     for (s, records) in per_session.iter().enumerate() {
         assert_eq!(records.len(), 2, "session {s} lost a request");
         for (i, r) in records.iter().enumerate() {
@@ -157,11 +111,6 @@ fn fleet_of_256_sessions_preserves_fifo_and_batches() {
             assert!(!r.rejected && !r.fallback_local, "session {s}: {r:?}");
         }
     }
-    assert!(
-        batches >= 1 && batched >= 2,
-        "256 contended sessions must coalesce at least once \
-         (batches {batches}, batched suffixes {batched})"
-    );
     #[cfg(target_os = "linux")]
     {
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -177,27 +126,5 @@ fn fleet_of_256_sessions_preserves_fifo_and_batches() {
             );
             std::thread::sleep(Duration::from_millis(10));
         }
-    }
-}
-
-/// Batching changes scheduling, not results: the same fleet workload run
-/// with coalescing on (`max_batch` 16) and off (`max_batch` 1) produces
-/// identical per-session decision-level records.
-#[test]
-fn batched_and_unbatched_records_are_equivalent() {
-    let (batched_run, batched, _) = drive_fleet(8, 4, 8, 16);
-    let (plain_run, plain_batched, plain_batches) = drive_fleet(8, 4, 8, 1);
-    assert_eq!(
-        plain_batched, 0,
-        "max_batch 1 must never coalesce (saw {plain_batched})"
-    );
-    assert_eq!(plain_batches, 0);
-    // The batched run is allowed (not required) to coalesce at this small
-    // scale; what matters is that the records cannot tell the difference.
-    let _ = batched;
-    for (s, (b, p)) in batched_run.iter().zip(&plain_run).enumerate() {
-        let b: Vec<_> = b.iter().map(decision_fields).collect();
-        let p: Vec<_> = p.iter().map(decision_fields).collect();
-        assert_eq!(b, p, "session {s} diverged");
     }
 }

@@ -305,7 +305,6 @@ fn admission_pending_work_never_exceeds_budget() {
         let config = AdmissionConfig {
             max_inflight: rng.gen_range(1usize..6),
             max_queue_delay: SimDuration::from_millis(rng.gen_range(10u64..300)),
-            max_batch: 1,
         };
         let mut ctl = AdmissionController::new(config);
         let mut now = SimTime::ZERO;
@@ -359,7 +358,7 @@ fn route_plan_never_selects_a_blocked_server_while_a_clean_one_exists() {
                 ServerFaultSpec::default(),
                 None,
                 &Telemetry::disabled(),
-                ServerTuning::default(),
+                ServerTuning,
             )
         })
         .collect();

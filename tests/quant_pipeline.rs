@@ -215,7 +215,7 @@ fn server_counts_quantized_offloads() {
         ServerFaultSpec::default(),
         None,
         &telemetry,
-        ServerTuning::default(),
+        ServerTuning,
     );
     let mut engine = quant_engine(&graph, BUDGET);
 

@@ -600,7 +600,7 @@ fn faulty_tcp_server(faults: ServerFaultSpec) -> SocketServer {
         faults,
         None,
         &Telemetry::disabled(),
-        ServerTuning::default(),
+        ServerTuning,
     );
     SocketServer::bind_tcp_sharded("127.0.0.1:0", server, 2).expect("bind loopback")
 }
@@ -750,30 +750,17 @@ fn offload(request_id: u64, p: u32) -> Message {
     }
 }
 
-/// Under an injected suffix cost, one shard coalesces the suffixes its
-/// connections hand it in one round into batches, and every connection
-/// still gets its replies in request order — probes pipelined behind a
-/// costed suffix included. A connection that sends an offload and a load
-/// query in one write has its query answered right after the offload,
-/// without the shard waiting for `poll`: the query sits whole in the
-/// read-ahead, and the socket holds nothing more to wake the shard.
+/// One shard serving four connections that each pipeline suffixes and
+/// probes gets every connection its replies in request order — probes
+/// pipelined behind a suffix included. A connection that sends an
+/// offload and a load query in one write has its query answered right
+/// after the offload, without the shard waiting for `poll`: the query
+/// sits whole in the read-ahead, and the socket holds nothing more to
+/// wake the shard.
 #[test]
-fn a_shard_batches_costed_suffixes_without_reordering() {
+fn a_shard_pipelines_suffixes_without_reordering() {
     let (_, edge) = models();
-    let telemetry = Telemetry::enabled();
-    let server = spawn_server_tuned(
-        lp_models::alexnet(1),
-        edge.clone(),
-        LoadEnv::new(1.0),
-        ServerFaultSpec::default(),
-        None,
-        &telemetry,
-        ServerTuning {
-            suffix_cost: Duration::from_millis(5),
-            max_batch: 8,
-            ..ServerTuning::default()
-        },
-    );
+    let server = spawn_server(lp_models::alexnet(1), edge.clone(), 1.0);
     let sock = SocketServer::bind_tcp_sharded("127.0.0.1:0", server, 1).expect("bind loopback");
     let conns: Vec<TcpFrameChannel> = (0..4)
         .map(|_| TcpFrameChannel::connect(sock.local_addr()).expect("connect"))
@@ -800,11 +787,6 @@ fn a_shard_batches_costed_suffixes_without_reordering() {
             );
         }
     }
-    let snapshot = telemetry.snapshot().expect("telemetry enabled");
-    let batches = snapshot.counter("server.suffix_batches_total");
-    let batched = snapshot.counter("server.batched_suffixes_total");
-    assert!(batches >= 1, "at least one coalesced batch");
-    assert!(batched >= 2, "batched suffixes counted: {batched}");
 
     let lone = &conns[0];
     let mut fastest = Duration::MAX;

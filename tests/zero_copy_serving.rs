@@ -9,34 +9,49 @@
 //! can copy frames while one runs.
 
 use loadpart::{
-    chaos_run, framing_bytes_copied, serving_bench, spawn_server, BenchConfig, BenchTransport,
-    ChaosConfig, ChaosTransport, EmulatedLink, LinkSpec, Telemetry, ThreadedClient,
+    chaos_run, framing_bytes_copied, spawn_server, ChaosConfig, ChaosTransport, EmulatedLink,
+    FrameChannel, LinkSpec, SocketServer, TcpFrameChannel, Telemetry, ThreadedClient,
 };
 use std::sync::Mutex;
 use std::time::Duration;
 
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
+/// Offloads cross the serving path uncopied: two clients over channel
+/// sessions of one server and two over TCP to a socket server, three
+/// requests each.
 #[test]
 fn tuned_serving_path_copies_no_framing_bytes() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    for transport in [BenchTransport::Channel, BenchTransport::Tcp] {
-        let report = serving_bench(&BenchConfig {
-            client_counts: vec![1, 2],
-            requests_per_client: 3,
-            suffix_cost: Duration::ZERO,
-            samples_per_kind: 64,
-            transport: transport.clone(),
-            ..BenchConfig::default()
-        });
-        for p in &report.points {
-            assert!(
-                p.offloaded > 0,
-                "{transport:?}: nothing crossed the wire: {p:?}"
-            );
-            assert_eq!(p.bytes_copied, 0, "{transport:?}: framing copied: {p:?}");
-        }
+    let (user, edge) = loadpart::system::trained_models(64, 7);
+    let graph = lp_models::alexnet(1);
+    let channels = spawn_server(graph.clone(), edge.clone(), 1.0);
+    let sockets = SocketServer::bind_tcp(
+        "127.0.0.1:0",
+        spawn_server(graph.clone(), edge.clone(), 1.0),
+    )
+    .expect("bind loopback");
+    let mut conns: Vec<(&str, Box<dyn FrameChannel>)> = Vec::new();
+    for _ in 0..2 {
+        conns.push(("channel", Box::new(channels.connect())));
     }
+    for _ in 0..2 {
+        let conn = TcpFrameChannel::connect(sockets.local_addr()).expect("connect");
+        conns.push(("tcp", Box::new(conn)));
+    }
+    let before = framing_bytes_copied();
+    for (transport, conn) in &conns {
+        let mut client = ThreadedClient::new(graph.clone(), &user, &edge);
+        let offloaded = (0..3)
+            .map(|_| client.infer(conn.as_ref(), 8.0).expect("healthy server"))
+            .filter(|r| r.offloaded())
+            .count();
+        assert!(offloaded > 0, "{transport}: nothing crossed the wire");
+    }
+    channels.shutdown().expect("clean shutdown");
+    sockets.shutdown().expect("clean shutdown");
+    let copied = framing_bytes_copied() - before;
+    assert_eq!(copied, 0, "the serving path copied framing bytes");
 }
 
 /// Frames cross the emulated link uncopied: a chaos soak whose clients
