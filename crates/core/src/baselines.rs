@@ -10,7 +10,6 @@
 //!   never be worse than Algorithm 1's) and as the ablation comparator for
 //!   the decision-latency bench.
 
-use crate::algorithm::{Decision, PartitionSolver};
 use crate::policy::PartitionPolicy;
 use lp_graph::{ComputationGraph, ValueId};
 
@@ -30,27 +29,16 @@ pub enum Policy {
 }
 
 impl Policy {
-    /// The partition point this policy chooses given the solver state, the
-    /// current bandwidth estimate and the current load factor.
-    #[must_use]
-    pub fn decide(&self, solver: &PartitionSolver, bandwidth_mbps: f64, k: f64) -> Decision {
-        match self {
-            Policy::LoadPart => solver.decide(bandwidth_mbps, k),
-            Policy::Neurosurgeon => {
-                // Load-oblivious: picks p with k=1, but the latency it will
-                // actually experience is governed by the real queueing.
-                solver.decide(bandwidth_mbps, 1.0)
-            }
-            Policy::Local => solver.latency_at(solver.len(), bandwidth_mbps, k),
-            Policy::Full => solver.latency_at(0, bandwidth_mbps, k),
-            Policy::Fixed(p) => solver.latency_at(*p, bandwidth_mbps, k),
-        }
-    }
-
     /// The trait-object form of this policy — what the engine actually
     /// dispatches through. Each variant maps to its thin
-    /// [`PartitionPolicy`] impl in [`crate::policy`]; the equivalence
-    /// tests pin the trait impls decision-identical to [`Policy::decide`].
+    /// [`PartitionPolicy`] impl in [`crate::policy`]:
+    ///
+    /// * `LoadPart` — Algorithm 1 at the measured `(bandwidth, k)`;
+    /// * `Neurosurgeon` — Algorithm 1 at `k = 1`, whatever the load;
+    /// * `Local`, `Full` and `Fixed(p)` — the latency at `p = n`, `0` and
+    ///   `p`.
+    ///
+    /// The equivalence tests pin each impl to that formula.
     #[must_use]
     pub fn build(self) -> Box<dyn PartitionPolicy> {
         use crate::policy::{FixedPolicy, FullOffloadPolicy, LoadPartPolicy, LocalPolicy};
@@ -261,6 +249,8 @@ impl Dinic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::PartitionSolver;
+    use crate::policy::PolicyContext;
     use lp_graph::{transmission_series, Activation, ConvAttrs, GraphBuilder, NodeKind};
     use lp_tensor::{Shape, TensorDesc};
 
@@ -359,16 +349,28 @@ mod tests {
         let f = [0.010, 0.002, 0.008, 0.002];
         let g = [0.001, 0.0002, 0.0008, 0.0002];
         let solver = solver_for(&graph, &f, &g);
-        assert_eq!(Policy::Local.decide(&solver, 8.0, 5.0).p, 4);
-        assert_eq!(Policy::Full.decide(&solver, 8.0, 5.0).p, 0);
-        assert_eq!(Policy::Fixed(2).decide(&solver, 8.0, 5.0).p, 2);
+        let p = |policy: Policy, bandwidth_mbps: f64, k: f64| {
+            policy
+                .build()
+                .decide(&PolicyContext {
+                    solver: &solver,
+                    bandwidth_mbps,
+                    k,
+                    now: lp_sim::SimTime::ZERO,
+                })
+                .p
+        };
+        assert_eq!(p(Policy::Local, 8.0, 5.0), 4);
+        assert_eq!(p(Policy::Full, 8.0, 5.0), 0);
+        assert_eq!(p(Policy::Fixed(2), 8.0, 5.0), 2);
         // Neurosurgeon ignores k: same p at k=1 and k=50.
-        let ns1 = Policy::Neurosurgeon.decide(&solver, 8.0, 1.0).p;
-        let ns2 = Policy::Neurosurgeon.decide(&solver, 8.0, 50.0).p;
-        assert_eq!(ns1, ns2);
+        assert_eq!(
+            p(Policy::Neurosurgeon, 8.0, 1.0),
+            p(Policy::Neurosurgeon, 8.0, 50.0)
+        );
         // LoADPart reacts to k.
-        let lp_idle = Policy::LoadPart.decide(&solver, 64.0, 1.0).p;
-        let lp_busy = Policy::LoadPart.decide(&solver, 64.0, 100.0).p;
+        let lp_idle = p(Policy::LoadPart, 64.0, 1.0);
+        let lp_busy = p(Policy::LoadPart, 64.0, 100.0);
         assert!(lp_busy >= lp_idle);
     }
 }

@@ -22,15 +22,15 @@
 //! mid-session, local-fallback degradation, and recovery on a fresh server;
 //! `report` runs a multi-client experiment with the telemetry layer enabled
 //! and prints the metrics registry (optionally exporting per-request trace
-//! spans as JSONL); `chaos` runs the overload-protection soak — N threaded
-//! clients through a scripted GPU load spike against an admission-controlled
-//! server, with per-client shed/breaker outcomes and the metrics registry;
-//! with `--cluster` it instead drives the multi-server cluster soak — a
-//! heterogeneous fleet, a scripted mid-soak outage on the preferred server
-//! and a later load spike on it, asserting that traffic migrates to the
-//! other servers, nothing is lost, the run replays bit-identically and the
-//! recovered server is readmitted (`--no-failover` pins every client to the
-//! first server instead);
+//! spans as JSONL); `chaos` runs the chaos soak in one of its two presets.
+//! The default is the overload-protection soak — N clients through a
+//! scripted GPU load spike against one admission-controlled server, with
+//! per-client shed/breaker outcomes and the metrics registry; `--cluster`
+//! is the multi-server preset — a heterogeneous fleet, a scripted
+//! mid-soak outage on the preferred server and a later load spike on it,
+//! asserting that traffic migrates to the other servers, nothing is lost,
+//! the run replays bit-identically and the recovered server is readmitted
+//! (`--no-failover` pins every client to the first server instead);
 //! `compare` races every registered partition policy (plus the bandit
 //! online learner and the oracle) through the nonstationary-load,
 //! miscalibrated-device-model and drifting-bandwidth scenarios, reporting
@@ -43,17 +43,17 @@
 //! through the deterministic link emulator (latency / jitter / rate limit /
 //! stalls / connection reset) — and can send the shutdown frame.
 
-use loadpart::policy::build_named;
+use loadpart::policy::build_for;
 #[cfg(unix)]
 use loadpart::UdsFrameChannel;
 use loadpart::{
-    chaos_run, cluster_chaos_run, compare_policies, measure_bandwidth,
-    multi_client_run_with_telemetry, spawn_server, spawn_server_tuned, AdmissionConfig,
-    ChaosConfig, ChaosTransport, ClusterChaosConfig, ClusterTransport, CompareConfig, EmulatedLink,
+    chaos_run, compare_policies, measure_bandwidth, multi_client_run_with_telemetry, spawn_server,
+    spawn_server_tuned, AdmissionConfig, ChaosConfig, ChaosTransport, CompareConfig, EmulatedLink,
     EngineConfig, FrameChannel, InferenceRecord, JsonlSink, LinkSpec, LoadEnv, Message,
     MultiClientConfig, PartitionSolver, PolicyContext, Precision, ServerFaultSpec, ServerTuning,
     SocketServer, TcpFrameChannel, Telemetry, ThreadedClient,
 };
+use lp_profiler::PredictionModels;
 use lp_sim::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::io::Write;
@@ -253,7 +253,7 @@ fn cmd_decide(flags: &HashMap<String, String>, full_curve: bool) -> Result<Strin
         return Err("--k must be >= 1 (constraint (1c))".to_string());
     }
     let policy_name = flags.get("policy").map_or("loadpart", String::as_str);
-    let mut policy = build_named(policy_name)?;
+    let mut policy = build_for(policy_name, graph.len())?;
     let (user, edge) = loadpart::system::trained_models(samples, seed);
     let solver = PartitionSolver::new(&graph, &user, &edge);
     let mut out = String::new();
@@ -491,43 +491,60 @@ fn cmd_report(flags: &HashMap<String, String>) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_chaos(flags: &HashMap<String, String>) -> Result<String, String> {
+/// The soak a `chaos` mode runs: `config`, its preset, with the flags both
+/// modes share applied, then the mode's own (`mode`), validated against
+/// the graph before the profiler trains. Returns the graph, the config
+/// and the trained (user, edge) models.
+fn chaos_setup(
+    flags: &HashMap<String, String>,
+    mut config: ChaosConfig,
+    mode: impl FnOnce(&mut ChaosConfig) -> Result<(), String>,
+) -> Result<
+    (
+        lp_graph::ComputationGraph,
+        ChaosConfig,
+        (PredictionModels, PredictionModels),
+    ),
+    String,
+> {
     let name = flags.get("model").map_or("alexnet", String::as_str);
     let graph = lp_models::by_name(name, 1)
         .ok_or_else(|| format!("unknown model {name:?}; run `loadpart models` for the zoo"))?;
-    let defaults = ChaosConfig::default();
-    let clients: usize = get_parsed(flags, "clients", Some(defaults.n_clients))?;
-    let rounds: usize = get_parsed(flags, "rounds", Some(defaults.rounds))?;
-    let spike_k: f64 = get_parsed(flags, "spike-k", Some(defaults.spike_k))?;
-    let bandwidth: f64 = get_parsed(flags, "bandwidth", Some(defaults.bandwidth_mbps))?;
     let samples: usize = get_parsed(flags, "samples", Some(120))?;
     let seed: u64 = get_parsed(flags, "seed", Some(42))?;
-    let (user, edge) = loadpart::system::trained_models(samples, seed);
-    let transport = match flags.get("transport").map(String::as_str) {
+    config.n_clients = get_parsed(flags, "clients", Some(config.n_clients))?;
+    config.rounds = get_parsed(flags, "rounds", Some(config.rounds))?;
+    config.engine.seed = seed;
+    config.transport = match flags.get("transport").map(String::as_str) {
         None | Some("channel") => ChaosTransport::Channel,
         Some("tcp") => ChaosTransport::Tcp,
         Some(other) => return Err(format!("unknown transport {other:?} (channel|tcp)")),
     };
-    let config = ChaosConfig {
-        n_clients: clients,
-        rounds,
-        spike_k,
-        bandwidth_mbps: bandwidth,
-        engine: EngineConfig {
-            seed,
-            ..defaults.engine
-        },
-        transport,
-        ..defaults
-    };
+    mode(&mut config)?;
+    build_for(&config.policy, graph.len())?;
+    config.validate(&graph).map_err(|e| e.to_string())?;
+    let models = loadpart::system::trained_models(samples, seed);
+    Ok((graph, config, models))
+}
+
+/// `chaos`: the single-server soak.
+fn cmd_chaos(flags: &HashMap<String, String>) -> Result<String, String> {
+    let (graph, config, (user, edge)) = chaos_setup(flags, ChaosConfig::default(), |config| {
+        config.spike_k = get_parsed(flags, "spike-k", Some(config.spike_k))?;
+        let server = &mut config.servers[0];
+        server.bandwidth_mbps = get_parsed(flags, "bandwidth", Some(server.bandwidth_mbps))?;
+        Ok(())
+    })?;
     let telemetry = Telemetry::enabled();
     let report = chaos_run(&graph, &user, &edge, &config, &telemetry).map_err(|e| e.to_string())?;
     let mut out = format!(
-        "{} chaos soak: {clients} client(s), {rounds} round(s), spike k = {spike_k} over rounds \
-         {}..{}\n\n",
+        "{} chaos soak: {} client(s), {} round(s), spike k = {} over rounds {}..{}\n\n",
         graph.name(),
-        config.spike_start,
-        config.spike_start + config.spike_rounds,
+        config.n_clients,
+        config.rounds,
+        config.spike_k,
+        config.spike.start,
+        config.spike.range().end,
     );
     out.push_str("client  completed  offloaded  local  shed  fallback  breaker  transitions\n");
     for c in &report.clients {
@@ -546,8 +563,12 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<String, String> {
     out.push_str(&format!(
         "\nserver served {} offload(s), shed {} request(s) ({} during the spike); \
          shed ratio {:.2}; worst latency {:.1} ms; breakers {}\n\n",
-        report.server_served,
-        report.total_sheds,
+        report
+            .servers
+            .iter()
+            .filter_map(|s| s.server_served)
+            .sum::<u64>(),
+        report.sheds,
         report.spike_sheds,
         report.shed_ratio(),
         report.max_total().as_millis_f64(),
@@ -566,81 +587,49 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<String, String> {
     Ok(out)
 }
 
-/// Builds the cluster soak config from `chaos --cluster` flags.
-fn cluster_config(flags: &HashMap<String, String>) -> Result<ClusterChaosConfig, String> {
-    let defaults = ClusterChaosConfig::default();
-    let clients: usize = get_parsed(flags, "clients", Some(defaults.n_clients))?;
-    let rounds: usize = get_parsed(flags, "rounds", Some(defaults.rounds))?;
-    let seed: u64 = get_parsed(flags, "seed", Some(42))?;
-    let policy = flags
-        .get("policy")
-        .cloned()
-        .unwrap_or_else(|| defaults.policy.clone());
-    let transport = if let Some(list) = flags.get("connect") {
-        let addrs: Vec<String> = list
-            .split(',')
-            .map(|a| a.trim().to_string())
-            .filter(|a| !a.is_empty())
-            .collect();
-        if addrs.len() != defaults.servers.len() {
-            return Err(format!(
-                "--connect needs {} comma-separated addresses (one per server), got {}",
-                defaults.servers.len(),
-                addrs.len()
-            ));
-        }
-        ClusterTransport::Remote(addrs)
-    } else {
-        match flags.get("transport").map(String::as_str) {
-            None | Some("channel") => ClusterTransport::Channel,
-            Some("tcp") => ClusterTransport::Tcp,
-            Some(other) => return Err(format!("unknown transport {other:?} (channel|tcp)")),
-        }
-    };
-    let outage_start: usize = get_parsed(flags, "outage-start", Some(defaults.outage_start))?;
-    let outage_rounds: usize = get_parsed(flags, "outage-rounds", Some(defaults.outage_rounds))?;
-    let config = ClusterChaosConfig {
-        n_clients: clients,
-        rounds,
-        outage_start,
-        outage_rounds,
-        policy,
-        failover: !flags.contains_key("no-failover"),
-        engine: EngineConfig {
-            seed,
-            ..defaults.engine
-        },
-        transport,
-        ..defaults
-    };
-    config.validate().map_err(|e| e.to_string())?;
-    Ok(config)
-}
-
 /// `chaos --cluster`: the multi-server failover soak.
 fn cmd_chaos_cluster(flags: &HashMap<String, String>) -> Result<String, String> {
-    let name = flags.get("model").map_or("alexnet", String::as_str);
-    let graph = lp_models::by_name(name, 1)
-        .ok_or_else(|| format!("unknown model {name:?}; run `loadpart models` for the zoo"))?;
-    let samples: usize = get_parsed(flags, "samples", Some(120))?;
-    let seed: u64 = get_parsed(flags, "seed", Some(42))?;
-    let config = cluster_config(flags)?;
-    let (user, edge) = loadpart::system::trained_models(samples, seed);
+    let (graph, config, (user, edge)) = chaos_setup(flags, ChaosConfig::cluster(), |config| {
+        if let Some(list) = flags.get("connect") {
+            let addrs: Vec<String> = list
+                .split(',')
+                .map(|a| a.trim().to_string())
+                .filter(|a| !a.is_empty())
+                .collect();
+            if addrs.len() != config.servers.len() {
+                return Err(format!(
+                    "--connect needs {} comma-separated addresses (one per server), got {}",
+                    config.servers.len(),
+                    addrs.len()
+                ));
+            }
+            config.transport = ChaosTransport::Remote(addrs);
+        }
+        if let Some(outage) = &mut config.outage {
+            outage.start = get_parsed(flags, "outage-start", Some(outage.start))?;
+            outage.rounds = get_parsed(flags, "outage-rounds", Some(outage.rounds))?;
+        }
+        if let Some(policy) = flags.get("policy") {
+            config.policy.clone_from(policy);
+        }
+        config.failover = !flags.contains_key("no-failover");
+        Ok(())
+    })?;
     let telemetry = Telemetry::enabled();
-    let report =
-        cluster_chaos_run(&graph, &user, &edge, &config, &telemetry).map_err(|e| e.to_string())?;
-    let replayed = if matches!(config.transport, ClusterTransport::Remote(_)) {
+    let report = chaos_run(&graph, &user, &edge, &config, &telemetry).map_err(|e| e.to_string())?;
+    let replayed = if matches!(config.transport, ChaosTransport::Remote(_)) {
         // Remote servers outlive the soak and keep state between runs; the
         // replay assertion only holds for freshly spawned fleets.
         false
     } else {
-        let again = cluster_chaos_run(&graph, &user, &edge, &config, &Telemetry::disabled())
+        let again = chaos_run(&graph, &user, &edge, &config, &Telemetry::disabled())
             .map_err(|e| e.to_string())?;
         if again != report {
             return Err("cluster soak is not deterministic: replay diverged".to_string());
         }
         true
     };
+    let outage = config.outage.unwrap_or_default();
     let mut out = format!(
         "{} cluster soak: {} server(s) over {}, {} client(s), {} round(s); outage on #{} \
          rounds {}..{}, spike k = {} on #{} rounds {}..{}\n\n",
@@ -649,13 +638,13 @@ fn cmd_chaos_cluster(flags: &HashMap<String, String>) -> Result<String, String> 
         config.transport.name(),
         config.n_clients,
         config.rounds,
-        config.outage_server,
-        config.outage_start,
-        config.outage_end(),
+        outage.server,
+        outage.start,
+        outage.range().end,
         config.spike_k,
-        config.spike_server,
-        config.spike_start,
-        config.spike_start + config.spike_rounds,
+        config.spike.server,
+        config.spike.start,
+        config.spike.range().end,
     );
     out.push_str("server   attempts  served  failed  served@outage  served@spike  server-side\n");
     for (s, srv) in report.servers.iter().enumerate() {
@@ -665,30 +654,27 @@ fn cmd_chaos_cluster(flags: &HashMap<String, String>) -> Result<String, String> 
             srv.attempts,
             srv.served,
             srv.failed,
-            report.served_during(config.outage_start..config.outage_end(), s),
-            report.served_during(
-                config.spike_start..config.spike_start + config.spike_rounds,
-                s
-            ),
+            report.served_during(outage.range(), s),
+            report.served_during(config.spike.range(), s),
             srv.server_served
                 .map_or_else(|| "-".to_string(), |n| n.to_string()),
         ));
     }
     out.push_str(&format!(
         "\ncompleted {}/{} request(s), failovers: {}, locals: {}, sheds: {}, lost: {}\n",
-        report.completed,
-        report.expected,
+        report.total_completed(),
+        config.n_clients * config.rounds,
         report.failovers,
-        report.locals,
+        report.locals(),
         report.sheds,
         report.lost(),
     ));
     match report.readmission_round {
         Some(r) => out.push_str(&format!(
             "outage server readmitted in round {r} ({} round(s) after the outage lifted)\n",
-            r - report.outage_start - report.outage_rounds,
+            r - outage.range().end,
         )),
-        None if config.outage_rounds > 0 && config.failover => {
+        None if outage.rounds > 0 && config.failover => {
             out.push_str("outage server was NOT readmitted\n");
         }
         None => {}
@@ -1268,5 +1254,14 @@ mod tests {
         assert!(run(&argv("chaos --cluster --spike-k 40"))
             .unwrap_err()
             .contains("--spike-k for chaos --cluster"));
+        // A fixed partition point past the graph is a usage error, not a
+        // panic at the first decision.
+        for args in [
+            "decide --model alexnet --bandwidth 8 --policy fixed:28",
+            "chaos --cluster --policy fixed:28",
+        ] {
+            let err = run(&argv(args)).unwrap_err();
+            assert!(err.contains("out of range 0..=27"), "{args}: {err}");
+        }
     }
 }

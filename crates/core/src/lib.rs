@@ -45,13 +45,14 @@
 //! * [`quant`] — the joint (p, precision) [`QuantPolicy`] that prices
 //!   quantized uploads under an accuracy budget, and the symmetric
 //!   quantization kernels whose packed sizes it charges.
-//! * [`chaos`] — the chaos soak harness: N threaded clients, a scripted
-//!   load spike and injected frame faults, asserting overload protection
-//!   end to end (shedding, breakers, recovery).
+//! * [`chaos`] — the chaos soak behind `loadpart chaos`: cluster clients
+//!   against a server fleet through a scripted load spike, an optional
+//!   outage and injected frame faults, asserting overload protection and
+//!   failover end to end (shedding, breakers, migration, recovery). Two
+//!   presets: one server with failover off, and a heterogeneous trio
+//!   with failover on (`--cluster`).
 //! * [`cluster`] — the multi-server edge cluster: per-server profiles
-//!   and breakers behind a joint (server, p) decision with failover,
-//!   plus the scripted-outage cluster chaos soak behind
-//!   `loadpart chaos --cluster`.
+//!   and breakers behind a joint (server, p) decision with failover.
 //! * [`telemetry`] — the observability layer shared by every driver:
 //!   metrics registry (counters/gauges/histograms) and per-request trace
 //!   spans through pluggable sinks, zero-cost when disabled.
@@ -108,11 +109,8 @@ pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision};
 pub use algorithm::{Decision, PartitionSolver};
 pub use baselines::{min_cut_partition, Policy};
 pub use cache::PartitionCache;
-pub use chaos::{chaos_run, ChaosConfig, ChaosTransport};
-pub use cluster::{
-    cluster_chaos_run, ClusterChaosConfig, ClusterChaosReport, ClusterEngine, ClusterLink,
-    ClusterTransport, RouteInfo,
-};
+pub use chaos::{chaos_run, ChaosConfig, ChaosReport, ChaosTransport};
+pub use cluster::{ClusterEngine, ClusterLink, RouteInfo};
 pub use compare::{compare_policies, run_scenario, CompareConfig, ScenarioKind, ScenarioResult};
 pub use emulator::{EmulatedLink, FaultAction, FaultPlan, LinkSpec, OutageSwitch};
 pub use energy::{decide_energy, PowerModel};

@@ -323,6 +323,19 @@ pub fn build_named(name: &str) -> Result<Box<dyn PartitionPolicy>, String> {
     }
 }
 
+/// [`build_named`] for a graph of `n` nodes: a `fixed:<p>` point past
+/// the graph is refused here instead of panicking at the first decision.
+///
+/// # Errors
+///
+/// What [`build_named`] refuses, and a fixed point outside `0..=n`.
+pub fn build_for(name: &str, n: usize) -> Result<Box<dyn PartitionPolicy>, String> {
+    match name.strip_prefix("fixed:").map(str::parse::<usize>) {
+        Some(Ok(p)) if p > n => Err(format!("fixed partition point {p} out of range 0..={n}")),
+        _ => build_named(name),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,9 +1,11 @@
 //! The chaos soak: overload protection exercised end to end, bounded and
 //! deterministic (well under the CI budget of two minutes).
 //!
-//! Eight threaded clients drive an admission-controlled server through a
-//! scripted GPU load spike with client-side frame faults layered on top.
-//! The soak asserts the full overload-protection story:
+//! The soak's single-server preset (`ChaosConfig::default()`): eight wire
+//! clients, each a `ClusterEngine` with failover off, drive an
+//! admission-controlled server through a scripted GPU load spike with
+//! client-side frame faults layered on top. The soak asserts the full
+//! overload-protection story:
 //!
 //! * **liveness** — every request completes, locally or remotely; no
 //!   panics, no hangs (the run itself finishing is the assertion);
@@ -20,6 +22,7 @@
 //!   local-plus-retry budget;
 //! * **determinism** — an identical config replays bit-identically.
 
+use loadpart::chaos::Window;
 use loadpart::{chaos_run, BreakerState, ChaosConfig, ChaosTransport, Telemetry};
 use lp_profiler::PredictionModels;
 use lp_sim::SimDuration;
@@ -60,7 +63,7 @@ fn assert_spike_survival(cfg: &ChaosConfig) {
         "admission control must reject during the spike"
     );
     assert_eq!(
-        report.spike_sheds, report.total_sheds,
+        report.spike_sheds, report.sheds,
         "outside the spike the budget is never exceeded"
     );
 
@@ -106,13 +109,10 @@ fn assert_spike_survival(cfg: &ChaosConfig) {
     let snapshot = telemetry.snapshot().expect("metrics enabled");
     assert_eq!(
         snapshot.counter("server.rejected_total"),
-        report.total_sheds,
+        report.sheds,
         "server-side rejection counter matches the client-side shed count"
     );
-    assert_eq!(
-        snapshot.counter("engine.rejected_total"),
-        report.total_sheds
-    );
+    assert_eq!(snapshot.counter("engine.rejected_total"), report.sheds);
     assert!(snapshot.counter("breaker.transitions_total") > 0);
     assert_eq!(snapshot.gauge("chaos.breakers_closed"), Some(1.0));
 }
@@ -150,14 +150,14 @@ fn quiet_timeline_sheds_nothing() {
     let (user, edge) = models();
     let graph = lp_models::alexnet(1);
     let cfg = ChaosConfig {
-        spike_rounds: 0,
+        spike: Window::default(),
         rounds: 12,
         fault_plans: Vec::new(),
         ..ChaosConfig::default()
     };
     let report = chaos_run(&graph, user, edge, &cfg, &Telemetry::disabled()).expect("valid");
     assert_eq!(report.total_completed(), cfg.n_clients * cfg.rounds);
-    assert_eq!(report.total_sheds, 0, "no spike, no shedding");
+    assert_eq!(report.sheds, 0, "no spike, no shedding");
     assert!(report.all_breakers_closed());
     assert!(report
         .clients

@@ -20,13 +20,13 @@
 //!   while clients pinned to that server fall back to the device, and
 //!   neither run loses a request.
 
+use loadpart::chaos::Window;
 use loadpart::engine::backends::{SimulatedDevice, WireBackend, WireTransport};
 use loadpart::policy::build_named;
 use loadpart::{
-    cluster_chaos_run, spawn_server_tuned, AdmissionConfig, ClusterChaosConfig, ClusterChaosReport,
-    ClusterEngine, ClusterLink, EmulatedLink, EngineConfig, FrameChannel, InferenceRecord,
-    LinkSpec, LoadEnv, OffloadEngine, OutageSwitch, Outcome, RouteInfo, ServerFaultSpec,
-    ServerHandle, ServerTuning, Telemetry,
+    chaos_run, spawn_server_tuned, AdmissionConfig, ChaosConfig, ChaosReport, ClusterEngine,
+    ClusterLink, EngineConfig, FrameChannel, InferenceRecord, LinkSpec, LoadEnv, OffloadEngine,
+    OutageSwitch, Outcome, RouteInfo, ServerFaultSpec, ServerHandle, ServerTuning, Telemetry,
 };
 use lp_hardware::DeviceModel;
 use lp_profiler::PredictionModels;
@@ -81,6 +81,7 @@ fn cluster_over(
             name: format!("srv-{i}"),
             bandwidth_mbps,
             conn: Box::new(h.connect()) as Box<dyn FrameChannel>,
+            spec: LinkSpec::default(),
         })
         .collect();
     ClusterEngine::new(
@@ -96,13 +97,12 @@ fn cluster_over(
     .expect("valid cluster")
 }
 
-/// `conn`, dark while `switch` is on.
-fn gated(conn: Box<dyn FrameChannel>, switch: &OutageSwitch) -> Box<dyn FrameChannel> {
-    let spec = LinkSpec {
+/// A link that is dark while `switch` is on.
+fn gated(switch: &OutageSwitch) -> LinkSpec {
+    LinkSpec {
         outage: Some(switch.clone()),
         ..LinkSpec::default()
-    };
-    Box::new(EmulatedLink::new(conn, spec))
+    }
 }
 
 /// Drives `rounds` requests one second apart, returning records + routes.
@@ -241,12 +241,14 @@ fn probe_failure_on_one_server_does_not_cooldown_the_other() {
         ClusterLink {
             name: "dead".into(),
             bandwidth_mbps: 8.0,
-            conn: gated(Box::new(dead.connect()), &switch),
+            conn: Box::new(dead.connect()),
+            spec: gated(&switch),
         },
         ClusterLink {
             name: "healthy".into(),
             bandwidth_mbps: 8.0,
             conn: Box::new(healthy.connect()),
+            spec: LinkSpec::default(),
         },
     ];
     let mut cluster = ClusterEngine::new(
@@ -372,7 +374,8 @@ fn retry_budget_prevents_a_retry_storm() {
     let links = vec![ClusterLink {
         name: "dark".into(),
         bandwidth_mbps: 8.0,
-        conn: gated(Box::new(server.connect()), &switch),
+        conn: Box::new(server.connect()),
+        spec: gated(&switch),
     }];
     let mut cluster = ClusterEngine::new(
         Arc::new(lp_models::alexnet(1)),
@@ -446,12 +449,13 @@ fn rejected_requests_fail_over_to_servers_with_capacity() {
 /// Requests inside the outage window that some server completed remotely
 /// (not local, not shed, not a degraded fallback), and how many requests
 /// fell in the window. Records are round-major, client-minor.
-fn outage_service(config: &ClusterChaosConfig, report: &ClusterChaosReport) -> (usize, usize) {
+fn outage_service(config: &ChaosConfig, report: &ChaosReport) -> (usize, usize) {
+    let outage = config.outage.expect("an outage is scripted");
     let window: Vec<&InferenceRecord> = report
         .records
         .iter()
         .enumerate()
-        .filter(|(i, _)| config.in_outage(i / config.n_clients))
+        .filter(|(i, _)| outage.contains(i / config.n_clients))
         .map(|(_, r)| r)
         .collect();
     let remote = window
@@ -469,20 +473,24 @@ fn outage_service(config: &ClusterChaosConfig, report: &ClusterChaosReport) -> (
 fn failover_serves_every_outage_request_remotely_and_pinning_does_not() {
     let (user, edge) = models();
     let graph = lp_models::alexnet(1);
-    let on = ClusterChaosConfig {
-        rounds: 30,
-        outage_start: 8,
-        outage_rounds: 8,
-        spike_rounds: 0,
-        failover: true,
-        ..ClusterChaosConfig::default()
+    let outage = Window {
+        server: 0,
+        start: 8,
+        rounds: 8,
     };
-    let off = ClusterChaosConfig {
+    let on = ChaosConfig {
+        rounds: 30,
+        outage: Some(outage),
+        spike: Window::default(),
+        failover: true,
+        ..ChaosConfig::cluster()
+    };
+    let off = ChaosConfig {
         failover: false,
         ..on.clone()
     };
-    let run = |config: &ClusterChaosConfig| {
-        cluster_chaos_run(&graph, user, edge, config, &Telemetry::disabled()).expect("valid")
+    let run = |config: &ChaosConfig| {
+        chaos_run(&graph, user, edge, config, &Telemetry::disabled()).expect("valid")
     };
     let (on_report, off_report) = (run(&on), run(&off));
     assert_eq!(
@@ -495,7 +503,7 @@ fn failover_serves_every_outage_request_remotely_and_pinning_does_not() {
     assert!(on_report.failovers > 0, "the outage must force reroutes");
 
     let (on_remote, window) = outage_service(&on, &on_report);
-    assert_eq!(window, on.n_clients * on.outage_rounds);
+    assert_eq!(window, on.n_clients * outage.rounds);
     assert_eq!(
         on_remote, window,
         "failover must serve every outage-window request remotely"

@@ -5,7 +5,7 @@
 
 use loadpart::system::trained_models;
 use loadpart::{
-    multi_client_run, spawn_server, spawn_server_tuned, AdmissionConfig, EngineConfig,
+    multi_client_run, spawn_server, spawn_server_tuned, AdmissionConfig, Decision, EngineConfig,
     InferenceRecord, LoadEnv, MemoPolicy, MultiClientConfig, OffloadingSystem, PartitionPolicy,
     PartitionSolver, Policy, PolicyContext, RingSink, ServerFaultSpec, ServerTuning, SpanKind,
     SystemConfig, Telemetry, Testbed, ThreadedClient,
@@ -256,9 +256,21 @@ fn local_decisions_emit_the_same_abbreviated_span_sequence() {
     assert_eq!(wire_sink.kinds_for(t.request_id), expected);
 }
 
+/// The decision each [`Policy`] enum variant is documented to make,
+/// written out against the solver: the legacy enum's own formula.
+fn legacy_decision(policy: Policy, solver: &PartitionSolver, bw: f64, k: f64) -> Decision {
+    match policy {
+        Policy::LoadPart => solver.decide(bw, k),
+        Policy::Neurosurgeon => solver.decide(bw, 1.0),
+        Policy::Local => solver.latency_at(solver.len(), bw, k),
+        Policy::Full => solver.latency_at(0, bw, k),
+        Policy::Fixed(p) => solver.latency_at(p, bw, k),
+    }
+}
+
 /// Property-style sweep: every [`Policy`] enum variant's trait impl (what
-/// the engine now dispatches through) is decision-identical to the legacy
-/// `Policy::decide`, at every `(bandwidth, k)` grid point — and stays so
+/// the engine dispatches through) is decision-identical to the legacy
+/// enum formula, at every `(bandwidth, k)` grid point — and stays so
 /// through a [`MemoPolicy`] wrapper whose key changes every cell.
 #[test]
 fn trait_policies_reproduce_legacy_enum_decisions_across_the_sweep() {
@@ -279,7 +291,7 @@ fn trait_policies_reproduce_legacy_enum_decisions_across_the_sweep() {
         let mut via_memo = MemoPolicy::new(policy.build());
         for bw in bandwidths {
             for k in ks {
-                let legacy = policy.decide(&solver, bw, k);
+                let legacy = legacy_decision(policy, &solver, bw, k);
                 let ctx = PolicyContext {
                     solver: &solver,
                     bandwidth_mbps: bw,

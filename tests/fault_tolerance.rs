@@ -6,7 +6,8 @@
 //! faults degrade the request to local execution (`fallback_local` on the
 //! record) and start a cooldown; once the fault clears, offloading resumes.
 //!
-//! Client-side faults are injected by an [`EmulatedLink`] running a
+//! Client-side faults are injected by an
+//! [`EmulatedLink`](loadpart::EmulatedLink) running a
 //! [`FaultPlan`] (a scripted middlebox between the engine and the server
 //! channel); server-side crash
 //! and stall scripts ride in [`ServerFaultSpec`]. Frame indices below
@@ -14,49 +15,18 @@
 //! and load query (1), which leave together as one pipelined refresh, then
 //! the offload request (2) — shifted by retries. A retried refresh resends
 //! both, so each refresh attempt is two frames, and one whose probe was
-//! lost still sends (and gets answered) its query.
+//! lost still sends (and gets answered) its query. The four scenarios that
+//! `tests/tcp_transport.rs` also runs over a socket keep their one body in
+//! `tests/wire_faults/mod.rs`.
+
+mod wire_faults;
 
 use loadpart::{
-    spawn_server, spawn_server_tuned, EmulatedLink, EngineConfig, FaultAction, FaultPlan,
-    FrameChannel, InferenceRecord, LinkSpec, LoadEnv, ServerFaultSpec, ServerHandle, ServerTuning,
-    StallWindow, Telemetry, ThreadedClient,
+    spawn_server, spawn_server_tuned, FaultAction, FaultPlan, FrameChannel, InferenceRecord,
+    LoadEnv, ProtocolError, ServerFaultSpec, ServerHandle, ServerTuning, StallWindow, Telemetry,
 };
-use lp_profiler::PredictionModels;
-use std::sync::OnceLock;
 use std::time::Duration;
-
-fn models() -> &'static (PredictionModels, PredictionModels) {
-    static MODELS: OnceLock<(PredictionModels, PredictionModels)> = OnceLock::new();
-    MODELS.get_or_init(|| loadpart::system::trained_models(150, 42))
-}
-
-/// Short deadlines and no backoff sleeps keep the fault paths fast while
-/// exercising exactly the same code as the defaults.
-fn fast_client(graph: lp_graph::ComputationGraph) -> ThreadedClient {
-    let (user, edge) = models();
-    ThreadedClient::with_config(
-        graph,
-        user,
-        edge,
-        EngineConfig {
-            io_timeout: Duration::from_millis(100),
-            retry_backoff: Duration::ZERO,
-            ..EngineConfig::default()
-        },
-    )
-    .expect("valid config")
-}
-
-/// A plain link to `server` that executes the client-side fault `plan`.
-fn faulty<C: FrameChannel>(server: &C, plan: FaultPlan) -> EmulatedLink<&C> {
-    EmulatedLink::new(
-        server,
-        LinkSpec {
-            faults: plan,
-            ..LinkSpec::default()
-        },
-    )
-}
+use wire_faults::{fast_client, faulty, models, Rig, N};
 
 /// A server for `graph` running the server-side fault script `faults`.
 fn faulty_server(graph: lp_graph::ComputationGraph, faults: ServerFaultSpec) -> ServerHandle {
@@ -72,106 +42,41 @@ fn faulty_server(graph: lp_graph::ComputationGraph, faults: ServerFaultSpec) -> 
     )
 }
 
-const N: usize = 27; // alexnet node count: p == N means fully local
+/// The in-process session: the server handle is its own client channel.
+impl Rig for ServerHandle {
+    fn chan(&self) -> &dyn FrameChannel {
+        self
+    }
+
+    fn shutdown(self) -> Result<u64, ProtocolError> {
+        ServerHandle::shutdown(self)
+    }
+}
+
+/// An idle alexnet server.
+fn idle_server() -> ServerHandle {
+    let (_, edge) = models();
+    spawn_server(lp_models::alexnet(1), edge.clone(), 1.0)
+}
 
 #[test]
 fn dropped_offload_request_is_absorbed_by_a_retry() {
-    let (_, edge) = models();
-    let graph = lp_models::alexnet(1);
-    let server = spawn_server(graph.clone(), edge.clone(), 1.0);
-    let mut client = fast_client(graph);
-    // The first offload request (send frame 2) vanishes; the retry lands.
-    let plan = FaultPlan::new().on_send(2, FaultAction::Drop);
-    let inj = faulty(&server, plan);
-    let r = client.infer(&inj, 8.0).expect("absorbed");
-    assert!(r.offloaded(), "retry must complete the offload");
-    assert!(!r.fallback_local);
-    assert_eq!(r.retries, 1, "exactly one resend");
-    assert_eq!(inj.faults_injected(), 1);
-    assert_eq!(server.shutdown(), Ok(1));
+    wire_faults::dropped_offload_request_is_absorbed_by_a_retry(idle_server());
 }
 
 #[test]
 fn persistent_drops_degrade_locally_then_recover() {
-    let (_, edge) = models();
-    let graph = lp_models::alexnet(1);
-    let server = spawn_server(graph.clone(), edge.clone(), 1.0);
-    let mut client = fast_client(graph);
-    // All three offload attempts of request 0 (sends 2, 3, 4) vanish.
-    let plan = FaultPlan::new()
-        .on_send(2, FaultAction::Drop)
-        .on_send(3, FaultAction::Drop)
-        .on_send(4, FaultAction::Drop);
-    let inj = faulty(&server, plan);
-
-    let r0 = client.infer(&inj, 8.0).expect("no panic");
-    assert!(
-        r0.fallback_local,
-        "exhausted retries must fall back locally"
-    );
-    assert!(r0.p < N && r0.uploaded_bytes > 0, "fault hit mid-offload");
-    assert_eq!(r0.retries, 2, "default budget: 2 retries, 3 attempts");
-
-    // Cooldown (10 s logical = 2 requests): local by decision, no wire,
-    // and explicitly NOT a fallback — the fault happened last request.
-    let r1 = client.infer(&inj, 8.0).expect("no panic");
-    assert_eq!((r1.p, r1.fallback_local, r1.retries), (N, false, 0));
-
-    // Cooldown expired: the next refresh probes, succeeds, and offloading
-    // resumes on the same channel.
-    let r2 = client.infer(&inj, 8.0).expect("no panic");
-    assert!(r2.offloaded() && !r2.fallback_local, "{r2:?}");
-    assert_eq!(
-        server.shutdown(),
-        Ok(1),
-        "only the recovered request arrived"
-    );
+    wire_faults::persistent_drops_degrade_locally_then_recover(idle_server());
 }
 
 #[test]
 fn reply_delayed_past_the_deadline_is_recovered_as_stale() {
-    let (_, edge) = models();
-    let graph = lp_models::alexnet(1);
-    let server = spawn_server(graph.clone(), edge.clone(), 1.0);
-    let mut client = fast_client(graph);
-    // The offload response (recv frame 2) crosses the deadline; it lands
-    // late, during the retry's receive, and still matches the request id.
-    let plan = FaultPlan::new().on_recv(2, FaultAction::Delay);
-    let inj = faulty(&server, plan);
-    let r0 = client.infer(&inj, 8.0).expect("no panic");
-    assert!(r0.offloaded() && !r0.fallback_local);
-    assert_eq!(r0.retries, 1, "one timed-out exchange");
-    // The retry produced a second, unconsumed response; the next request's
-    // probe must skip it as stale instead of misreading it as an ack.
-    let r1 = client.infer(&inj, 8.0).expect("stale frame skipped");
-    assert!(r1.offloaded() && !r1.fallback_local);
-    assert_eq!(r1.retries, 0);
-    assert_eq!(
-        server.shutdown(),
-        Ok(3),
-        "request 0 twice (retry) + request 1"
-    );
+    wire_faults::reply_delayed_past_the_deadline_is_recovered_as_stale(idle_server());
 }
 
 #[test]
 fn corrupt_frames_in_both_directions_are_retried() {
-    let (_, edge) = models();
-    let graph = lp_models::alexnet(1);
-    let server = spawn_server(graph.clone(), edge.clone(), 1.0);
-    let mut client = fast_client(graph);
-    // Send 1 (load query) reaches the server corrupted: it drops the frame
-    // and the whole refresh retries (probe 2, query 3). Recv 3 (the
-    // offload response, after the extra ack+reply) arrives corrupted: the
-    // client's decoder rejects it and the offload retries.
-    let plan = FaultPlan::new()
-        .on_send(1, FaultAction::Corrupt)
-        .on_recv(3, FaultAction::Corrupt);
-    let inj = faulty(&server, plan);
-    let r = client.infer(&inj, 8.0).expect("no panic");
-    assert!(r.offloaded() && !r.fallback_local, "{r:?}");
-    assert_eq!(r.retries, 2, "one refresh retry + one offload retry");
-    assert_eq!(inj.faults_injected(), 2);
-    assert_eq!(server.shutdown(), Ok(2), "original + retried offload");
+    wire_faults::corrupt_frames_in_both_directions_are_retried(idle_server());
 }
 
 #[test]

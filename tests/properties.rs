@@ -8,7 +8,7 @@
 use loadpart::policy::build_named;
 use loadpart::{
     spawn_server_tuned, AdmissionConfig, AdmissionController, AdmissionDecision, BreakerState,
-    CircuitBreaker, ClusterEngine, ClusterLink, EngineConfig, FrameChannel, LoadEnv,
+    CircuitBreaker, ClusterEngine, ClusterLink, EngineConfig, FrameChannel, LinkSpec, LoadEnv,
     PartitionSolver, ServerFaultSpec, ServerTuning, Telemetry, WireGate,
 };
 use lp_graph::cut::cut_at;
@@ -369,6 +369,7 @@ fn route_plan_never_selects_a_blocked_server_while_a_clean_one_exists() {
             name: format!("srv-{i}"),
             bandwidth_mbps: 8.0,
             conn: Box::new(h.connect()) as Box<dyn FrameChannel>,
+            spec: LinkSpec::default(),
         })
         .collect();
     let config = EngineConfig {

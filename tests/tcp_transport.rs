@@ -1,62 +1,30 @@
 //! The wire runtime end to end over real loopback TCP sockets.
 //!
-//! Every scenario here has an in-process-channel twin (in
-//! `tests/fault_tolerance.rs` / `tests/chaos_soak.rs`); the point of this
-//! suite is that the socket transport is a *pure* transport — the engine's
-//! retry budget, local fallback, cooldown and recovery behave identically
-//! when frames cross a real socket, and the transport's own failure mode
-//! (a dead peer surfacing as `Disconnected`) slots into the same
-//! degradation paths. The deterministic link emulator rides the TCP
-//! channel like any other, turning a loopback socket into a slow, jittery,
-//! resettable access link.
+//! The point of this suite is that the socket transport is a *pure*
+//! transport — the engine's retry budget, local fallback, cooldown and
+//! recovery behave identically when frames cross a real socket, and the
+//! transport's own failure mode (a dead peer surfacing as `Disconnected`)
+//! slots into the same degradation paths. The four client-side fault
+//! scenarios (a dropped offload, persistent drops, a delayed reply and
+//! corrupt frames) run the very bodies `tests/fault_tolerance.rs` runs
+//! in-process, from `tests/wire_faults/mod.rs`; the chaos soak is compared
+//! record for record with its in-process run. The deterministic link
+//! emulator rides the TCP channel like any other, turning a loopback
+//! socket into a slow, jittery, resettable access link.
+
+mod wire_faults;
 
 use bytes::Bytes;
+use loadpart::chaos::Window;
 use loadpart::{
-    chaos_run, spawn_server, spawn_server_tuned, ChaosConfig, ChaosTransport, EmulatedLink,
-    EngineConfig, FaultAction, FaultPlan, Frame, FrameChannel, LinkSpec, LoadEnv, Message,
-    ProtocolError, ServerFaultSpec, ServerTuning, SocketServer, StallWindow, TcpFrameChannel,
-    Telemetry, ThreadedClient,
+    chaos_run, spawn_server, spawn_server_tuned, ChaosConfig, ChaosTransport, EmulatedLink, Frame,
+    FrameChannel, LinkSpec, LoadEnv, Message, ProtocolError, ServerFaultSpec, ServerTuning,
+    SocketServer, StallWindow, TcpFrameChannel, Telemetry,
 };
-use lp_profiler::PredictionModels;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-
-fn models() -> &'static (PredictionModels, PredictionModels) {
-    static MODELS: OnceLock<(PredictionModels, PredictionModels)> = OnceLock::new();
-    MODELS.get_or_init(|| loadpart::system::trained_models(150, 42))
-}
-
-/// Short deadlines and no backoff sleeps — the same tuning as the
-/// fault-tolerance suite, so the scenarios mirror frame for frame.
-fn fast_client(graph: lp_graph::ComputationGraph) -> ThreadedClient {
-    let (user, edge) = models();
-    ThreadedClient::with_config(
-        graph,
-        user,
-        edge,
-        EngineConfig {
-            io_timeout: Duration::from_millis(100),
-            retry_backoff: Duration::ZERO,
-            ..EngineConfig::default()
-        },
-    )
-    .expect("valid config")
-}
-
-const N: usize = 27; // alexnet node count: p == N means fully local
-
-/// A plain link over `chan` that executes the client-side fault `plan`.
-fn faulty(chan: &TcpFrameChannel, plan: FaultPlan) -> EmulatedLink<&TcpFrameChannel> {
-    EmulatedLink::new(
-        chan,
-        LinkSpec {
-            faults: plan,
-            ..LinkSpec::default()
-        },
-    )
-}
+use wire_faults::{fast_client, models, Rig, N};
 
 /// An alexnet server behind a loopback TCP socket, plus one connected
 /// client channel.
@@ -81,85 +49,37 @@ fn offloads_end_to_end_over_tcp() {
     assert_eq!(sock.shutdown(), Ok(3), "all three suffixes ran remotely");
 }
 
-/// Mirror of `dropped_offload_request_is_absorbed_by_a_retry`, with the
-/// fault plan wrapping the TCP channel instead of the in-process one.
+/// A socket server and the client's connection to it.
+impl Rig for (SocketServer, TcpFrameChannel) {
+    fn chan(&self) -> &dyn FrameChannel {
+        &self.1
+    }
+
+    fn shutdown(self) -> Result<u64, ProtocolError> {
+        self.0.shutdown()
+    }
+}
+
 #[test]
 fn dropped_offload_request_is_absorbed_by_a_retry_over_tcp() {
-    let (sock, chan) = tcp_server(1.0);
-    let mut client = fast_client(lp_models::alexnet(1));
-    let plan = FaultPlan::new().on_send(2, FaultAction::Drop);
-    let inj = faulty(&chan, plan);
-    let r = client.infer(&inj, 8.0).expect("absorbed");
-    assert!(r.offloaded(), "retry must complete the offload");
-    assert!(!r.fallback_local);
-    assert_eq!(r.retries, 1, "exactly one resend");
-    assert_eq!(inj.faults_injected(), 1);
-    assert_eq!(sock.shutdown(), Ok(1));
+    wire_faults::dropped_offload_request_is_absorbed_by_a_retry(tcp_server(1.0));
 }
 
-/// Mirror of `persistent_drops_degrade_locally_then_recover`: the same
-/// fallback, cooldown and recovery sequence over a real socket.
 #[test]
 fn persistent_drops_degrade_locally_then_recover_over_tcp() {
-    let (sock, chan) = tcp_server(1.0);
-    let mut client = fast_client(lp_models::alexnet(1));
-    let plan = FaultPlan::new()
-        .on_send(2, FaultAction::Drop)
-        .on_send(3, FaultAction::Drop)
-        .on_send(4, FaultAction::Drop);
-    let inj = faulty(&chan, plan);
-
-    let r0 = client.infer(&inj, 8.0).expect("no panic");
-    assert!(
-        r0.fallback_local,
-        "exhausted retries must fall back locally"
-    );
-    assert!(r0.p < N && r0.uploaded_bytes > 0, "fault hit mid-offload");
-    assert_eq!(r0.retries, 2, "default budget: 2 retries, 3 attempts");
-
-    let r1 = client.infer(&inj, 8.0).expect("no panic");
-    assert_eq!((r1.p, r1.fallback_local, r1.retries), (N, false, 0));
-
-    let r2 = client.infer(&inj, 8.0).expect("no panic");
-    assert!(r2.offloaded() && !r2.fallback_local, "{r2:?}");
-    assert_eq!(sock.shutdown(), Ok(1), "only the recovered request arrived");
+    wire_faults::persistent_drops_degrade_locally_then_recover(tcp_server(1.0));
 }
 
-/// Mirror of `reply_delayed_past_the_deadline_is_recovered_as_stale`.
 #[test]
 fn delayed_reply_is_recovered_as_stale_over_tcp() {
-    let (sock, chan) = tcp_server(1.0);
-    let mut client = fast_client(lp_models::alexnet(1));
-    let plan = FaultPlan::new().on_recv(2, FaultAction::Delay);
-    let inj = faulty(&chan, plan);
-    let r0 = client.infer(&inj, 8.0).expect("no panic");
-    assert!(r0.offloaded() && !r0.fallback_local);
-    assert_eq!(r0.retries, 1, "one timed-out exchange");
-    let r1 = client.infer(&inj, 8.0).expect("stale frame skipped");
-    assert!(r1.offloaded() && !r1.fallback_local);
-    assert_eq!(r1.retries, 0);
-    assert_eq!(
-        sock.shutdown(),
-        Ok(3),
-        "request 0 twice (retry) + request 1"
-    );
+    wire_faults::reply_delayed_past_the_deadline_is_recovered_as_stale(tcp_server(1.0));
 }
 
-/// Mirror of `corrupt_frames_in_both_directions_are_retried`: corruption
-/// now actually crosses the socket and is rejected by the peer's decoder.
+/// Corruption actually crosses the socket and is rejected by the peer's
+/// decoder.
 #[test]
 fn corrupt_frames_in_both_directions_are_retried_over_tcp() {
-    let (sock, chan) = tcp_server(1.0);
-    let mut client = fast_client(lp_models::alexnet(1));
-    let plan = FaultPlan::new()
-        .on_send(1, FaultAction::Corrupt)
-        .on_recv(3, FaultAction::Corrupt);
-    let inj = faulty(&chan, plan);
-    let r = client.infer(&inj, 8.0).expect("no panic");
-    assert!(r.offloaded() && !r.fallback_local, "{r:?}");
-    assert_eq!(r.retries, 2, "one refresh retry + one offload retry");
-    assert_eq!(inj.faults_injected(), 2);
-    assert_eq!(sock.shutdown(), Ok(2), "original + retried offload");
+    wire_faults::corrupt_frames_in_both_directions_are_retried(tcp_server(1.0));
 }
 
 /// The transport's own failure mode: a dead server surfaces as
@@ -368,8 +288,11 @@ fn chaos_soak_report_is_identical_over_tcp_and_channels() {
     let cfg = ChaosConfig {
         n_clients: 4,
         rounds: 20,
-        spike_start: 5,
-        spike_rounds: 5,
+        spike: Window {
+            server: 0,
+            start: 5,
+            rounds: 5,
+        },
         ..ChaosConfig::default()
     };
     let channel = chaos_run(&graph, user, edge, &cfg, &Telemetry::disabled()).expect("valid");
@@ -384,7 +307,7 @@ fn chaos_soak_report_is_identical_over_tcp_and_channels() {
     );
     assert_eq!(tcp.clients, channel.clients);
     assert_eq!(tcp.spike_sheds, channel.spike_sheds);
-    assert_eq!(tcp.server_served, channel.server_served);
+    assert_eq!(tcp.servers, channel.servers);
 }
 
 /// `u32-le len ++ encoding`: the bytes a raw peer writes for `msg`.
