@@ -1,6 +1,9 @@
 //! The §III-A partition cache: cold partitioning cost vs a cached lookup
 //! (the paper amortises the former to ~1% of inference time over 100
-//! requests).
+//! requests). `cold_partition_p0/inception_v3_314` is the co-simulation's
+//! partition-cache miss: each `cosim_shared_gpu` client's engine decides
+//! `p = 0` and, once per episode, extracts all of InceptionV3 as the
+//! server side.
 
 use loadpart::PartitionCache;
 use lp_bench::timing::{bench, group};
@@ -27,4 +30,10 @@ fn main() {
             )
         });
     }
+
+    let graph = lp_models::inception_v3(1);
+    bench(
+        &format!("cold_partition_p0/inception_v3_{}", graph.len()),
+        || black_box(partition_at(black_box(&graph), 0).expect("valid p")),
+    );
 }

@@ -25,7 +25,9 @@
 //! spans as JSONL); `chaos` runs the chaos soak in one of its two presets.
 //! The default is the overload-protection soak — N clients through a
 //! scripted GPU load spike against one admission-controlled server, with
-//! per-client shed/breaker outcomes and the metrics registry; `--cluster`
+//! per-client shed/breaker outcomes and the metrics registry (its
+//! wall-clock means left out, so a seeded soak prints the same report on
+//! every run); `--cluster`
 //! is the multi-server preset — a heterogeneous fleet, a scripted
 //! mid-soak outage on the preferred server and a later load spike on it,
 //! asserting that traffic migrates to the other servers, nothing is lost,
@@ -582,7 +584,7 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<String, String> {
         &telemetry
             .snapshot()
             .expect("telemetry is enabled")
-            .render_table(),
+            .render_replayable_table(),
     );
     Ok(out)
 }
@@ -692,7 +694,7 @@ fn cmd_chaos_cluster(flags: &HashMap<String, String>) -> Result<String, String> 
         &telemetry
             .snapshot()
             .expect("telemetry is enabled")
-            .render_table(),
+            .render_replayable_table(),
     );
     Ok(out)
 }

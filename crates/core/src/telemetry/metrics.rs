@@ -57,6 +57,11 @@ pub const LATENCY_BUCKETS_SECS: [f64; 11] = [
 /// up to 10 ms (Algorithm 1 is O(n); anything slower is a regression).
 pub const DECISION_BUCKETS_SECS: [f64; 8] = [1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 1e-2];
 
+/// The histograms that observe wall-clock seconds; every other one
+/// observes logical (simulated) time. On one seed their counts replay but
+/// their values depend on the host.
+pub const WALL_CLOCK_HISTOGRAMS: [&str; 1] = ["engine.decision_seconds"];
+
 #[derive(Debug)]
 struct HistogramInner {
     /// Ascending upper bounds; an implicit +inf bucket follows the last.
@@ -264,9 +269,23 @@ impl MetricsSnapshot {
     }
 
     /// Renders the snapshot as an aligned text table (the `loadpart
-    /// report` output).
+    /// report` output). A [wall-clock histogram](WALL_CLOCK_HISTOGRAMS)'s
+    /// row says so after its mean.
     #[must_use]
     pub fn render_table(&self) -> String {
+        self.render(true)
+    }
+
+    /// [`render_table`](Self::render_table) without wall-clock values: a
+    /// wall-clock histogram's row keeps its count but not its mean, so a
+    /// seeded run prints the same table on any host (the `loadpart chaos`
+    /// output).
+    #[must_use]
+    pub fn render_replayable_table(&self) -> String {
+        self.render(false)
+    }
+
+    fn render(&self, wall_clock_means: bool) -> String {
         let mut out = String::new();
         if !self.counters.is_empty() {
             out.push_str("counters:\n");
@@ -283,12 +302,14 @@ impl MetricsSnapshot {
         if !self.histograms.is_empty() {
             out.push_str("histograms:                                       count      mean ms\n");
             for (name, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "  {name:40} {:>12} {:>12.3}",
-                    h.count,
-                    h.mean_secs() * 1e3
-                );
+                let wall_clock = WALL_CLOCK_HISTOGRAMS.contains(&name.as_str());
+                let mean_ms = if wall_clock && !wall_clock_means {
+                    "-".to_string()
+                } else {
+                    format!("{:.3}", h.mean_secs() * 1e3)
+                };
+                let label = if wall_clock { "  (wall clock)" } else { "" };
+                let _ = writeln!(out, "  {name:40} {:>12} {mean_ms:>12}{label}", h.count);
             }
         }
         out
@@ -371,5 +392,57 @@ mod tests {
         assert!(table.contains("engine.requests_total"), "{table}");
         assert!(table.contains("profile.k"), "{table}");
         assert!(table.contains("engine.device_seconds"), "{table}");
+    }
+
+    /// A registry with one logical and one wall-clock histogram, the
+    /// latter fed `decision_secs`.
+    fn soak_snapshot(decision_secs: &[f64]) -> MetricsSnapshot {
+        let reg = MetricsRegistry::new();
+        reg.counter("engine.requests_total").incr(2);
+        reg.histogram("engine.device_seconds", &LATENCY_BUCKETS_SECS)
+            .observe(0.163_103);
+        let decisions = reg.histogram(WALL_CLOCK_HISTOGRAMS[0], &DECISION_BUCKETS_SECS);
+        for &secs in decision_secs {
+            decisions.observe(secs);
+        }
+        reg.snapshot()
+    }
+
+    /// The whitespace-separated fields of `name`'s row in `table`.
+    fn row<'a>(table: &'a str, name: &str) -> Vec<&'a str> {
+        table
+            .lines()
+            .map(|line| line.split_whitespace().collect::<Vec<_>>())
+            .find(|fields| fields.first() == Some(&name))
+            .unwrap_or_else(|| panic!("no {name} row in\n{table}"))
+    }
+
+    #[test]
+    fn replayable_table_drops_only_wall_clock_values() {
+        // One host rounds the decision mean to 0.000 ms, a slower one to
+        // 0.001 ms.
+        let fast = soak_snapshot(&[4e-7, 4e-7]);
+        let slow = soak_snapshot(&[6e-7, 6e-7]);
+        assert_ne!(fast, slow);
+        let replayable = fast.render_replayable_table();
+        assert_eq!(replayable, slow.render_replayable_table());
+        let decisions = WALL_CLOCK_HISTOGRAMS[0];
+        assert_eq!(
+            row(&replayable, decisions)[1..],
+            ["2", "-", "(wall", "clock)"]
+        );
+        assert_eq!(
+            row(&replayable, "engine.device_seconds")[1..],
+            ["1", "163.103"]
+        );
+        // The full table keeps the mean, labelled.
+        assert_eq!(
+            row(&fast.render_table(), decisions)[1..],
+            ["2", "0.000", "(wall", "clock)"]
+        );
+        assert_eq!(
+            row(&slow.render_table(), decisions)[1..],
+            ["2", "0.001", "(wall", "clock)"]
+        );
     }
 }

@@ -151,6 +151,12 @@ impl SegmentGraph {
 /// Extracts a segment of the topological order into a [`SegmentGraph`]
 /// (Figure 5).
 ///
+/// Node `pos` of the segment is local node `pos - start`, and a value from
+/// before the segment is looked up by its producer's position, so the
+/// extraction hashes nothing. The graph is in topological order, so every
+/// consumer of a segment value comes after its producer: "used outside"
+/// is "used after `end`", which one pass over the later nodes marks.
+///
 /// # Errors
 ///
 /// Returns [`GraphError::DanglingOutput`] if the segment range exceeds the
@@ -163,22 +169,23 @@ pub fn extract_segment(
         return Err(GraphError::DanglingOutput);
     }
     let mut parameters: Vec<SegParameter> = Vec::new();
-    let mut param_of: std::collections::HashMap<ValueId, usize> = std::collections::HashMap::new();
-    let mut local_of: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-    let mut nodes: Vec<SegNode> = Vec::new();
+    // `param_of[q]`: the Parameter standing in for the value produced at
+    // position `q < start` (0 = the graph input), once one exists.
+    let mut param_of: Vec<Option<usize>> = vec![None; segment.start];
+    let mut nodes: Vec<SegNode> = Vec::with_capacity(segment.len());
 
-    for pos in segment.start..=segment.end {
-        let id = NodeId(pos);
-        let n = graph.node(id);
-        let mut inputs = Vec::with_capacity(n.inputs.len());
-        for &v in &n.inputs {
-            let ppos = v.producer_position();
-            let sv = if segment.contains(ppos) {
-                SegValue::Node(local_of[&ppos])
-            } else {
+    for n in &graph.nodes()[segment.start - 1..segment.end] {
+        let inputs = n
+            .inputs
+            .iter()
+            .map(|&v| {
+                let ppos = v.producer_position();
+                if ppos >= segment.start {
+                    return SegValue::Node(ppos - segment.start);
+                }
                 // Step 1 of Figure 5: generate a Parameter for each direct
                 // predecessor outside the segment.
-                let idx = *param_of.entry(v).or_insert_with(|| {
+                let idx = *param_of[ppos].get_or_insert_with(|| {
                     let name = match v {
                         ValueId::Input => "param_input".to_string(),
                         ValueId::Node(nid) => format!("param_L{}", nid.position()),
@@ -191,10 +198,8 @@ pub fn extract_segment(
                     parameters.len() - 1
                 });
                 SegValue::Param(idx)
-            };
-            inputs.push(sv);
-        }
-        local_of.insert(pos, nodes.len());
+            })
+            .collect();
         nodes.push(SegNode {
             name: n.name.clone(),
             kind: n.kind,
@@ -203,20 +208,25 @@ pub fn extract_segment(
         });
     }
 
-    // Step 2: outputs are values produced inside and consumed outside, plus
-    // the designated graph output when it lives in the segment.
-    let consumers = graph.consumer_table();
-    let mut outputs = Vec::new();
-    for pos in segment.start..=segment.end {
-        let v = ValueId::Node(NodeId(pos));
-        let used_outside = consumers[pos]
-            .iter()
-            .any(|c| !segment.contains(c.position()));
-        let is_graph_output = graph.output_value() == v;
-        if used_outside || is_graph_output {
-            outputs.push((SegValue::Node(local_of[&pos]), v));
+    // Step 2: outputs are values produced inside and consumed after the
+    // segment, plus the designated graph output when it lives in it.
+    let mut is_output = vec![false; segment.len()];
+    let later_inputs = graph.nodes()[segment.end..].iter().flat_map(|n| &n.inputs);
+    for v in later_inputs.chain([&graph.output_value()]) {
+        let ppos = v.producer_position();
+        if segment.contains(ppos) {
+            is_output[ppos - segment.start] = true;
         }
     }
+    let outputs = (segment.start..=segment.end)
+        .filter(|&pos| is_output[pos - segment.start])
+        .map(|pos| {
+            (
+                SegValue::Node(pos - segment.start),
+                ValueId::Node(NodeId(pos)),
+            )
+        })
+        .collect();
     Ok(SegmentGraph {
         segment,
         parameters,

@@ -83,6 +83,7 @@ impl SimDuration {
     /// Constructs from float seconds, rounding to nanoseconds and
     /// saturating below zero.
     #[must_use]
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         Self(round_to_u64(s.max(0.0) * 1e9))
     }
@@ -147,14 +148,22 @@ impl SimDuration {
 /// compiles to on the default x86-64 target. Below 2^52 an `f64` can
 /// carry a fraction: the truncating cast takes the integer part, and
 /// `y - t` is exact there, so comparing it with one half rounds half away
-/// from zero as `round` does (negative `y` and `-0.0` give 0 either way).
-/// From 2^52 up every `f64` is an integer, so the saturating cast alone
-/// agrees, as it does on NaN (0) and infinities.
+/// from zero as `round` does; negative results (and `-0.0`) clamp to 0 as
+/// the saturating `round() as u64` does. From 2^52 up every `f64` is an
+/// integer, so the saturating cast alone agrees, as it does on NaN (0) and
+/// infinities.
+///
+/// The fractional branch casts through `i64`, not `u64`: every `y` it
+/// sees is below 2^52, so the signed casts are exact, and on x86-64
+/// without AVX-512 each is one instruction where an unsigned cast is a
+/// multi-instruction sequence. A co-simulated suffix rounds once per
+/// kernel, so this sits on the hottest path of a request.
+#[inline]
 fn round_to_u64(y: f64) -> u64 {
     const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
     if y < TWO_POW_52 {
-        let t = y as u64;
-        t + u64::from(y - t as f64 >= 0.5)
+        let t = y as i64;
+        (t + i64::from(y - t as f64 >= 0.5)).max(0) as u64
     } else {
         y as u64
     }
@@ -231,8 +240,10 @@ mod tests {
 
     /// Edge inputs, every x.5 half-way point below 2^16 and next to each
     /// power of two up to 2^53 with the floats on either side, the powers
-    /// 2^52, 2^53 and 2^64 with theirs, random bit patterns and random
-    /// magnitudes up to 2^70.
+    /// 2^52, 2^53 and 2^64 with theirs, random bit patterns, random
+    /// magnitudes up to 2^70, and random values in [2^51, 2^52) (the
+    /// signed cast's top binade, where one half is the ulp) with their
+    /// negatives (where the clamp to 0 acts).
     fn rounding_inputs() -> Vec<f64> {
         use rand::rngs::StdRng;
         use rand::{Rng, RngCore, SeedableRng};
@@ -267,6 +278,10 @@ mod tests {
             ys.push(f64::from_bits(rng.next_u64()));
             let magnitude = 2f64.powi(rng.gen_range(0u32..70) as i32);
             ys.push(rng.gen_range(0.0..magnitude));
+        }
+        for _ in 0..20_000 {
+            let y = rng.gen_range(2f64.powi(51)..2f64.powi(52));
+            ys.extend([y, -y]);
         }
         ys
     }

@@ -3,14 +3,16 @@
 //! zoo network and seeded random node ranges, a table draws exactly the
 //! durations the per-node `sample` loop over the model draws, and leaves
 //! the RNG in exactly the same state — so every co-simulated record stays
-//! bit-identical.
+//! bit-identical. A last test pins one suffix's draws to recorded
+//! nanoseconds, so a change to how a draw is converted or rounded fails
+//! by name.
 
 use lp_graph::{ComputationGraph, NodeKind};
 use lp_hardware::{DeviceModel, GpuModel, NodeTimes};
 use lp_sim::SimDuration;
 use lp_tensor::TensorDesc;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Random ranges drawn per network, besides the empty, prefix-only and
 /// full ones.
@@ -105,4 +107,37 @@ fn table_sampling_replays_the_per_node_model_loop() {
             }
         }
     }
+}
+
+/// All 314 of InceptionV3's GPU-kernel draws at `p = 0`, as a co-simulated
+/// suffix makes them, from one fixed noise seed. Selected draws, their
+/// total and the stream's next word are recorded values: a change to how
+/// a draw is converted, scaled or rounded moves them, and with them every
+/// co-simulated record. Draws 26 and 45 leave the ziggurat's fast path
+/// (three words each), 70 and 238 pass its wedge test (two words each), so
+/// the stream is 320 words long.
+#[test]
+fn inception_v3_suffix_draws_keep_their_recorded_nanoseconds() {
+    let graph = lp_models::inception_v3(1);
+    let table = GpuModel::default().node_times(&graph);
+    assert_eq!(table.len(), 314);
+    let mut noise = StdRng::seed_from_u64(0x5EED);
+    let ns: Vec<u64> = table
+        .sample(0..table.len(), &mut noise)
+        .map(SimDuration::as_nanos)
+        .collect();
+    let recorded = [
+        (0, 45_997),
+        (3, 259_887),
+        (26, 88_273),
+        (45, 22_218),
+        (70, 24_070),
+        (238, 20_960),
+        (313, 20_267),
+    ];
+    for (i, want) in recorded {
+        assert_eq!(ns[i], want, "kernel draw {i}");
+    }
+    assert_eq!(ns.iter().sum::<u64>(), 39_874_447, "total of the 314 draws");
+    assert_eq!(noise.next_u64(), 0xb432_00f7_4b49_0a87, "words consumed");
 }
