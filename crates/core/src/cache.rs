@@ -1,21 +1,29 @@
-//! The partition cache (§III-A).
+//! The device-side partition cache (§III-A).
 //!
 //! Partitioning a graph and preparing the runtime costs real time; the
 //! paper amortises it with a cache keyed by the partition point (≈1% of
-//! inference time when amortised over 100 requests). The cache is shared
-//! between the offloading main thread and the runtime-profiler thread (and
-//! across clients on the server side), so entries and statistics live
-//! under **one** mutex: each lookup's hit/miss verdict is decided at the
-//! same instant it is counted, and the caller gets that verdict back
-//! directly instead of having to diff global counters (which misreports as
-//! soon as another thread touches the cache in between).
+//! inference time when amortised over 100 requests). The cache serves the
+//! device, which runs `L_1..L_p`, so an entry is only that side of the
+//! partition (Figure 5's extraction of the prefix), and nothing at
+//! `p = 0`, where the device runs no layer. The server side is not
+//! extracted here: the co-simulated server samples a node-time table and
+//! the wire server reads a suffix-time table, and the crossing tensors'
+//! bytes are the solver's transmission series.
+//!
+//! The cache is shared between the offloading main thread and the
+//! runtime-profiler thread, so entries and statistics live under **one**
+//! mutex: each lookup's hit/miss verdict is decided at the same instant it
+//! is counted, and the caller gets that verdict back directly instead of
+//! having to diff global counters (which misreports as soon as another
+//! thread touches the cache in between).
 //!
 //! The map and its counters remain internally consistent even if a holder
 //! of the lock panics (no multi-step invariant spans an unlock), so every
 //! accessor recovers a poisoned guard and keeps serving — one panicking
-//! client thread must not take partitioning down for the whole server.
+//! thread must not take partitioning down for the others.
 
-use lp_graph::{partition::partition_at, ComputationGraph, GraphError, PartitionedGraph};
+use lp_graph::partition::{extract_segment, Segment, SegmentGraph};
+use lp_graph::{ComputationGraph, GraphError};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -25,7 +33,7 @@ use std::sync::{Arc, Mutex};
 pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that had to partition the graph.
+    /// Lookups that had to extract the device side.
     pub misses: u64,
 }
 
@@ -44,11 +52,23 @@ impl CacheStats {
 
 #[derive(Debug, Default)]
 struct Inner {
-    entries: HashMap<usize, Arc<PartitionedGraph>>,
+    /// `L_1..L_p` by partition point; `None` at `p = 0`.
+    entries: HashMap<usize, Option<Arc<SegmentGraph>>>,
     stats: CacheStats,
 }
 
-/// A partition cache for one DNN: partition point -> partitioned graph.
+/// The device side `L_1..L_p` of `graph`'s partition at `p`: what
+/// [`partition_at`](lp_graph::partition::partition_at) returns as its
+/// `device`, without extracting the server side.
+fn device_side(graph: &ComputationGraph, p: usize) -> Result<Option<SegmentGraph>, GraphError> {
+    if p == 0 {
+        return Ok(None);
+    }
+    extract_segment(graph, Segment::new(1, p)).map(Some)
+}
+
+/// A partition cache for one DNN: partition point -> the device side of
+/// the partition there.
 #[derive(Debug, Default)]
 pub struct PartitionCache {
     inner: Mutex<Inner>,
@@ -63,44 +83,44 @@ impl PartitionCache {
         }
     }
 
-    /// Returns the partition at `p` plus whether the lookup was a cache
-    /// hit, computing and caching the partition on a miss.
+    /// Returns the device side of the partition at `p` plus whether the
+    /// lookup was a cache hit, extracting and caching it on a miss.
     ///
-    /// Concurrent misses on the same `p` race on the partitioning work
-    /// (done outside the lock) but settle under the lock: exactly one
-    /// caller counts the miss and inserts; the losers count hits and get
-    /// the winner's entry.
+    /// Concurrent misses on the same `p` race on the extraction (done
+    /// outside the lock) but settle under the lock: exactly one caller
+    /// counts the miss and inserts; the losers count hits and get the
+    /// winner's entry.
     ///
     /// # Errors
     ///
     /// Propagates [`GraphError`] when `p` is out of range for the graph.
-    pub fn get_or_partition(
+    pub fn get_or_extract(
         &self,
         graph: &ComputationGraph,
         p: usize,
-    ) -> Result<(Arc<PartitionedGraph>, bool), GraphError> {
+    ) -> Result<(Option<Arc<SegmentGraph>>, bool), GraphError> {
         {
             let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
             let Inner { entries, stats } = &mut *guard;
             if let Some(found) = entries.get(&p) {
                 stats.hits += 1;
-                return Ok((Arc::clone(found), true));
+                return Ok((found.clone(), true));
             }
         }
-        // Partition outside the lock; losers of an insertion race discard
+        // Extract outside the lock; losers of an insertion race discard
         // their copy below.
-        let part = Arc::new(partition_at(graph, p)?);
+        let side = device_side(graph, p)?.map(Arc::new);
         let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let Inner { entries, stats } = &mut *guard;
         match entries.entry(p) {
             Entry::Occupied(e) => {
                 stats.hits += 1;
-                Ok((Arc::clone(e.get()), true))
+                Ok((e.get().clone(), true))
             }
             Entry::Vacant(v) => {
                 stats.misses += 1;
-                v.insert(Arc::clone(&part));
-                Ok((part, false))
+                v.insert(side.clone());
+                Ok((side, false))
             }
         }
     }
@@ -111,7 +131,8 @@ impl PartitionCache {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).stats
     }
 
-    /// Number of cached partitions.
+    /// Number of cached partition points (`p = 0`, with no device side,
+    /// counts as one once looked up).
     #[must_use]
     pub fn len(&self) -> usize {
         self.inner
@@ -131,7 +152,7 @@ impl PartitionCache {
             .is_empty()
     }
 
-    /// Drops all cached partitions (e.g. on a model update).
+    /// Drops all cached entries (e.g. on a model update).
     pub fn clear(&self) {
         self.inner
             .lock()
@@ -169,9 +190,9 @@ mod tests {
     fn first_lookup_misses_then_hits() {
         let g = tiny();
         let cache = PartitionCache::new();
-        let (a, hit_a) = cache.get_or_partition(&g, 1).unwrap();
-        let (b, hit_b) = cache.get_or_partition(&g, 1).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
+        let (a, hit_a) = cache.get_or_extract(&g, 1).unwrap();
+        let (b, hit_b) = cache.get_or_extract(&g, 1).unwrap();
+        assert!(Arc::ptr_eq(&a.unwrap(), &b.unwrap()));
         assert!(!hit_a, "first lookup must miss");
         assert!(hit_b, "second lookup must hit");
         let s = cache.stats();
@@ -184,7 +205,7 @@ mod tests {
         let g = tiny();
         let cache = PartitionCache::new();
         for p in 0..=g.len() {
-            cache.get_or_partition(&g, p).unwrap();
+            cache.get_or_extract(&g, p).unwrap();
         }
         assert_eq!(cache.len(), g.len() + 1);
         assert_eq!(cache.stats().misses, (g.len() + 1) as u64);
@@ -196,7 +217,7 @@ mod tests {
         let g = tiny();
         let cache = PartitionCache::new();
         for _ in 0..100 {
-            cache.get_or_partition(&g, 1).unwrap();
+            cache.get_or_extract(&g, 1).unwrap();
         }
         assert!(cache.stats().hit_ratio() >= 0.99);
     }
@@ -205,7 +226,7 @@ mod tests {
     fn out_of_range_propagates_error() {
         let g = tiny();
         let cache = PartitionCache::new();
-        assert!(cache.get_or_partition(&g, 99).is_err());
+        assert!(cache.get_or_extract(&g, 99).is_err());
         assert!(cache.is_empty());
     }
 
@@ -213,7 +234,7 @@ mod tests {
     fn clear_resets_entries_not_stats() {
         let g = tiny();
         let cache = PartitionCache::new();
-        cache.get_or_partition(&g, 0).unwrap();
+        cache.get_or_extract(&g, 0).unwrap();
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().misses, 1);
@@ -233,9 +254,9 @@ mod tests {
         assert!(std::thread::spawn(move || poisoner.lock_and_panic())
             .join()
             .is_err());
-        let (_, hit) = cache.get_or_partition(&g, 1).expect("still serving");
+        let (_, hit) = cache.get_or_extract(&g, 1).expect("still serving");
         assert!(!hit, "fresh entry after the poisoning panic");
-        let (_, hit) = cache.get_or_partition(&g, 1).expect("still serving");
+        let (_, hit) = cache.get_or_extract(&g, 1).expect("still serving");
         assert!(hit);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
@@ -261,7 +282,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut hits = 0u64;
                 for p in 0..=g.len() {
-                    let (_, hit) = cache.get_or_partition(&g, p).unwrap();
+                    let (_, hit) = cache.get_or_extract(&g, p).unwrap();
                     hits += u64::from(hit);
                 }
                 hits

@@ -37,7 +37,8 @@ use std::time::{Duration, Instant};
 
 /// Device execution by sampling the graph's device node-time table
 /// ([`DeviceModel::node_times`](lp_hardware::DeviceModel::node_times)),
-/// one draw per node.
+/// one draw per node, summed as they are drawn
+/// ([`NodeTimes::sample_sum`]).
 #[derive(Debug)]
 pub struct SimulatedDevice<'a> {
     /// The user-end device's node-time table for the engine's graph.
@@ -53,7 +54,7 @@ impl DeviceExecutor for SimulatedDevice<'_> {
         rng: &mut StdRng,
     ) -> SimDuration {
         assert_eq!(self.times.len(), graph.len(), "table of another graph");
-        self.times.sample(from..to, rng).sum()
+        self.times.sample_sum(from..to, rng)
     }
 }
 
@@ -117,7 +118,9 @@ impl Transport for LinkTransport<'_> {
 /// A client's view of the co-simulated [`EdgeServer`], built by
 /// [`EdgeServer::backend`]: suffix kernels are sampled from the client
 /// graph's edge kernel-time table
-/// ([`GpuModel::node_times`](lp_hardware::GpuModel::node_times)) and
+/// ([`GpuModel::node_times`](lp_hardware::GpuModel::node_times)) into the
+/// kernel buffer of the context's last finished task
+/// ([`GpuSim::kernel_buffer`](lp_hardware::GpuSim::kernel_buffer)) and
 /// submitted to the server GPU's real queueing in the client's context;
 /// `k` comes from the server's tracker, which every view shares, and the
 /// server's watchdog polls it on every request.
@@ -157,7 +160,9 @@ impl ServerBackend for GpuBackend<'_> {
         // client engine's: what a server draws for a suffix depends only
         // on which request it is.
         let mut noise = StdRng::seed_from_u64(req.noise_seed);
-        let kernels: Vec<SimDuration> = self.kernel_times.sample(req.p..n, &mut noise).collect();
+        let mut kernels = server.gpu.kernel_buffer(self.ctx);
+        self.kernel_times
+            .sample_into(req.p..n, &mut noise, &mut kernels);
         // advance_to can overshoot a slice boundary; the request becomes
         // visible to the scheduler at the GPU's current instant (the gap
         // is genuine queueing behind the in-flight kernel).
@@ -173,6 +178,7 @@ impl ServerBackend for GpuBackend<'_> {
             if let AdmissionDecision::Reject { retry_after } =
                 admission.assess(submit_at, predicted.scale(k))
             {
+                server.gpu.recycle(self.ctx, kernels);
                 return Ok(SuffixOutcome::Rejected { retry_after, k });
             }
         }

@@ -9,8 +9,8 @@
 //!    bandwidth probe + `k` fetch, §IV);
 //! 2. pick the partition point with the installed
 //!    [`PartitionPolicy`] (Algorithm 1 for LoADPart);
-//! 3. fetch the partitioned graph from the device-side partition cache
-//!    (§III-A);
+//! 3. fetch the device side `L_1..L_p` from the device-side partition
+//!    cache (§III-A);
 //! 4. execute `L_1..L_p` on the device, upload the crossing tensors, hand
 //!    the suffix to the server;
 //! 5. when the suffix completes, report the observed server time to the
@@ -400,8 +400,8 @@ pub struct OffloadEngine {
     metrics: Option<EngineMetrics>,
     /// Quantized transmission series per narrow precision, built lazily
     /// the first time a policy negotiates that width (indexed in
-    /// [`Precision::NARROW`] order). Fp32 stays on the partition's raw
-    /// byte count, so fp32-only runs never touch this.
+    /// [`Precision::NARROW`] order). Fp32 stays on the solver's raw
+    /// transmission series, so fp32-only runs never touch this.
     quant_tx: [Option<Vec<u64>>; 3],
     /// splitmix64 state for backoff jitter — deliberately separate from
     /// `rng` so jitter draws never perturb measurement sampling (and thus
@@ -555,9 +555,9 @@ impl OffloadEngine {
         &self.telemetry
     }
 
-    /// Wire bytes for the cut at `p` at `precision`: the partition's raw
-    /// fp32 bytes, or the packed size from the lazily built quantized
-    /// series (scale headers included).
+    /// Wire bytes for the cut at `p` at `precision`: the cut's raw fp32
+    /// bytes, or the packed size from the lazily built quantized series
+    /// (scale headers included).
     fn wire_upload_bytes(&mut self, p: usize, precision: Precision, raw: u64) -> u64 {
         let Some(idx) = Precision::NARROW.iter().position(|&q| q == precision) else {
             return raw;
@@ -1056,9 +1056,12 @@ impl OffloadEngine {
         let p = decision.p;
         let precision = decision.precision;
 
-        let (partition, cache_hit) = self
+        // The device side `L_1..L_p` the prefix runs as. The device
+        // executor samples a node-time table rather than reading it: the
+        // lookup is the §III-A cache's hit or miss.
+        let (_device_side, cache_hit) = self
             .device_cache
-            .get_or_partition(&self.graph, p)
+            .get_or_extract(&self.graph, p)
             .expect("decision p in range");
 
         if let Some(m) = &self.metrics {
@@ -1116,7 +1119,7 @@ impl OffloadEngine {
             return Ok(AttemptOutcome::Complete(record));
         }
 
-        let raw_bytes = partition.upload_bytes(&self.graph);
+        let raw_bytes = self.solver.transmission()[p];
         let upload_bytes = self.wire_upload_bytes(p, precision, raw_bytes);
         let upload_start = at + device_time;
         if precision != Precision::Fp32 {

@@ -6,7 +6,8 @@
 //! * [`algorithm`] — Problem (1) and Algorithm 1: the O(n) partition
 //!   decision over the topological order with prefix/suffix sums, the load
 //!   factor `k` multiplied onto the suffix sums at query time (§IV).
-//! * [`cache`] — the partition cache keyed by partition point (§III-A).
+//! * [`cache`] — the device-side partition cache keyed by partition point
+//!   (§III-A).
 //! * [`admission`] — server-side admission control: a bounded pending-work
 //!   budget over the `k`-scaled predicted suffix times; past it the server
 //!   sheds load with [`protocol::Message::Rejected`] instead of queueing.

@@ -307,6 +307,8 @@ pub fn multi_client_run_with_telemetry(
 
     let end = SimTime::ZERO + config.duration;
     let mut records = Vec::new();
+    // The tasks of the all-pending branch below, refilled in place.
+    let mut pending = Vec::with_capacity(config.n_clients);
 
     loop {
         // Drain completions first.
@@ -336,10 +338,12 @@ pub fn multi_client_run_with_telemetry(
             // for that client's next suffix (`submit_at = max(arrive,
             // gpu.now())`), so picking the first client would distort
             // every faster client's latency.
-            let pending: Vec<_> = clients
-                .iter()
-                .filter_map(|c| c.pending.as_ref().map(|p| p.task))
-                .collect();
+            pending.clear();
+            pending.extend(
+                clients
+                    .iter()
+                    .filter_map(|c| c.pending.as_ref().map(|p| p.task)),
+            );
             if pending.is_empty() {
                 break; // nothing pending, nothing scheduled
             }
@@ -384,8 +388,10 @@ pub fn multi_client_run_with_telemetry(
     // `MultiClientReport::records` documents completion order and
     // `settled_median_p` slices the second half of it, but the loop above
     // pushes local completions at issue order and drained GPU records at
-    // the end. Sort by completion time (ties broken deterministically).
-    records.sort_by_key(|r| (r.start + r.total, r.client, r.request_id));
+    // the end. Sort by completion time, ties broken by client and request
+    // id: no two records share that key, so the unstable sort's order is
+    // the stable sort's.
+    records.sort_unstable_by_key(|r| (r.start + r.total, r.client, r.request_id));
 
     let report = MultiClientReport {
         records,

@@ -16,6 +16,13 @@
 //! while a partition of many kernels gets interleaved with background
 //! slices and stretches — exactly the behaviour the load factor `k`
 //! captures.
+//!
+//! A finished task's kernel buffer goes back to its context, and the
+//! context's next task refills it: a client's suffix through
+//! [`GpuSim::kernel_buffer`], a generator's fire directly. A context keeps
+//! at most as many spare buffers as it can have tasks of its own queued
+//! (its generator's `max_outstanding`, else one), so a steady stream of
+//! submissions stops allocating once its first tasks have finished.
 
 use lp_sim::{lognormal_factor, EventQueue, SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -55,6 +62,11 @@ struct Task {
 #[derive(Debug)]
 struct Context {
     queue: VecDeque<Task>,
+    /// Kernel buffers of finished tasks, cleared on reuse.
+    spare: Vec<Vec<SimDuration>>,
+    /// Buffers this context had to create because `spare` was empty.
+    #[cfg(test)]
+    fresh_buffers: usize,
     generator: Option<Generator>,
     gen_waiting: bool,
     last_fire: SimTime,
@@ -69,6 +81,31 @@ struct Context {
 enum Arrival {
     Task(usize, u64, Vec<SimDuration>),
     GeneratorFire(usize, u64),
+}
+
+impl Context {
+    fn take_buffer(&mut self) -> Vec<SimDuration> {
+        match self.spare.pop() {
+            Some(mut kernels) => {
+                kernels.clear();
+                kernels
+            }
+            None => {
+                #[cfg(test)]
+                {
+                    self.fresh_buffers += 1;
+                }
+                Vec::new()
+            }
+        }
+    }
+
+    fn recycle(&mut self, kernels: Vec<SimDuration>) {
+        let keep = self.generator.as_ref().map_or(1, |g| g.max_outstanding);
+        if self.spare.len() < keep {
+            self.spare.push(kernels);
+        }
+    }
 }
 
 /// The GPU simulator. See the module docs for the scheduling model.
@@ -147,6 +184,9 @@ impl GpuSim {
     pub fn add_context(&mut self) -> usize {
         self.contexts.push(Context {
             queue: VecDeque::new(),
+            spare: Vec::new(),
+            #[cfg(test)]
+            fresh_buffers: 0,
             generator: None,
             gen_waiting: false,
             last_fire: SimTime::ZERO,
@@ -183,6 +223,22 @@ impl GpuSim {
         self.contexts[ctx].generator = None;
         self.contexts[ctx].gen_waiting = false;
         self.contexts[ctx].gen_epoch += 1;
+    }
+
+    /// An empty buffer for the next task submitted to `ctx`: the kernel
+    /// buffer of a task this context finished, with its capacity, or a new
+    /// one if it has none spare. Fill it and pass it to
+    /// [`GpuSim::submit`], or hand it back with [`GpuSim::recycle`].
+    pub fn kernel_buffer(&mut self, ctx: usize) -> Vec<SimDuration> {
+        self.contexts[ctx].take_buffer()
+    }
+
+    /// Hands a kernel buffer back to `ctx` for its next task: what the
+    /// simulator does with a finished task's kernels, and what a caller
+    /// does with a [`GpuSim::kernel_buffer`] it did not submit. Dropped
+    /// if the context already keeps as many spares as it can queue tasks.
+    pub fn recycle(&mut self, ctx: usize, kernels: Vec<SimDuration>) {
+        self.contexts[ctx].recycle(kernels);
     }
 
     /// Submits a task (sequence of kernel durations) to `ctx` at time `at`.
@@ -315,15 +371,17 @@ impl GpuSim {
             ctx.gen_waiting = true;
             return;
         }
-        let sigma = generator.noise_sigma;
         let period = generator.period;
-        let kernels: Vec<SimDuration> = generator
-            .kernels
-            .clone()
-            .into_iter()
-            .map(|k| k.scale(lognormal_factor(&mut self.rng, sigma)))
-            .collect();
-        self.contexts[ci].queue.push_back(Task {
+        let mut kernels = ctx.take_buffer();
+        let generator = ctx.generator.as_ref().expect("checked above");
+        let rng = &mut self.rng;
+        kernels.extend(
+            generator
+                .kernels
+                .iter()
+                .map(|&k| k.scale(lognormal_factor(rng, generator.noise_sigma))),
+        );
+        ctx.queue.push_back(Task {
             id: None,
             arrival: t,
             kernels,
@@ -383,12 +441,13 @@ impl GpuSim {
             self.now = SimTime::from_nanos(now);
             self.busy_ns = busy;
             if finished {
-                let task = self.contexts[ci].queue.pop_front().expect("front");
+                let ctx = &mut self.contexts[ci];
+                let task = ctx.queue.pop_front().expect("front");
                 if let Some(id) = task.id {
                     self.completions[id as usize] = Some((task.arrival, self.now));
                 }
+                ctx.recycle(task.kernels);
                 // Closed-loop generator re-arming.
-                let ctx = &mut self.contexts[ci];
                 if ctx.gen_waiting {
                     if let Some(generator) = ctx.generator.as_ref() {
                         ctx.gen_waiting = false;
@@ -708,6 +767,47 @@ mod tests {
         );
     }
 
+    #[test]
+    fn finished_tasks_hand_their_kernel_buffers_to_the_next_submission() {
+        let mut gpu = GpuSim::with_default_slice(13);
+        let fg = gpu.add_context();
+        let suffix = vec![us(40); 314];
+        for i in 0..1000 {
+            let mut task = gpu.kernel_buffer(fg);
+            assert!(task.is_empty(), "a recycled buffer comes back cleared");
+            task.extend_from_slice(&suffix);
+            let id = gpu.submit(fg, gpu.now(), task);
+            gpu.run_until_complete(id);
+            if i % 100 == 0 {
+                // A buffer taken and not submitted (a shed request) goes
+                // back too.
+                let shed = gpu.kernel_buffer(fg);
+                gpu.recycle(fg, shed);
+            }
+        }
+        assert_eq!(gpu.contexts[fg].fresh_buffers, 1, "back-to-back tasks");
+
+        // A saturating generator keeps `max_outstanding` tasks queued, so
+        // it creates that many buffers and then only refills them.
+        let bg = gpu.add_context();
+        gpu.set_generator(
+            bg,
+            Generator {
+                kernels: vec![us(100); 4],
+                period: SimDuration::from_nanos(1),
+                max_outstanding: 3,
+                noise_sigma: 0.2,
+            },
+            gpu.now(),
+        );
+        let busy = gpu.busy_time();
+        gpu.advance_to(gpu.now() + ms(1000));
+        let tasks = gpu.busy_time().saturating_sub(busy).as_micros_f64() / 400.0;
+        assert!(tasks > 2000.0, "about {tasks} background tasks ran");
+        assert_eq!(gpu.contexts[bg].fresh_buffers, 3, "max_outstanding");
+        assert_eq!(gpu.contexts[fg].fresh_buffers, 1);
+    }
+
     /// The per-kernel slice loop slice stepping replaces: it reads the
     /// arrival heap after every kernel.
     fn serve_slice_per_kernel(gpu: &mut GpuSim, ci: usize) {
@@ -768,7 +868,9 @@ mod tests {
     fn apply(gpu: &mut GpuSim, op: &Op, per_kernel: bool) {
         match op {
             Op::Submit(ctx, at, kernels) => {
-                gpu.submit(*ctx, *at, kernels.clone());
+                let mut task = gpu.kernel_buffer(*ctx);
+                task.extend_from_slice(kernels);
+                gpu.submit(*ctx, *at, task);
             }
             Op::Advance(target) if per_kernel => {
                 while gpu.now < *target {

@@ -22,6 +22,24 @@ pub fn lognormal_factor<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
     (sigma * standard_normal(rng)).exp()
 }
 
+/// Fills `factors` with one [`lognormal_factor`] per slot, in order and
+/// from the same RNG words, in two passes: every N(0, 1) first, then
+/// their `exp`s back to back, rather than each `exp` between two
+/// ziggurat draws. `sigma = 0` fills 1.0 and draws nothing.
+#[inline]
+pub fn lognormal_factors<R: Rng + ?Sized>(rng: &mut R, sigma: f64, factors: &mut [f64]) {
+    if sigma <= 0.0 {
+        factors.fill(1.0);
+        return;
+    }
+    for z in factors.iter_mut() {
+        *z = standard_normal(rng);
+    }
+    for f in factors.iter_mut() {
+        *f = (sigma * *f).exp();
+    }
+}
+
 /// Right edge of the ziggurat's base layer; beyond it lies the tail.
 const ZIG_R: f64 = 3.654_152_885_361_009;
 /// Area of each of the 256 layers under the unnormalised density
@@ -141,6 +159,21 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..10 {
             assert_eq!(lognormal_factor(&mut rng, 0.0), 1.0);
+        }
+    }
+
+    #[test]
+    fn batch_factors_equal_single_draws_word_for_word() {
+        for (seed, len, sigma) in [(4, 0, 0.3), (5, 1, 0.3), (6, 333, 0.3), (7, 64, 0.0)] {
+            let mut single = StdRng::seed_from_u64(seed);
+            let want: Vec<f64> = (0..len)
+                .map(|_| lognormal_factor(&mut single, sigma))
+                .collect();
+            let mut batch = StdRng::seed_from_u64(seed);
+            let mut got = vec![f64::NAN; len];
+            lognormal_factors(&mut batch, sigma, &mut got);
+            assert_eq!(got, want, "seed {seed}");
+            assert_eq!(batch, single, "seed {seed}: RNG state diverged");
         }
     }
 

@@ -2,7 +2,8 @@
 //! offline profiling, partition decision, Figure 5 extraction and system
 //! co-simulation.
 
-use loadpart::{OffloadingSystem, PartitionSolver, Policy, SystemConfig, Testbed};
+use loadpart::policy::{PartitionPolicy, PolicyContext};
+use loadpart::{Decision, OffloadingSystem, PartitionSolver, Policy, SystemConfig, Testbed};
 use lp_graph::partition::partition_at;
 use lp_profiler::PredictionModels;
 use lp_sim::{SimDuration, SimTime};
@@ -84,6 +85,58 @@ fn decisions_materialise_for_all_models() {
                 );
             }
         }
+    }
+}
+
+/// Decides `p = 0, 1, 2, ...` on successive requests.
+#[derive(Debug)]
+struct EveryPoint(usize);
+
+impl PartitionPolicy for EveryPoint {
+    fn name(&self) -> &str {
+        "every-point"
+    }
+
+    fn decide(&mut self, ctx: &PolicyContext<'_>) -> Decision {
+        self.0 += 1;
+        ctx.solver.latency_at(self.0 - 1, ctx.bandwidth_mbps, ctx.k)
+    }
+}
+
+/// The engine's device cache keeps the device side of each partition it
+/// ran, exactly as Figure 5 extracts it, and the engine uploads exactly
+/// the partition's crossing bytes, at every point of every zoo network.
+#[test]
+fn device_cache_keeps_the_device_side_and_engine_uploads_the_cut() {
+    let (user, edge) = models();
+    for graph in lp_models::full_zoo(1) {
+        let mut sys = OffloadingSystem::with_policy(
+            graph.clone(),
+            Box::new(EveryPoint(0)),
+            Testbed::with_constant_bandwidth(8.0, 5),
+            user,
+            edge,
+            SystemConfig::default(),
+        );
+        let mut t = SimTime::ZERO + SimDuration::from_millis(100);
+        for p in 0..=graph.len() {
+            let r = sys.infer(t);
+            t = t + r.total + SimDuration::from_millis(1);
+            let name = graph.name();
+            assert_eq!(r.p, p, "{name}: the sweep decides every point");
+            assert!(!r.cache_hit, "{name} p={p}: first lookup");
+            let part = partition_at(&graph, p).expect("p in range");
+            assert_eq!(r.raw_bytes, part.upload_bytes(&graph), "{name} p={p}");
+            assert_eq!(r.uploaded_bytes, r.raw_bytes, "{name} p={p}: fp32");
+            let (cached, hit) = sys
+                .engine()
+                .device_cache()
+                .get_or_extract(&graph, p)
+                .expect("p in range");
+            assert!(hit, "{name} p={p}: the request cached it");
+            assert_eq!(cached.as_deref(), part.device.as_ref(), "{name} p={p}");
+        }
+        assert_eq!(sys.engine().device_cache().len(), graph.len() + 1);
     }
 }
 

@@ -1,11 +1,13 @@
 //! The co-simulation samples per-graph node-time tables instead of the
-//! latency models. These tests pin that the swap is invisible: over every
-//! zoo network and seeded random node ranges, a table draws exactly the
-//! durations the per-node `sample` loop over the model draws, and leaves
-//! the RNG in exactly the same state — so every co-simulated record stays
-//! bit-identical. A last test pins one suffix's draws to recorded
-//! nanoseconds, so a change to how a draw is converted or rounded fails
-//! by name.
+//! latency models, in batches. These tests pin that the swap is
+//! invisible: over every zoo network and seeded node ranges, both batch
+//! entry points — `sample_into`, which fills a caller's buffer, and
+//! `sample_sum` — give exactly what the per-node `sample` loop over the
+//! model draws, and leave the RNG in exactly the same state, so every
+//! co-simulated record stays bit-identical. The ranges include every
+//! length around a chunk boundary. A last test pins one suffix's draws to
+//! recorded nanoseconds, so a change to how a draw is converted or rounded
+//! fails by name.
 
 use lp_graph::{ComputationGraph, NodeKind};
 use lp_hardware::{DeviceModel, GpuModel, NodeTimes};
@@ -14,9 +16,11 @@ use lp_tensor::TensorDesc;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-/// Random ranges drawn per network, besides the empty, prefix-only and
-/// full ones.
+/// Random ranges drawn per network, besides the fixed ones.
 const RANGES: usize = 24;
+
+/// Seeds drawn per range.
+const SEEDS: usize = 3;
 
 /// The reference: one `model.sample` per node of `from..to`, in
 /// topological order — what the backends drew before the tables.
@@ -40,30 +44,60 @@ fn per_node_loop(
         .collect()
 }
 
-/// Samples `from..to` from the table and from the reference loop with the
-/// same seed, and checks both the draws and the RNGs they leave behind.
+/// Samples `from..to` by the reference loop and by both batch entry
+/// points, each from a fresh RNG of the same seed, and checks the draws
+/// and the RNGs they leave behind. `buffer` is the caller's, reused from
+/// call to call: it holds the previous range's draws and more capacity
+/// than any range needs, which the fill must overwrite and keep. A
+/// `noise_free` table must leave its RNG untouched.
 fn assert_same_draws(
     graph: &ComputationGraph,
     table: &NodeTimes,
     (from, to): (usize, usize),
     seed: u64,
+    buffer: &mut Vec<SimDuration>,
+    noise_free: bool,
     sample: impl Fn(&NodeKind, &TensorDesc, &TensorDesc, &mut StdRng) -> SimDuration,
 ) {
+    let name = graph.name();
     let mut by_model = StdRng::seed_from_u64(seed);
     let want = per_node_loop(graph, from, to, &mut by_model, sample);
-    let mut by_table = StdRng::seed_from_u64(seed);
-    let got: Vec<SimDuration> = table.sample(from..to, &mut by_table).collect();
-    assert_eq!(got, want, "{} nodes {from}..{to}", graph.name());
+    if noise_free {
+        assert_eq!(
+            by_model,
+            StdRng::seed_from_u64(seed),
+            "{name}: sigma 0 drew"
+        );
+    }
+
+    let capacity = buffer.capacity();
+    let mut by_fill = StdRng::seed_from_u64(seed);
+    table.sample_into(from..to, &mut by_fill, buffer);
+    assert_eq!(*buffer, want, "{name} nodes {from}..{to}: filled draws");
+    assert_eq!(buffer.capacity(), capacity, "{name}: the fill reallocated");
+    assert_eq!(by_fill, by_model, "{name} nodes {from}..{to}: fill's RNG");
+
+    let mut by_sum = StdRng::seed_from_u64(seed);
+    let total = table.sample_sum(from..to, &mut by_sum);
     assert_eq!(
-        by_table,
-        by_model,
-        "{} nodes {from}..{to}: RNG state diverged",
-        graph.name()
+        total,
+        want.iter().copied().sum(),
+        "{name} nodes {from}..{to}: sum"
     );
+    assert_eq!(by_sum, by_model, "{name} nodes {from}..{to}: sum's RNG");
 }
 
+/// The fixed ranges (empty, whole, halves), every length around a chunk
+/// boundary from the start and from a random offset, and `RANGES` random
+/// ones.
 fn ranges(n: usize, rng: &mut StdRng) -> Vec<(usize, usize)> {
     let mut out = vec![(0, 0), (0, n), (0, n / 2), (n / 2, n)];
+    let chunk = NodeTimes::CHUNK;
+    for len in [0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, n] {
+        let len = len.min(n);
+        let from = rng.gen_range(0..=n - len);
+        out.extend([(0, len), (from, from + len), (n - len, n)]);
+    }
     for _ in 0..RANGES {
         let from = rng.gen_range(0..=n);
         out.push((from, rng.gen_range(from..=n)));
@@ -91,19 +125,36 @@ fn table_sampling_replays_the_per_node_model_loop() {
         },
     ];
     for graph in lp_models::full_zoo(1) {
+        // Stale values and spare capacity from the start.
+        let mut buffer = vec![SimDuration::from_nanos(u64::MAX); graph.len() + 1];
         for (device, gpu) in devices.iter().zip(&gpus) {
             let device_times = device.node_times(&graph);
             let kernel_times = gpu.node_times(&graph);
             assert_eq!(device_times.len(), graph.len());
             assert_eq!(kernel_times.len(), graph.len());
             for range in ranges(graph.len(), &mut cases) {
-                let seed = cases.gen_range(0..u64::MAX);
-                assert_same_draws(&graph, &device_times, range, seed, |k, i, o, rng| {
-                    device.sample(k, i, o, rng)
-                });
-                assert_same_draws(&graph, &kernel_times, range, seed, |k, i, o, rng| {
-                    gpu.sample(k, i, o, rng)
-                });
+                // Several seeds per range.
+                for _ in 0..SEEDS {
+                    let seed = cases.gen_range(0..u64::MAX);
+                    assert_same_draws(
+                        &graph,
+                        &device_times,
+                        range,
+                        seed,
+                        &mut buffer,
+                        device.noise_sigma == 0.0,
+                        |k, i, o, rng| device.sample(k, i, o, rng),
+                    );
+                    assert_same_draws(
+                        &graph,
+                        &kernel_times,
+                        range,
+                        seed,
+                        &mut buffer,
+                        gpu.noise_sigma == 0.0,
+                        |k, i, o, rng| gpu.sample(k, i, o, rng),
+                    );
+                }
             }
         }
     }
@@ -122,10 +173,9 @@ fn inception_v3_suffix_draws_keep_their_recorded_nanoseconds() {
     let table = GpuModel::default().node_times(&graph);
     assert_eq!(table.len(), 314);
     let mut noise = StdRng::seed_from_u64(0x5EED);
-    let ns: Vec<u64> = table
-        .sample(0..table.len(), &mut noise)
-        .map(SimDuration::as_nanos)
-        .collect();
+    let mut kernels = Vec::new();
+    table.sample_into(0..table.len(), &mut noise, &mut kernels);
+    let ns: Vec<u64> = kernels.into_iter().map(SimDuration::as_nanos).collect();
     let recorded = [
         (0, 45_997),
         (3, 259_887),
