@@ -24,7 +24,7 @@
 //! (its generator's `max_outstanding`, else one), so a steady stream of
 //! submissions stops allocating once its first tasks have finished.
 
-use lp_sim::{lognormal_factor, EventQueue, SimDuration, SimTime};
+use lp_sim::{lognormal_durations, EventQueue, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -68,6 +68,9 @@ struct Context {
     #[cfg(test)]
     fresh_buffers: usize,
     generator: Option<Generator>,
+    /// The generator's kernel durations in seconds, set with it: the
+    /// operand of each fire's noise draw.
+    gen_secs: Vec<f64>,
     gen_waiting: bool,
     last_fire: SimTime,
     // Incremented by set_generator/clear_generator so fire events scheduled
@@ -188,6 +191,7 @@ impl GpuSim {
             #[cfg(test)]
             fresh_buffers: 0,
             generator: None,
+            gen_secs: Vec::new(),
             gen_waiting: false,
             last_fire: SimTime::ZERO,
             gen_epoch: 0,
@@ -209,6 +213,10 @@ impl GpuSim {
             "generator period must be positive"
         );
         let context = &mut self.contexts[ctx];
+        context.gen_secs.clear();
+        context
+            .gen_secs
+            .extend(generator.kernels.iter().map(|k| k.as_secs_f64()));
         context.generator = Some(generator);
         context.gen_waiting = false;
         context.gen_epoch += 1;
@@ -371,16 +379,10 @@ impl GpuSim {
             ctx.gen_waiting = true;
             return;
         }
-        let period = generator.period;
+        let (period, sigma) = (generator.period, generator.noise_sigma);
         let mut kernels = ctx.take_buffer();
-        let generator = ctx.generator.as_ref().expect("checked above");
-        let rng = &mut self.rng;
-        kernels.extend(
-            generator
-                .kernels
-                .iter()
-                .map(|&k| k.scale(lognormal_factor(rng, generator.noise_sigma))),
-        );
+        kernels.resize(ctx.gen_secs.len(), SimDuration::ZERO);
+        lognormal_durations(&mut self.rng, sigma, &ctx.gen_secs, &mut kernels);
         ctx.queue.push_back(Task {
             id: None,
             arrival: t,
@@ -391,18 +393,15 @@ impl GpuSim {
             .push(t + period, Arrival::GeneratorFire(ci, epoch));
     }
 
-    fn pick_context(&mut self) -> Option<usize> {
-        let n = self.contexts.len();
-        if n == 0 {
-            return None;
+    /// The first context with queued work in round-robin order from
+    /// `rr_next`: `rr_next..n`, then `0..rr_next`.
+    fn pick_context(&self) -> Option<usize> {
+        let start = self.rr_next;
+        let ready = |ctx: &Context| !ctx.queue.is_empty();
+        match self.contexts[start..].iter().position(ready) {
+            Some(off) => Some(start + off),
+            None => self.contexts[..start].iter().position(ready),
         }
-        for off in 0..n {
-            let ci = (self.rr_next + off) % n;
-            if !self.contexts[ci].queue.is_empty() {
-                return Some(ci);
-            }
-        }
-        None
     }
 
     /// Serves context `ci` for one slice: kernels run back to back, each
@@ -462,7 +461,8 @@ impl GpuSim {
                 break;
             }
         }
-        self.rr_next = (ci + 1) % self.contexts.len().max(1);
+        let next = ci + 1;
+        self.rr_next = if next < self.contexts.len() { next } else { 0 };
     }
 }
 
@@ -806,6 +806,45 @@ mod tests {
         assert!(tasks > 2000.0, "about {tasks} background tasks ran");
         assert_eq!(gpu.contexts[bg].fresh_buffers, 3, "max_outstanding");
         assert_eq!(gpu.contexts[fg].fresh_buffers, 1);
+    }
+
+    #[test]
+    fn generator_fires_draw_each_kernel_as_lognormal_factor_scales_it() {
+        use lp_sim::lognormal_factor;
+        // 100%(h)'s storm at the models' sigma, and a longer task that
+        // crosses a draw chunk's boundary.
+        let model = crate::GpuModel::default();
+        let storm =
+            crate::background_generators(crate::LoadLevel::Pct100High, &model).swap_remove(0);
+        let long = Generator {
+            kernels: (1..=150).map(|i| us(7 * i)).collect(),
+            period: us(1),
+            max_outstanding: 3,
+            noise_sigma: 0.3,
+        };
+        for (generator, replaced) in [(&storm, &long), (&long, &storm)] {
+            let mut gpu = GpuSim::with_default_slice(21);
+            let ctx = gpu.add_context();
+            // The replaced generator's fire is stale, and its kernel
+            // seconds must not be drawn from.
+            gpu.set_generator(ctx, replaced.clone(), SimTime::ZERO);
+            gpu.set_generator(ctx, generator.clone(), SimTime::ZERO);
+            // Fire until the queue is full, before any kernel runs.
+            gpu.now = SimTime::ZERO + us(generator.max_outstanding as u64 - 1);
+            gpu.fire_arrivals();
+            let queue = &gpu.contexts[ctx].queue;
+            assert_eq!(queue.len(), generator.max_outstanding);
+            let mut reference = StdRng::seed_from_u64(21);
+            for task in queue {
+                let want: Vec<SimDuration> = generator
+                    .kernels
+                    .iter()
+                    .map(|&k| k.scale(lognormal_factor(&mut reference, generator.noise_sigma)))
+                    .collect();
+                assert_eq!(task.kernels, want);
+            }
+            assert_eq!(gpu.rng, reference, "words consumed");
+        }
     }
 
     /// The per-kernel slice loop slice stepping replaces: it reads the

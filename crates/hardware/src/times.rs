@@ -12,23 +12,23 @@
 //! keeps each time in seconds, so a draw multiplies instead of converting
 //! nanoseconds to seconds per node.
 //!
-//! A draw is one ziggurat N(0, 1) and one `exp` (lp-sim's
-//! [`lognormal_factor`](lp_sim::lognormal_factor)) plus the rounding to
-//! nanoseconds. A range of nodes is drawn in chunks of
-//! [`NodeTimes::CHUNK`] held in a stack array: every N(0, 1) of a chunk
-//! first, then the `exp`s, the scaling and the rounding
-//! ([`lognormal_factors`]). Each node still takes the same RNG words in the
-//! same order, so a batch equals a loop of single draws bit for bit. One
-//! core serves two entry points: [`NodeTimes::sample_into`] fills a
-//! caller's buffer (a GPU suffix, whose kernels the simulator queues one
-//! by one) and [`NodeTimes::sample_sum`] returns the total (a device
-//! prefix, of which only the time is used). The caller chooses the stream:
-//! the co-simulated device draws its prefix from the client engine's RNG,
-//! the co-simulated server a suffix from an RNG seeded by the request
-//! alone.
+//! A draw is one ziggurat N(0, 1), the `exp` of its scaled value and the
+//! rounding to nanoseconds, made by lp-sim's batch core
+//! [`lognormal_durations`] over a range of nodes: chunk by chunk, every
+//! N(0, 1) first, then the `exp`s, scaling and rounding in one vectorised
+//! pass, checked against libm's by Ziv's rounding test. Each node still
+//! takes the same RNG words in the same order and gets libm's nanoseconds,
+//! so a batch equals a loop of single draws bit for bit. One core serves
+//! two entry points: [`NodeTimes::sample_into`] fills a caller's buffer (a
+//! GPU suffix, whose kernels the simulator queues one by one) and
+//! [`NodeTimes::sample_sum`] returns the total (a device prefix, of which
+//! only the time is used). The caller chooses the stream: the
+//! co-simulated device draws its prefix from the client engine's RNG, the
+//! co-simulated server a suffix from an RNG seeded by the request alone.
 
 use lp_graph::{ComputationGraph, NodeKind};
-use lp_sim::{lognormal_factors, SimDuration};
+use lp_sim::rng::DRAW_CHUNK;
+use lp_sim::{lognormal_durations, SimDuration};
 use lp_tensor::TensorDesc;
 use rand::Rng;
 use std::ops::Range;
@@ -44,9 +44,9 @@ pub struct NodeTimes {
 }
 
 impl NodeTimes {
-    /// Nodes drawn per chunk: the stack array that holds a chunk's
-    /// N(0, 1) draws, and then its factors, has this many slots.
-    pub const CHUNK: usize = 64;
+    /// Nodes drawn per chunk: lp-sim's [`DRAW_CHUNK`], and the size of
+    /// the stack array [`NodeTimes::sample_sum`] sums through.
+    pub const CHUNK: usize = DRAW_CHUNK;
 
     /// Evaluates a model's `expected(kind, input, output)` once per node
     /// of `graph`.
@@ -85,24 +85,6 @@ impl NodeTimes {
         &self.expected
     }
 
-    /// The batch draw core: node `secs[i]`'s noisy duration into `out[i]`,
-    /// chunk by chunk, with one
-    /// [`lognormal_factor`](lp_sim::lognormal_factor) per node from `rng`,
-    /// in order. A draw is the duration [`SimDuration::scale`] gives, from
-    /// the stored seconds.
-    #[inline]
-    fn draw<R: Rng + ?Sized>(&self, secs: &[f64], rng: &mut R, out: &mut [SimDuration]) {
-        debug_assert_eq!(secs.len(), out.len());
-        let mut factors = [0.0; Self::CHUNK];
-        for (secs, out) in secs.chunks(Self::CHUNK).zip(out.chunks_mut(Self::CHUNK)) {
-            let factors = &mut factors[..secs.len()];
-            lognormal_factors(rng, self.noise_sigma, factors);
-            for ((draw, &secs), &factor) in out.iter_mut().zip(secs).zip(&*factors) {
-                *draw = SimDuration::from_secs_f64(secs * factor.max(0.0));
-            }
-        }
-    }
-
     /// One noisy draw for each node in `nodes` (0-based topological
     /// indices), in order, into `out`, which is cleared first: its
     /// capacity is reused, so a caller that keeps the buffer draws without
@@ -111,7 +93,7 @@ impl NodeTimes {
     /// # Panics
     ///
     /// Panics if `nodes` reaches past the table.
-    pub fn sample_into<R: Rng + ?Sized>(
+    pub fn sample_into<R: Rng + Clone>(
         &self,
         nodes: Range<usize>,
         rng: &mut R,
@@ -120,7 +102,7 @@ impl NodeTimes {
         let secs = &self.secs[nodes];
         out.clear();
         out.resize(secs.len(), SimDuration::ZERO);
-        self.draw(secs, rng, out);
+        lognormal_durations(rng, self.noise_sigma, secs, out);
     }
 
     /// The sum of one noisy draw for each node in `nodes`, drawn as
@@ -129,12 +111,12 @@ impl NodeTimes {
     /// # Panics
     ///
     /// Panics if `nodes` reaches past the table.
-    pub fn sample_sum<R: Rng + ?Sized>(&self, nodes: Range<usize>, rng: &mut R) -> SimDuration {
+    pub fn sample_sum<R: Rng + Clone>(&self, nodes: Range<usize>, rng: &mut R) -> SimDuration {
         let mut chunk = [SimDuration::ZERO; Self::CHUNK];
         let mut total = SimDuration::ZERO;
         for secs in self.secs[nodes].chunks(Self::CHUNK) {
             let chunk = &mut chunk[..secs.len()];
-            self.draw(secs, rng, chunk);
+            lognormal_durations(rng, self.noise_sigma, secs, chunk);
             total += chunk.iter().copied().sum();
         }
         total

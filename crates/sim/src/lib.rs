@@ -27,5 +27,5 @@ pub mod rng;
 pub mod time;
 
 pub use events::EventQueue;
-pub use rng::{lognormal_factor, lognormal_factors, uniform_in};
+pub use rng::{lognormal_durations, lognormal_factor, uniform_in};
 pub use time::{SimDuration, SimTime};

@@ -1,5 +1,18 @@
 //! Seeded randomness helpers for the simulators.
+//!
+//! The simulators' noise is multiplicative and log-normal:
+//! [`lognormal_factor`] draws one factor `e^{σ·N(0,1)}`, and
+//! [`lognormal_durations`] scales a slice of durations by one such factor
+//! each, rounded to nanoseconds. The batch form is the co-simulation's
+//! hot path: every GPU kernel of a suffix, every layer of a device prefix
+//! and every background kernel goes through it. It equals the
+//! one-at-a-time draw bit for bit, from the same RNG words, but computes
+//! the `exp` and the rounding of a whole chunk in one branch-free pass
+//! that the compiler vectorises. A slot whose fast result could round
+//! differently from libm's is recomputed through libm: Ziv's rounding test
+//! (A. Ziv, ACM TOMS 17(3), 1991) decides which.
 
+use crate::SimDuration;
 use rand::{Rng, RngCore};
 use std::sync::OnceLock;
 
@@ -13,6 +26,8 @@ use std::sync::OnceLock;
 /// Draws its N(0, 1) with a 256-layer ziggurat (Marsaglia & Tsang, J. Stat.
 /// Softw. 5(8), 2000), so we do not need `rand_distr`: almost every draw
 /// costs one `next_u64`, one table compare and the `exp` of the result.
+/// To scale many durations, [`lognormal_durations`] makes the same draws
+/// with a vectorised `exp` and rounding.
 #[must_use]
 #[inline]
 pub fn lognormal_factor<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
@@ -22,22 +37,170 @@ pub fn lognormal_factor<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
     (sigma * standard_normal(rng)).exp()
 }
 
-/// Fills `factors` with one [`lognormal_factor`] per slot, in order and
-/// from the same RNG words, in two passes: every N(0, 1) first, then
-/// their `exp`s back to back, rather than each `exp` between two
-/// ziggurat draws. `sigma = 0` fills 1.0 and draws nothing.
+/// Slots [`lognormal_durations`] handles per chunk: a chunk's N(0, 1)
+/// draws wait in a stack array of this many `f64`s.
+pub const DRAW_CHUNK: usize = 64;
+
+/// Scales each of `secs` by its own [`lognormal_factor`] and rounds it to
+/// nanoseconds: slot `i` of `out` becomes
+/// `SimDuration::from_secs_f64(secs[i] * lognormal_factor(rng, sigma).max(0.0))`,
+/// the duration [`SimDuration::scale`] gives, bit for bit, with the slots
+/// drawn in order from the same RNG words. `sigma = 0` draws nothing.
+///
+/// Chunk by chunk, it draws every N(0, 1) first, with the generator
+/// copied into a local, and then scales the chunk in one branch-free pass
+/// that the compiler vectorises: an inline `exp` (Cody–Waite reduction, a
+/// degree-13 polynomial, the power of two set in the exponent bits) in
+/// place of libm's, and rounding by adding 2^52. That `exp` is within
+/// 2^-48 of libm's, so a product `y` in nanoseconds rounds to the same
+/// integer as libm's unless `y` lies within `y·2^-40` of a half-integer
+/// (Ziv's test), which every `y` of 2^39 ns or more does. A chunk with
+/// such a slot, or with a `|σz|` past 700, is recomputed through libm
+/// from the same normals. On the zoo's device and GPU tables about 8
+/// slots in a million fail the test.
+///
+/// # Panics
+///
+/// Panics if `secs` and `out` differ in length.
 #[inline]
-pub fn lognormal_factors<R: Rng + ?Sized>(rng: &mut R, sigma: f64, factors: &mut [f64]) {
+pub fn lognormal_durations<R: RngCore + Clone>(
+    rng: &mut R,
+    sigma: f64,
+    secs: &[f64],
+    out: &mut [SimDuration],
+) {
+    assert_eq!(secs.len(), out.len(), "one output slot per duration");
     if sigma <= 0.0 {
-        factors.fill(1.0);
+        for (out, &secs) in out.iter_mut().zip(secs) {
+            *out = SimDuration::from_secs_f64(secs);
+        }
         return;
     }
-    for z in factors.iter_mut() {
-        *z = standard_normal(rng);
+    let zig = Ziggurat::get();
+    let mut local = rng.clone();
+    let mut normals = [0.0; DRAW_CHUNK];
+    for (secs, out) in secs.chunks(DRAW_CHUNK).zip(out.chunks_mut(DRAW_CHUNK)) {
+        let normals = &mut normals[..secs.len()];
+        for z in normals.iter_mut() {
+            *z = zig.standard_normal(&mut local);
+        }
+        if !scale_chunk(sigma, normals, secs, out) {
+            #[cfg(test)]
+            LIBM_CHUNKS.with(|chunks| chunks.set(chunks.get() + 1));
+            for ((out, &secs), &z) in out.iter_mut().zip(secs).zip(&*normals) {
+                *out = SimDuration::from_secs_f64(secs * (sigma * z).exp().max(0.0));
+            }
+        }
     }
-    for f in factors.iter_mut() {
-        *f = (sigma * *f).exp();
+    *rng = local;
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Chunks [`lognormal_durations`] recomputed through libm on this
+    /// thread.
+    static LIBM_CHUNKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// `2^52`: adding it to a `y` in `[0, 2^52)` leaves the nearest integer to
+/// `y` in the sum's mantissa bits.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+/// Ziv's margin, relative: a fast `y` this close to a half-integer may
+/// round differently from libm's. It is 2^8 times the error bound the
+/// tests hold the fast `exp` to, and 2^12 to 2^13 ulps of `y`. It also
+/// bounds `y`: from 2^39 ns (9 minutes) on, the margin exceeds one half
+/// and every slot fails, well short of 2^52, where adding 2^52 would stop
+/// rounding exactly.
+const ZIV_MARGIN: f64 = 1.0 / 1_099_511_627_776.0;
+
+/// Largest `|σz|` the fast `exp` serves: `e^{±700}` is a normal `f64`,
+/// so the power of two fits the exponent field.
+const EXP_FAST_MAX: f64 = 700.0;
+
+/// One chunk's fast pass: `out[i]` from `secs[i]` and the normal
+/// `normals[i]` as [`lognormal_durations`] defines it. Returns `false`
+/// when some slot fails Ziv's test (or leaves the fast range), and the
+/// chunk must be recomputed through libm.
+///
+/// Every slot's work is branch-free and call-free, so the loop
+/// vectorises. The `exp` is [`exp_fast`]'s; for the same `z` it differs
+/// from libm's by a relative `e`, and each side then rounds twice (the
+/// product with `secs` and with 1e9), so the fast `y` and libm's differ by
+/// at most `y·(e + 2^-51)`, far below the margin `y·2^-40`. A slot whose
+/// distance to the nearest half-integer exceeds the margin therefore
+/// rounds to the same integer on both sides. The rounding is exact: `y +
+/// 2^52` holds the nearest integer in its mantissa, `y` minus that integer
+/// is exact (the two are within one half of each other), and so is its
+/// distance to the half-integer wherever that is under a quarter.
+#[inline]
+fn scale_chunk(sigma: f64, normals: &[f64], secs: &[f64], out: &mut [SimDuration]) -> bool {
+    let mut certain = true;
+    for ((out, &secs), &z) in out.iter_mut().zip(secs).zip(normals) {
+        let t = sigma * z;
+        let y = (secs * exp_fast(t)).max(0.0) * 1e9;
+        let shifted = y + TWO_POW_52;
+        let tie_distance = 0.5 - (y - (shifted - TWO_POW_52)).abs();
+        // Each comparison is false on a NaN, so a NaN (as from an infinite
+        // `y`) fails the chunk.
+        certain &= (t.abs() <= EXP_FAST_MAX) & (tie_distance > y * ZIV_MARGIN);
+        *out = SimDuration::from_nanos(shifted.to_bits().wrapping_sub(TWO_POW_52.to_bits()));
     }
+    certain
+}
+
+/// `1/j!` for `j = 0..=13`: the Taylor polynomial of `e^r`. On the
+/// reduced range `|r| ≤ ln2/2` its first omitted term is below 2^-57
+/// relative.
+const EXP_TAYLOR: [f64; 14] = [
+    1.0,
+    1.0,
+    0.5,
+    0.166_666_666_666_666_66,
+    0.041_666_666_666_666_664,
+    0.008_333_333_333_333_333,
+    0.001_388_888_888_888_889,
+    0.000_198_412_698_412_698_4,
+    2.480_158_730_158_73e-5,
+    2.755_731_922_398_589_3e-6,
+    2.755_731_922_398_589e-7,
+    2.505_210_838_544_172e-8,
+    2.087_675_698_786_81e-9,
+    1.605_904_383_682_161_3e-10,
+];
+
+/// `e^t` without a call or a table, for `|t| ≤ 700` (anything else gives
+/// garbage, which [`scale_chunk`] flags). Cody–Waite reduction: `k =
+/// round(t/ln2)` by the 1.5·2^52 shift, `r = t − k·ln2` in two steps with
+/// `ln2` split so `k·LN2_HI` is exact; then the Taylor polynomial of `e^r`,
+/// times `2^k` built in the exponent bits (exact: the result is a normal
+/// `f64`). Within about 2^-52 of the true value, so well within 2^-48 of
+/// libm's (tested against `f64::exp`).
+#[inline]
+fn exp_fast(t: f64) -> f64 {
+    const LOG2_E: f64 = std::f64::consts::LOG2_E;
+    const SHIFT: f64 = 6_755_399_441_055_744.0;
+    // fdlibm's split of ln2: 32 significant bits, and the remainder.
+    const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+    const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+    let shifted = t * LOG2_E + SHIFT;
+    let k = shifted - SHIFT;
+    let r = (t - k * LN2_HI) - k * LN2_LO;
+    // `1 + (r + r²·q)`, with `q` by Estrin's scheme: six independent pairs
+    // `c[i] + c[i+1]·r`, joined by `r²`, `r⁴` and `r⁸`. Horner's thirteen
+    // dependent steps made the chunk's pass latency-bound; adding the
+    // leading `1 + r` last keeps the error within about one ulp.
+    let c = &EXP_TAYLOR;
+    let pair = |i: usize| c[i] + c[i + 1] * r;
+    let r2 = r * r;
+    let r4 = r2 * r2;
+    let low = pair(2) + r2 * pair(4);
+    let mid = pair(6) + r2 * pair(8);
+    let high = pair(10) + r2 * pair(12);
+    let poly = 1.0 + (r + r2 * ((low + r4 * mid) + (r4 * r4) * high));
+    // The shifted sum's low 12 bits hold `k` modulo 4096; `k + 1023` is
+    // the biased exponent of `2^k`.
+    poly * f64::from_bits(shifted.to_bits().wrapping_add(1023) << 52)
 }
 
 /// Right edge of the ziggurat's base layer; beyond it lies the tail.
@@ -73,6 +236,39 @@ impl Ziggurat {
             }
         })
     }
+
+    /// One N(0, 1) draw. The low 8 bits of one `next_u64` pick a layer and
+    /// the top 53 a signed position in it; a position inside the next
+    /// layer's width lies under the density and is returned at once (98.5%
+    /// of draws). Otherwise the base layer samples the tail beyond `R`
+    /// (Marsaglia's exponential method), any other layer tests its wedge,
+    /// and a rejected point starts over.
+    #[inline]
+    fn standard_normal<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
+        loop {
+            let bits = rng.next_u64();
+            let i = (bits & 0xff) as usize;
+            // 53 bits -> [0, 2) exactly, shifted to [-1, 1).
+            let u = bits_53(bits) * (1.0 / (1u64 << 52) as f64) - 1.0;
+            let x = u * self.x[i];
+            if x.abs() < self.x[i + 1] {
+                return x;
+            }
+            if i == 0 {
+                loop {
+                    let tail = -open_unit(rng).ln() / ZIG_R;
+                    let y = -open_unit(rng).ln();
+                    if 2.0 * y > tail * tail {
+                        return (ZIG_R + tail).copysign(u);
+                    }
+                }
+            }
+            let height = self.f[i] + (self.f[i + 1] - self.f[i]) * open_unit(rng);
+            if height < (-0.5 * x * x).exp() {
+                return x;
+            }
+        }
+    }
 }
 
 /// Uniform in the open interval (0, 1) from 53 random bits.
@@ -90,38 +286,10 @@ fn bits_53(bits: u64) -> f64 {
     ((bits >> 11) as i64) as f64
 }
 
-/// One N(0, 1) draw by the ziggurat. The low 8 bits of one `next_u64`
-/// pick a layer and the top 53 a signed position in it; a position inside
-/// the next layer's width lies under the density and is returned at once
-/// (98.5% of draws). Otherwise the base layer samples the tail beyond `R`
-/// (Marsaglia's exponential method), any other layer tests its wedge, and
-/// a rejected point starts over.
+/// One N(0, 1) draw by the ziggurat ([`Ziggurat::standard_normal`]).
 #[inline]
 fn standard_normal<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
-    let zig = Ziggurat::get();
-    loop {
-        let bits = rng.next_u64();
-        let i = (bits & 0xff) as usize;
-        // 53 bits -> [0, 2) exactly, shifted to [-1, 1).
-        let u = bits_53(bits) * (1.0 / (1u64 << 52) as f64) - 1.0;
-        let x = u * zig.x[i];
-        if x.abs() < zig.x[i + 1] {
-            return x;
-        }
-        if i == 0 {
-            loop {
-                let tail = -open_unit(rng).ln() / ZIG_R;
-                let y = -open_unit(rng).ln();
-                if 2.0 * y > tail * tail {
-                    return (ZIG_R + tail).copysign(u);
-                }
-            }
-        }
-        let height = zig.f[i] + (zig.f[i + 1] - zig.f[i]) * open_unit(rng);
-        if height < (-0.5 * x * x).exp() {
-            return x;
-        }
-    }
+    Ziggurat::get().standard_normal(rng)
 }
 
 /// Samples uniformly from an inclusive integer range.
@@ -162,18 +330,232 @@ mod tests {
         }
     }
 
+    /// The one-at-a-time draws [`lognormal_durations`] must equal: each
+    /// slot's [`lognormal_factor`] applied as `SimDuration::scale` applies
+    /// it, through libm's `exp` and `from_secs_f64`'s rounding.
+    fn single_draws(rng: &mut StdRng, sigma: f64, secs: &[f64]) -> Vec<SimDuration> {
+        secs.iter()
+            .map(|&s| SimDuration::from_secs_f64(s * lognormal_factor(rng, sigma).max(0.0)))
+            .collect()
+    }
+
+    /// Draws `secs` through the batch core and one slot at a time, each
+    /// from a fresh RNG of `seed`, and asserts equal durations and equal
+    /// RNG states after. Returns the batch's durations and the number of
+    /// chunks it recomputed through libm.
+    fn assert_batch_equals_single(
+        seed: u64,
+        sigma: f64,
+        secs: &[f64],
+    ) -> (Vec<SimDuration>, usize) {
+        let mut single = StdRng::seed_from_u64(seed);
+        let want = single_draws(&mut single, sigma, secs);
+        let mut batch = StdRng::seed_from_u64(seed);
+        let mut got = vec![SimDuration::from_nanos(u64::MAX); secs.len()];
+        let before = LIBM_CHUNKS.with(std::cell::Cell::get);
+        lognormal_durations(&mut batch, sigma, secs, &mut got);
+        let libm = LIBM_CHUNKS.with(std::cell::Cell::get) - before;
+        assert_eq!(got, want, "seed {seed}, sigma {sigma}: {secs:?}");
+        assert_eq!(batch, single, "seed {seed}: RNG state diverged");
+        (got, libm)
+    }
+
+    /// `n` durations log-uniform between `lo` and `hi` seconds.
+    fn log_uniform_secs(rng: &mut StdRng, n: usize, lo: f64, hi: f64) -> Vec<f64> {
+        (0..n)
+            .map(|_| (rng.gen_range(lo.ln()..hi.ln())).exp())
+            .collect()
+    }
+
     #[test]
-    fn batch_factors_equal_single_draws_word_for_word() {
+    fn batch_durations_equal_single_draws_word_for_word() {
+        let mut cases = StdRng::seed_from_u64(0xBA7C);
         for (seed, len, sigma) in [(4, 0, 0.3), (5, 1, 0.3), (6, 333, 0.3), (7, 64, 0.0)] {
-            let mut single = StdRng::seed_from_u64(seed);
-            let want: Vec<f64> = (0..len)
-                .map(|_| lognormal_factor(&mut single, sigma))
+            let secs = log_uniform_secs(&mut cases, len, 1e-6, 1e-1);
+            assert_batch_equals_single(seed, sigma, &secs);
+        }
+        // Every length up to three chunks, sigmas from the models' 0.08 up
+        // to 2, and times from a nanosecond to a quarter of an hour.
+        for len in 0..=3 * DRAW_CHUNK {
+            let sigma = [0.08, 0.1, 0.3, 2.0][len % 4];
+            let secs = log_uniform_secs(&mut cases, len, 1e-9, 1e3);
+            assert_batch_equals_single(cases.next_u64(), sigma, &secs);
+        }
+    }
+
+    /// The fast `exp`'s error bound relative to libm's, as tested: the
+    /// margin Ziv's test relies on, 2^8 lower.
+    const EXP_TESTED_ERROR: f64 = ZIV_MARGIN / 256.0;
+
+    #[test]
+    fn fast_exp_stays_within_its_tested_bound_of_libm() {
+        let mut worst = (0.0f64, 0.0f64);
+        let mut check = |t: f64| {
+            let want = t.exp();
+            let error = ((exp_fast(t) - want) / want).abs();
+            assert!(
+                error <= EXP_TESTED_ERROR,
+                "t = {t:e}: fast {:e}, libm {want:e}",
+                exp_fast(t)
+            );
+            if error > worst.0 {
+                worst = (error, t);
+            }
+        };
+        // A dense grid on [-30, 30], step 2^-14: every reduction interval
+        // a kernel's σz can reach, and far past it.
+        let steps = 60i32 << 14;
+        for i in 0..=steps {
+            check(-30.0 + f64::from(i) / 16_384.0);
+        }
+        // Seeded values over the whole fast range, and its edges.
+        let mut rng = StdRng::seed_from_u64(0xE4B);
+        for _ in 0..1_000_000 {
+            check(rng.gen_range(-EXP_FAST_MAX..=EXP_FAST_MAX));
+        }
+        let half_ln2 = std::f64::consts::LN_2 / 2.0;
+        for t in [0.0, -0.0, EXP_FAST_MAX, -EXP_FAST_MAX, half_ln2, -half_ln2] {
+            for t in [t.next_down(), t, t.next_up()] {
+                check(t);
+            }
+        }
+        // What the bound leaves spare: measured 2.2e-16, about 2^-52.
+        assert!(
+            worst.0 < EXP_TESTED_ERROR / 8.0,
+            "worst {:e} at t = {}",
+            worst.0,
+            worst.1
+        );
+    }
+
+    #[test]
+    fn near_ties_go_through_libm_and_every_slot_equals_the_single_draw() {
+        const SEED: u64 = 0x71E5;
+        let sigma = 0.1;
+        // The chunk's factors, from the normals the core will draw.
+        let mut rng = StdRng::seed_from_u64(SEED);
+        let factors: Vec<f64> = (0..DRAW_CHUNK)
+            .map(|_| (sigma * standard_normal(&mut rng)).exp())
+            .collect();
+        // libm's nanoseconds before rounding, and the `secs` that lands
+        // them exactly on `target`, searched among the floats next to the
+        // quotient.
+        let y = |secs: f64, f: f64| (secs * f).max(0.0) * 1e9;
+        let hit = |target: f64, f: f64| {
+            let mut secs = target / 1e9 / f;
+            for _ in 0..32 {
+                secs = secs.next_down();
+            }
+            (0..64).find_map(|_| {
+                secs = secs.next_up();
+                (y(secs, f) == target).then_some(secs)
+            })
+        };
+        // Per slot, a tie `k + 0.5` (20 µs and up) that some `secs` reaches
+        // exactly, as do the floats either side of it. Where `y`'s
+        // mantissa is 1.86 or more, consecutive `secs` move it by 1.86
+        // ulps, so no three neighbours are all reachable and the search
+        // moves on.
+        let ties: Vec<(f64, [f64; 3])> = factors
+            .iter()
+            .enumerate()
+            .map(|(i, &f)| {
+                (0..10_000)
+                    .find_map(|j| {
+                        let tie = (20_000 + 1_000 * i + j) as f64 + 0.5;
+                        let below = hit(tie.next_down(), f)?;
+                        let exact = hit(tie, f)?;
+                        let above = hit(tie.next_up(), f)?;
+                        Some((tie, [below, exact, above]))
+                    })
+                    .expect("a reachable tie")
+            })
+            .collect();
+        // Slot `i` alone at `secs`, the others at 0 ns (which the fast
+        // path serves): the chunk takes libm only if slot `i` fails.
+        let alone = |i: usize, secs: f64| {
+            let mut chunk = vec![0.0; DRAW_CHUNK];
+            chunk[i] = secs;
+            chunk
+        };
+        let nanos = |v: f64| SimDuration::from_nanos(v as u64);
+        // Exactly on the tie and one ulp either side: libm's rounding,
+        // half away from zero, and every slot fails Ziv's test.
+        for (side, rounds_to) in [(0, -0.5), (1, 0.5), (2, 0.5)] {
+            let secs: Vec<f64> = ties.iter().map(|(_, s)| s[side]).collect();
+            let (got, _) = assert_batch_equals_single(SEED, sigma, &secs);
+            for (i, ((tie, _), got)) in ties.iter().zip(&got).enumerate() {
+                assert_eq!(*got, nanos(tie + rounds_to), "tie {tie}, side {side}");
+                let (_, libm) = assert_batch_equals_single(SEED, sigma, &alone(i, secs[i]));
+                assert_eq!(libm, 1, "tie {tie}, side {side}: took the fast path");
+            }
+        }
+        // Just inside the margin from the tie, either way: libm, slot by
+        // slot. Just outside: the whole chunk on the fast path, with the
+        // same nanoseconds. The fast `y` sits within 2^-7 margins of
+        // libm's, so 0.9 and 1.1 margins are on either side of the test.
+        for (scale, fails) in [(0.9, true), (-0.9, true), (1.1, false), (-1.1, false)] {
+            let secs: Vec<f64> = ties
+                .iter()
+                .zip(&factors)
+                .map(|(&(tie, _), &f)| {
+                    let secs = (tie + scale * tie * ZIV_MARGIN) / 1e9 / f;
+                    let off = (y(secs, f) - tie) / (tie * ZIV_MARGIN);
+                    assert!((off - scale).abs() < 0.01, "tie {tie}: {off} margins off");
+                    secs
+                })
                 .collect();
-            let mut batch = StdRng::seed_from_u64(seed);
-            let mut got = vec![f64::NAN; len];
-            lognormal_factors(&mut batch, sigma, &mut got);
-            assert_eq!(got, want, "seed {seed}");
-            assert_eq!(batch, single, "seed {seed}: RNG state diverged");
+            let (_, libm) = assert_batch_equals_single(SEED, sigma, &secs);
+            assert_eq!(libm, usize::from(fails), "{scale} margins from the ties");
+            if fails {
+                for (i, &secs) in secs.iter().enumerate() {
+                    let (_, libm) = assert_batch_equals_single(SEED, sigma, &alone(i, secs));
+                    assert_eq!(libm, 1, "slot {i}, {scale} margins from its tie");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn edge_inputs_equal_the_single_draw() {
+        // σ = 0 takes no word and scales by exactly 1.
+        let secs = [0.0, 1e-6, 0.25, -1.0, f64::NAN, 1e7, f64::INFINITY];
+        let (got, libm) = assert_batch_equals_single(9, 0.0, &secs);
+        assert_eq!(got, secs.map(SimDuration::from_secs_f64));
+        assert_eq!(libm, 0);
+        // Zero, negative and NaN durations are 0 ns on the fast path.
+        let mut secs = [0.0; 100];
+        secs[7] = -1e-3;
+        secs[70] = f64::NAN;
+        let (got, libm) = assert_batch_equals_single(10, 0.1, &secs);
+        assert!(got.iter().all(|&d| d == SimDuration::ZERO));
+        assert_eq!(libm, 0);
+        // 10^15 ns and past, up to the saturation at u64::MAX: libm, by
+        // Ziv's test alone.
+        for huge in [1e6, 5e6, 1e9, 1e300, f64::INFINITY] {
+            let mut secs = vec![1e-4; 70];
+            secs[3] = huge;
+            let (got, libm) = assert_batch_equals_single(11, 0.1, &secs);
+            assert!(
+                got[3].as_nanos() >= 900_000_000_000_000,
+                "{huge}: {:?}",
+                got[3]
+            );
+            assert_eq!(libm, 1, "{huge}");
+        }
+        // |σz| past 700, alone in its chunk. There the fast `exp`'s
+        // exponent bits wrap: to a negative number at σz = 1000 (libm:
+        // infinity), to -inf at -710 (libm: a subnormal that 10^300 s
+        // scales to 4 ns). Either gives a certain-looking 0 ns, so only the
+        // range check sends them to libm.
+        for (t, secs, want) in [(1_000.0, 1e-5, u64::MAX), (-710.0, 1e300, 4)] {
+            let (seed, z) = (12..)
+                .map(|seed| (seed, standard_normal(&mut StdRng::seed_from_u64(seed))))
+                .find(|&(_, z)| z * t > 0.0)
+                .expect("a normal of either sign");
+            let (got, libm) = assert_batch_equals_single(seed, t / z, &[secs]);
+            assert_eq!(got, [SimDuration::from_nanos(want)], "σz = {t}");
+            assert_eq!(libm, 1, "σz = {t}");
         }
     }
 
